@@ -1,11 +1,11 @@
 """
-Three engines, one answer
-=========================
+Two engines, one answer
+=======================
 
-The same circuits evaluated by the dense state vector, by the frontier
-density-matrix walk that allocates and retires wires on the fly, and by the
-batched engine the trainer uses.  The frontier engine is what makes the
-64-wire lattice affordable: it never holds more than nine wires at once.
+The same circuits evaluated by the dense state vector and by the batched
+density-matrix walk the trainer uses, which allocates and retires wires on
+the fly.  That walk is what makes the 64-wire lattice affordable: it never
+holds more than nine wires at once.
 """
 
 import time
@@ -17,7 +17,6 @@ from qcnn import (
     FrontierWidthError,
     ModelParams,
     build_plan,
-    frontier_run,
     run_plan,
     run_pure,
 )
@@ -39,28 +38,25 @@ dense = run_pure(plan, encode, params)
 t_dense = time.perf_counter() - t0
 
 t0 = time.perf_counter()
-frontier = frontier_run(plan, encode, params)
-t_frontier = time.perf_counter() - t0
-
 batched = run_plan(plan, encode, params)
+t_batched = time.perf_counter() - t0
 
 print(f"dense state vector: {dense:.12f}  ({t_dense * 1000:.1f} ms)")
-print(f"frontier walk:      {frontier:.12f}  ({t_frontier * 1000:.1f} ms)")
-print(f"batched engine:     {batched:.12f}")
+print(f"batched engine:     {batched:.12f}  ({t_batched * 1000:.1f} ms)")
 
-# the 64-wire plan would need a 2**64 state vector; the frontier engine
+# the 64-wire plan would need a 2**64 state vector; the batched engine
 # runs it in milliseconds because retired wires leave the density matrix
 deep, _ = build_plan(Architecture.CONV_POOL_CONV_POOL)
 deep_encode = np.pi * np.full(64, 10.0) / 255.0
 deep_params = ModelParams((rng.uniform(-0.3, 0.3, 4), rng.uniform(-0.3, 0.3, 4)))
 
 t0 = time.perf_counter()
-value = frontier_run(deep, deep_encode, deep_params)
+value = run_plan(deep, deep_encode, deep_params)
 print(f"\n64-wire lattice readout: {value:.12f}  "
       f"({(time.perf_counter() - t0) * 1000:.1f} ms, peak width {deep.peak_active_width()})")
 
 # the width cap is a guard rail, not a suggestion
 try:
-    frontier_run(deep, deep_encode, deep_params, width_cap=4)
+    run_plan(deep, deep_encode, deep_params, width_cap=4)
 except FrontierWidthError as exc:
     print("cap of 4 refused as expected:", exc)

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import VALID_SIDES, DatasetFormatError, gen_dataset, load_dataset, save_dataset
-from .frontier import DEFAULT_WIDTH_CAP, FrontierWidthError
 from .network import Architecture, ModelParams, conv_feature_map, load_params, save_params
 from .pgm import PgmFormatError, read_pgm, write_pgm
+from .runner import DEFAULT_WIDTH_CAP, FrontierWidthError
 from .training import TrainConfig, evaluate, save_curve, train
 
 EXIT_OK = 0
@@ -43,16 +43,18 @@ class CliError(Exception):
 
 def _resolve_seed(flag_value, file_value):
     if flag_value is not None:
-        return int(flag_value)
-    if file_value is not None:
-        return int(file_value)
-    env = os.environ.get("QCNN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"QCNN_SEED must be an integer, got {env!r}") from None
-    return 0
+        value, source = flag_value, "--seed"
+    elif file_value is not None:
+        value, source = file_value, "config key 'seed'"
+    elif "QCNN_SEED" in os.environ:
+        value, source = os.environ["QCNN_SEED"], "QCNN_SEED"
+        if value.strip().isdigit():
+            value = int(value)
+    else:
+        return 0
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise CliError(f"{source} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _load_config_file(path) -> dict:
@@ -128,6 +130,9 @@ def _merged_train_settings(args) -> tuple:
 
 def cmd_train(args) -> int:
     config, data_path, params_out, curve_out = _merged_train_settings(args)
+    for out in map(Path, (params_out, curve_out)):
+        if not out.parent.is_dir():
+            raise CliError(f"cannot write {out}: directory {out.parent} does not exist")
     dataset = None
     if data_path is not None:
         dataset = load_dataset(data_path)
@@ -264,6 +269,10 @@ def entry(argv=None) -> int:
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"error: {detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -7,11 +7,7 @@ becomes pi*p.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .gates import Angle, GateKind, GateOp
 
 _PROB_SLACK = 1e-9
 
@@ -38,37 +34,3 @@ def prob_to_angle(p) -> np.ndarray:
         raise ValueError("probability must lie in [0, 1]")
     out = np.pi * np.clip(arr, 0.0, 1.0)
     return float(out) if np.isscalar(p) or out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class AngleImage:
-    """A pixel grid converted to rotation angles, row-major."""
-
-    side: int
-    angles: np.ndarray
-
-    def __post_init__(self):
-        angles = np.asarray(self.angles, dtype=np.float64)
-        object.__setattr__(self, "angles", angles)
-        if angles.shape != (self.side * self.side,):
-            raise ValueError(
-                f"angle vector must have length {self.side * self.side}, got {angles.shape}"
-            )
-
-
-def image_angles(pixels) -> AngleImage:
-    """Flatten a square pixel grid (or flat vector) into an AngleImage."""
-    arr = np.asarray(pixels)
-    flat = arr.reshape(-1)
-    side = int(round(np.sqrt(flat.size)))
-    if side * side != flat.size:
-        raise ValueError(f"pixel count {flat.size} is not a square")
-    return AngleImage(side, pixel_to_angle(flat))
-
-
-def encode_image(pixels) -> tuple:
-    """Gate prefix loading a pixel grid: one RY per wire, row-major."""
-    ai = image_angles(pixels)
-    return tuple(
-        GateOp(GateKind.RY, (w,), Angle.const(a)) for w, a in enumerate(ai.angles)
-    )

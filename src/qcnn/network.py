@@ -5,7 +5,7 @@ Every convolution layer applies one shared 2x2 kernel: four trainable RX
 angles (a00, a01, a10, a11 in window row-major order) followed by a fixed
 entangler, after which the window's first wire carries the window summary.
 Pooling merges summary pairs with a CFLIP_X and keeps the even-positioned
-wire.  Plans emit gates window by window so the frontier engine can retire
+wire.  Plans emit gates window by window so the batched engine can retire
 wires early; the readout always ends on wire 0.
 """
 from __future__ import annotations
@@ -135,7 +135,7 @@ def build_plan(arch: Architecture, params: "ModelParams" = None, image=None):
 
     The plan is symbolic: pixel angles fill data slots (slot = wire = pixel
     index) and kernel angles fill parameter slots, both resolved at run
-    time.  params/image, when given, are validated against the architecture.
+    time.  params/image, when given, are checked against the architecture.
     """
     if params is not None and params.n_layers != arch.conv_layer_count:
         raise ValueError(

@@ -1,6 +1,6 @@
 """Plain-text grayscale image files (magic number P2).
 
-Reader accepts `#` comments and arbitrary whitespace, validates the sample
+Reader accepts `#` comments and arbitrary whitespace, checks the sample
 count and range, and rescales to the 0..255 range this package uses
 everywhere.  Writer emits maxval 255, one image row per text line.
 """

@@ -1,10 +1,8 @@
-"""Circuit plans: ordered gate lists plus the bookkeeping the frontier
+"""Circuit plans: ordered gate lists plus the bookkeeping the batched
 engine needs to know when a wire can be traced out."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .gates import GateOp
 
@@ -14,20 +12,18 @@ class CircuitPlan:
     """An ordered gate list over n_wires wires with a single readout wire.
 
     retire_schedule[i] is the set of wires whose last gate is gates[i]; the
-    readout wire and any wire listed in keep_wires are never scheduled for
-    retirement, so they stay measurable after the final gate.
+    readout wire is never scheduled for retirement, so it stays measurable
+    after the final gate.
     """
 
     n_wires: int
     gates: tuple
     readout_wire: int
-    keep_wires: tuple = ()
     retire_schedule: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "keep_wires", tuple(self.keep_wires))
         if self.n_wires < 1:
             raise ValueError("plan needs at least one wire")
         if not 0 <= self.readout_wire < self.n_wires:
@@ -38,18 +34,14 @@ class CircuitPlan:
             for w in g.wires:
                 if w >= self.n_wires:
                     raise ValueError(f"wire {w} out of range for {self.n_wires}-wire plan")
-        for w in self.keep_wires:
-            if not 0 <= w < self.n_wires:
-                raise ValueError(f"kept wire {w} out of range")
 
-        protected = set(self.keep_wires) | {self.readout_wire}
         last_use = {}
         for i, g in enumerate(gates):
             for w in g.wires:
                 last_use[w] = i
         schedule = [frozenset() for _ in gates]
         for w, i in last_use.items():
-            if w not in protected:
+            if w != self.readout_wire:
                 schedule[i] = schedule[i] | {w}
         object.__setattr__(self, "retire_schedule", tuple(schedule))
 
@@ -92,12 +84,3 @@ class CircuitPlan:
             peak = max(peak, active)
             active -= len(self.retire_schedule[i])
         return peak
-
-    def resolved_angles(self, data=None, params=None) -> list:
-        """Per-gate resolved angles (None for fixed gates).  Data may be a
-        single angle vector or a batch (B, n_data_slots); batched entries
-        come back as arrays."""
-        out = []
-        for g in self.gates:
-            out.append(g.angle.resolve(data, params) if g.angle is not None else None)
-        return out

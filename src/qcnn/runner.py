@@ -1,11 +1,12 @@
 """Batched frontier evaluation over factored density matrices.
 
-The frontier engine in `frontier` keeps one joint density matrix; this
-runner additionally tracks which live wires have never interacted, holding
-one small density matrix per independent group.  Wires merge only when a
-two-wire gate spans groups, which for the convolution plans keeps every
-factor at kernel size.  A leading batch axis evaluates a whole sample batch
-(and shifted variants) in single numpy calls.
+Each wire enters the state at its first gate and is traced out at its last,
+so wide block-structured plans cost memory in the peak live width rather
+than the total wire count.  Live wires that have never interacted are held
+as separate factors, one small density matrix per independent group; wires
+merge only when a two-wire gate spans groups, which for the convolution
+plans keeps every factor at kernel size.  A leading batch axis evaluates a
+whole sample batch (and shifted variants) in single numpy calls.
 """
 from __future__ import annotations
 
@@ -14,9 +15,21 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._contract import apply_to_density, density_prob_one, trace_out
-from .frontier import DEFAULT_WIDTH_CAP, FrontierWidthError
 from .gates import gate_matrix
 from .plans import CircuitPlan
+
+DEFAULT_WIDTH_CAP = 12
+
+
+class FrontierWidthError(RuntimeError):
+    """Raised when a plan needs more simultaneously live wires than the cap."""
+
+    def __init__(self, peak_width: int, cap: int):
+        self.peak_width = peak_width
+        self.cap = cap
+        super().__init__(
+            f"plan needs {peak_width} simultaneously live wires, exceeding the cap of {cap}"
+        )
 
 
 class _Factor:
@@ -98,7 +111,7 @@ class FactorSim:
         return density_prob_one(f.rho, pos, len(f.wires))
 
 
-def _run_chunk(plan, data, params, shift, measure, width_cap, batch):
+def _run_chunk(plan, data, params, shift, width_cap, batch):
     sim = FactorSim(batch, width_cap=width_cap)
     for i, gate in enumerate(plan.gates):
         for w in gate.wires:
@@ -112,8 +125,7 @@ def _run_chunk(plan, data, params, shift, measure, width_cap, batch):
         sim.apply(gate, angle)
         for w in plan.retire_schedule[i]:
             sim.retire(w)
-    out = np.stack([sim.prob_one(w) for w in measure], axis=-1)
-    return out
+    return sim.prob_one(plan.readout_wire)
 
 
 def run_plan_batch(
@@ -123,18 +135,16 @@ def run_plan_batch(
     *,
     batch_size: int = None,
     shift: dict = None,
-    measure=None,
     width_cap: int = DEFAULT_WIDTH_CAP,
     jobs: int = None,
 ) -> np.ndarray:
-    """Evaluate a plan for a batch of data rows at shared parameters.
+    """Readout-wire probability of 1 for a batch of data rows at shared
+    parameters, shape (B,).
 
     data: (B, n_data_slots) angle matrix, or None for plans without data
     slots (then batch_size sets B, default 1).  shift maps gate positions to
     angle offsets, which is how one rotation occurrence is displaced without
-    touching the other occurrences of the same trainable angle.  measure
-    selects output wires (default: the plan readout); the result has shape
-    (B,) for a single wire, else (B, len(measure)).
+    touching the other occurrences of the same trainable angle.
     """
     if data is not None:
         data = np.asarray(data, dtype=np.float64)
@@ -150,30 +160,18 @@ def run_plan_batch(
             raise ValueError("plan has data slots but no data was given")
         b = batch_size or 1
 
-    single = measure is None
-    wires = (plan.readout_wire,) if single else tuple(measure)
-    for w in wires:
-        if w != plan.readout_wire and w not in plan.keep_wires:
-            raise ValueError(f"wire {w} is retired before the end of the plan")
-
     if jobs and jobs > 1 and data is not None and b >= 2 * jobs:
         bounds = np.linspace(0, b, jobs + 1).astype(int)
         chunks = [(data[lo:hi], hi - lo) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(
-                pool.map(
-                    lambda c: _run_chunk(plan, c[0], params, shift, wires, width_cap, c[1]),
-                    chunks,
-                )
+                pool.map(lambda c: _run_chunk(plan, c[0], params, shift, width_cap, c[1]), chunks)
             )
-        out = np.concatenate(parts, axis=0)
-    else:
-        out = _run_chunk(plan, data, params, shift, wires, width_cap, b)
-
-    return out[:, 0] if single else out
+        return np.concatenate(parts)
+    return _run_chunk(plan, data, params, shift, width_cap, b)
 
 
 def run_plan(plan: CircuitPlan, data=None, params=None, **kw) -> float:
-    """Single-sample convenience wrapper around run_plan_batch."""
-    res = run_plan_batch(plan, data, params, batch_size=1, **kw)
-    return float(res[0]) if res.ndim == 1 else res[0]
+    """Readout probability of one sample: run_plan_batch on a batch of one.
+    Equals the dense state-vector result for any plan."""
+    return float(run_plan_batch(plan, data, params, batch_size=1, **kw)[0])

@@ -92,16 +92,3 @@ def run_pure(plan, data=None, params=None) -> float:
         mat = gate_matrix(gate, angle)
         amps = apply_to_vector(amps, mat, gate.wires, plan.n_wires)
     return float(vector_prob_one(amps, plan.readout_wire, plan.n_wires))
-
-
-def run_pure_many(plan, data=None, params=None, wires=None) -> np.ndarray:
-    """Like run_pure but returns marginals for several wires."""
-    if wires is None:
-        wires = (plan.readout_wire,)
-    state = PureState.zero(plan.n_wires)
-    amps = state.amplitudes
-    for gate in plan.gates:
-        angle = gate.angle.resolve(data, params) if gate.angle is not None else None
-        mat = gate_matrix(gate, angle)
-        amps = apply_to_vector(amps, mat, gate.wires, plan.n_wires)
-    return np.array([float(vector_prob_one(amps, w, plan.n_wires)) for w in wires])

@@ -17,6 +17,7 @@ that exactness (verified against finite differences in the tests).
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,7 +35,7 @@ from .network import (
     init_params,
     layer_structure,
 )
-from .runner import run_plan_batch
+from .runner import DEFAULT_WIDTH_CAP, run_plan_batch
 
 _TAG_INIT = 101
 _TAG_DATA = 202
@@ -87,7 +88,7 @@ class TrainConfig:
     init_scheme: str = "uniform"
     seed: int = 0
     jobs: int = None
-    width_cap: int = 12
+    width_cap: int = DEFAULT_WIDTH_CAP
 
     def __post_init__(self):
         self.arch = Architecture.from_string(self.arch) if isinstance(self.arch, str) else self.arch
@@ -95,6 +96,12 @@ class TrainConfig:
         self.measure_mode = _enum_from(MeasureMode, self.measure_mode, "measure mode")
         self.update_strategy = _enum_from(UpdateStrategy, self.update_strategy, "update strategy")
         self.eval_mode = _enum_from(EvalMode, self.eval_mode, "eval mode")
+        for name in ("epochs", "batch_size", "shots", "seed", "jobs", "width_cap"):
+            value = getattr(self, name)
+            if name == "jobs" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -109,6 +116,8 @@ class TrainConfig:
             raise ValueError(f"unknown init scheme {self.init_scheme!r}")
         if self.width_cap < 1:
             raise ValueError("width cap must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.seed = int(self.seed)
 
 
@@ -301,27 +310,28 @@ def forward(params: ModelParams, image, config: TrainConfig, base_key: int = 0) 
     return Prediction(p1, act, int(act > config.threshold))
 
 
-def grad_shift(objective: TrainingObjective, params: ModelParams, slots=None) -> np.ndarray:
-    """Circuit-derivative update direction: prediction error times the
-    shot-scaled circuit jacobian, summed over the batch.  The activation
-    derivative is deliberately left out of this pathway."""
-    p1s = objective.p1(params)
+def update_direction(
+    objective: TrainingObjective, params: ModelParams, p1s, *, chain: bool, slots=None
+) -> np.ndarray:
+    """Circuit-derivative update direction at readouts p1s: prediction
+    error times the shot-scaled circuit jacobian, summed over the batch.
+    With chain the error is first multiplied per sample by the activation
+    derivative; without it that factor is deliberately left out."""
     jac = objective.jacobian(params, slots=slots)
     err = objective.labels - activate(p1s)
-    return (err[:, None] * (objective.config.shots * jac)).sum(axis=0)
-
-
-def grad_combined(
-    objective: TrainingObjective, params: ModelParams, slots=None, sigmoid_deriv_fn=None
-) -> np.ndarray:
-    """Circuit derivative chained with the activation derivative per sample
-    before the batch reduction.  With sigmoid_deriv_fn forced to one this
-    degenerates to grad_shift."""
-    deriv = activate_deriv if sigmoid_deriv_fn is None else sigmoid_deriv_fn
-    p1s = objective.p1(params)
-    jac = objective.jacobian(params, slots=slots)
-    w = (objective.labels - activate(p1s)) * deriv(p1s)
+    w = err * activate_deriv(p1s) if chain else err
     return (w[:, None] * (objective.config.shots * jac)).sum(axis=0)
+
+
+def grad_shift(objective: TrainingObjective, params: ModelParams, slots=None) -> np.ndarray:
+    """Update direction of the circuit-derivative rule."""
+    return update_direction(objective, params, objective.p1(params), chain=False, slots=slots)
+
+
+def grad_combined(objective: TrainingObjective, params: ModelParams, slots=None) -> np.ndarray:
+    """Update direction of the circuit derivative chained with the
+    activation derivative per sample before the batch reduction."""
+    return update_direction(objective, params, objective.p1(params), chain=True, slots=slots)
 
 
 def grad_sigmoid_update(
@@ -378,11 +388,10 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
 
         p1s = obj.p1(params)
         epoch_mse = mse(activate(p1s), labels)
-        err = labels - activate(p1s)
 
         if config.grad_method is GradMethod.SIGMOID:
             if config.update_strategy is UpdateStrategy.SIMULTANEOUS:
-                params = grad_sigmoid_update(params, p1s, err, lr, config.shots)
+                params = grad_sigmoid_update(params, p1s, labels - activate(p1s), lr, config.shots)
             else:
                 for layer in range(conv_layers):
                     fresh = obj.p1(params)
@@ -391,18 +400,11 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
         else:
             chain = config.grad_method is GradMethod.COMBINED
             if config.update_strategy is UpdateStrategy.SIMULTANEOUS:
-                jac = obj.jacobian(params)
-                w = err * activate_deriv(p1s) if chain else err
-                direction = (w[:, None] * (config.shots * jac)).sum(axis=0)
-                params = params.with_update(lr * direction)
+                params = params.with_update(lr * update_direction(obj, params, p1s, chain=chain))
             else:
                 for layer in range(conv_layers):
                     slots = [(layer, j) for j in range(4)]
-                    fresh = obj.p1(params)
-                    fresh_err = labels - activate(fresh)
-                    jac = obj.jacobian(params, slots=slots)
-                    w = fresh_err * activate_deriv(fresh) if chain else fresh_err
-                    direction = (w[:, None] * (config.shots * jac)).sum(axis=0)
+                    direction = update_direction(obj, params, obj.p1(params), chain=chain, slots=slots)
                     delta = np.zeros(config.arch.n_params)
                     delta[4 * layer : 4 * layer + 4] = lr * direction
                     params = params.with_update(delta)

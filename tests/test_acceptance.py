@@ -25,11 +25,11 @@ from qcnn import (
     apply_gate,
     build_plan,
     classical_train,
-    frontier_run,
     gate_matrix,
     gen_dataset,
     loss_gradient,
     mse,
+    run_plan,
     run_pure,
     save_curve,
     train,
@@ -98,7 +98,7 @@ def test_frontier_engine_matches_dense_oracle(capsys):
     worst = 0.0
     for _ in range(1000):
         plan, data, params = random_plan(rng, max_wires=10)
-        diff = abs(frontier_run(plan, data, params) - run_pure(plan, data, params))
+        diff = abs(run_plan(plan, data, params) - run_pure(plan, data, params))
         worst = max(worst, diff)
 
     # the 16-wire two-pool lattice, dense evaluation included
@@ -106,11 +106,11 @@ def test_frontier_engine_matches_dense_oracle(capsys):
     sample = gen_dataset(1, 4, seed=11)[0]
     data = np.pi * sample.pixels / 255.0
     params = ModelParams((rng.uniform(-np.pi, np.pi, 4),))
-    deep = abs(frontier_run(plan, data, params) - run_pure(plan, data, params))
+    deep = abs(run_plan(plan, data, params) - run_pure(plan, data, params))
 
     wall = time.perf_counter() - t0
     ok = worst <= 1e-9 and deep <= 1e-9 and wall < 60.0
-    _report(capsys, 2, "frontier vs dense state vector", ok,
+    _report(capsys, 2, "batched engine vs dense state vector", ok,
             f"max diff {worst:.2e} over 1000 random plans, 16-wire lattice diff {deep:.2e}, {wall:.1f}s")
     assert ok
 

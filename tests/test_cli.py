@@ -249,3 +249,60 @@ def test_missing_arguments_exit_2(capsys):
             entry(argv)
         assert info.value.code == 2
     capsys.readouterr()
+
+
+def test_missing_input_files_exit_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    entry(["gen", "--side", "2", "--count", "4", "--seed", "0", "--out", str(data)])
+    params = tmp_path / "p.txt"
+    _write_params(params, [0.1] * 4)
+    capsys.readouterr()
+    missing = str(tmp_path / "missing.csv")
+    for argv in (
+        ["eval", "--params", str(params), "--data", missing],
+        ["eval", "--params", missing, "--data", str(data)],
+        ["featmap", "--in", missing, "--params", str(params), "--out", str(tmp_path / "o.pgm")],
+    ):
+        assert entry(argv) == EXIT_USAGE
+        assert missing in capsys.readouterr().err
+    rc, _, _ = _train(tmp_path, "nodata", ["--data", missing])
+    assert rc == EXIT_USAGE
+    assert missing in capsys.readouterr().err
+
+
+def test_train_checks_output_directories_before_training(tmp_path, capsys):
+    absent = tmp_path / "absent"
+    for flag in ("--params-out", "--curve-out"):
+        out = str(absent / "out.txt")
+        argv = ["train", "--arch", "conv", "--epochs", "1", "--batch", "2", "--progress",
+                "--params-out", str(tmp_path / "p.txt"), "--curve-out", str(tmp_path / "c.csv"), flag, out]
+        assert entry(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert out in err and "epoch=" not in err  # refused before epoch 1
+
+
+def test_train_config_rejects_non_integer_fields(tmp_path, capsys):
+    for key, value in (("epochs", 2.5), ("epochs", True), ("batch_size", "4"), ("width_cap", 4.0)):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"arch": "conv", key: value}))
+        rc = entry(["train", "--config", str(cfg), "--params-out", str(tmp_path / "p.txt"),
+                    "--curve-out", str(tmp_path / "c.csv")])
+        assert rc == EXIT_USAGE
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_negative_seed_names_its_source(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "d.csv")
+    assert entry(["gen", "--side", "2", "--count", "2", "--seed", "-3", "--out", out]) == EXIT_USAGE
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+    cfg = tmp_path / "neg.json"
+    cfg.write_text(json.dumps({"arch": "conv", "epochs": 1, "batch_size": 2, "seed": -3}))
+    rc = entry(["train", "--config", str(cfg), "--params-out", str(tmp_path / "p.txt"),
+                "--curve-out", str(tmp_path / "c.csv")])
+    assert rc == EXIT_USAGE
+    assert "config key 'seed' must be a non-negative integer" in capsys.readouterr().err
+
+    monkeypatch.setenv("QCNN_SEED", "-3")
+    assert entry(["gen", "--side", "2", "--count", "2", "--out", out]) == EXIT_USAGE
+    assert "QCNN_SEED must be a non-negative integer" in capsys.readouterr().err

@@ -1,8 +1,8 @@
-"""Pixel and probability angle maps, and the image-to-gate-prefix helper."""
+"""Pixel and probability angle maps."""
 import numpy as np
 import pytest
 
-from qcnn import AngleImage, GateKind, encode_image, image_angles, pixel_to_angle, prob_to_angle
+from qcnn import pixel_to_angle, prob_to_angle
 
 
 def test_pixel_map_endpoints_and_linearity():
@@ -52,27 +52,3 @@ def test_prob_map_rejects_real_violations():
         prob_to_angle(1.01)
     with pytest.raises(ValueError):
         prob_to_angle(np.nan)
-
-
-def test_image_angles_flattening():
-    ai = image_angles([[0, 255], [128, 64]])
-    assert isinstance(ai, AngleImage) and ai.side == 2
-    np.testing.assert_allclose(ai.angles, np.pi * np.array([0, 255, 128, 64]) / 255.0)
-    with pytest.raises(ValueError):
-        image_angles([0, 1, 2])  # not a square pixel count
-
-
-def test_angle_image_validation():
-    with pytest.raises(ValueError):
-        AngleImage(2, np.zeros(3))
-
-
-def test_encode_image_gate_prefix():
-    gates = encode_image([[0, 255], [51, 102]])
-    assert len(gates) == 4
-    for w, gate in enumerate(gates):
-        assert gate.kind is GateKind.RY and gate.wires == (w,)
-        assert gate.angle.source == "const"
-    assert gates[0].angle.value == 0.0
-    assert gates[1].angle.value == pytest.approx(np.pi)
-    assert gates[2].angle.value == pytest.approx(np.pi * 51 / 255)

@@ -1,6 +1,6 @@
-"""Frontier-engine checks: equivalence with the dense oracle on random
-plans, lazy allocation and retirement, the width cap, and the batched
-factored runner."""
+"""Frontier-engine checks on the batched factored runner: equivalence with
+the dense oracle on random plans, lazy allocation and retirement, physical
+factors after every gate, and the width cap."""
 import numpy as np
 import pytest
 
@@ -8,12 +8,10 @@ from conftest import random_plan
 from qcnn import (
     Angle,
     CircuitPlan,
-    FrontierState,
     FrontierWidthError,
     GateKind,
     GateOp,
     ModelParams,
-    frontier_run,
     run_plan,
     run_plan_batch,
     run_pure,
@@ -26,55 +24,51 @@ def test_frontier_matches_pure_on_random_plans():
     worst = 0.0
     for _ in range(150):
         plan, data, params = random_plan(rng, max_wires=8)
-        a = frontier_run(plan, data, params)
+        a = run_plan(plan, data, params)
         b = run_pure(plan, data, params)
         worst = max(worst, abs(a - b))
     assert worst < 1e-10
 
 
 def test_frontier_manual_walk():
-    state = FrontierState()
-    state.allocate(5)
-    state.allocate(2)
-    assert state.n_active == 2 and state.active_map == {5: 0, 2: 1}
-    state.apply(GateOp(GateKind.RY, (2,), Angle.const(1.3)), angle=1.3)
-    state.apply(GateOp(GateKind.CFLIP_X, (5, 2)))
-    assert state.prob_one(5) == pytest.approx(np.sin(0.65) ** 2, abs=1e-14)
-    state.retire(2)
-    assert state.n_active == 1 and state.rho.shape == (2, 2)
+    sim = FactorSim(batch_size=1)
+    sim.allocate(5)
+    sim.allocate(2)
+    assert sim.n_active == 2
+    sim.apply(GateOp(GateKind.RY, (2,), Angle.const(1.3)), angle=1.3)
+    sim.apply(GateOp(GateKind.CFLIP_X, (5, 2)))
+    assert sim.prob_one(5)[0] == pytest.approx(np.sin(0.65) ** 2, abs=1e-14)
+    sim.retire(2)
+    assert sim.n_active == 1 and sim._where[5].rho.shape == (1, 2, 2)
     # the traced-out control leaves the target marginal untouched
-    assert state.prob_one(5) == pytest.approx(np.sin(0.65) ** 2, abs=1e-14)
-    assert state.peak_width == 2
+    assert sim.prob_one(5)[0] == pytest.approx(np.sin(0.65) ** 2, abs=1e-14)
+    assert sim.peak_width == 2
 
 
 def test_frontier_state_errors():
-    state = FrontierState()
-    state.allocate(0)
+    sim = FactorSim(batch_size=1)
+    sim.allocate(0)
     with pytest.raises(ValueError):
-        state.allocate(0)
+        sim.allocate(0)
     with pytest.raises(ValueError):
-        state.apply(GateOp(GateKind.RY, (3,), Angle.const(0.1)), angle=0.1)
-    with pytest.raises(ValueError):
-        state.retire(7)
-    with pytest.raises(ValueError):
-        state.prob_one(7)
-    with pytest.raises(ValueError):
-        FrontierState(width_cap=0)
+        sim.apply(GateOp(GateKind.RY, (3,), Angle.const(0.1)), angle=0.1)
+    with pytest.raises(FrontierWidthError):
+        FactorSim(batch_size=1, width_cap=0).allocate(0)
 
 
 def test_width_cap_enforced():
-    state = FrontierState(width_cap=2)
-    state.allocate(0)
-    state.allocate(1)
+    sim = FactorSim(batch_size=1, width_cap=2)
+    sim.allocate(0)
+    sim.allocate(1)
     with pytest.raises(FrontierWidthError) as err:
-        state.allocate(2)
+        sim.allocate(2)
     assert err.value.peak_width == 3 and err.value.cap == 2
     assert "3" in str(err.value) and "2" in str(err.value)
 
 
 def test_frontier_run_untouched_readout_is_zero():
     plan = CircuitPlan(3, (GateOp(GateKind.RY, (1,), Angle.const(2.0)),), 0)
-    assert frontier_run(plan) == 0.0
+    assert run_plan(plan) == 0.0
     assert run_pure(plan) == 0.0
 
 
@@ -84,7 +78,7 @@ def test_frontier_run_allocates_lazily():
     gates = tuple(GateOp(GateKind.CFLIP_X, (w, w + 1)) for w in range(7))
     plan = CircuitPlan(8, gates, 7)
     assert plan.peak_active_width() == 2
-    assert frontier_run(plan, width_cap=2) == 0.0
+    assert run_plan(plan, width_cap=2) == 0.0
 
 
 def test_frontier_run_width_cap_overflow():
@@ -96,17 +90,42 @@ def test_frontier_run_width_cap_overflow():
     )
     plan = CircuitPlan(3, gates, 0)
     assert plan.peak_active_width() == 3
-    with pytest.raises(FrontierWidthError):
-        frontier_run(plan, width_cap=2)
-    frontier_run(plan, width_cap=3)  # exactly at the cap is fine
+    with pytest.raises(FrontierWidthError) as err:
+        run_plan(plan, width_cap=2)
+    assert err.value.peak_width == 3 and err.value.cap == 2
+    run_plan(plan, width_cap=3)  # exactly at the cap is fine
 
 
-def test_frontier_validate_flag():
+def _assert_physical(rho, where):
+    # trace, hermiticity and positivity drift only through fp error
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    assert np.max(np.abs(tr - 1.0)) <= 1e-9, f"trace drifted to {tr} {where}"
+    assert np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))) <= 1e-9, f"lost hermiticity {where}"
+    eigs = np.linalg.eigvalsh(rho)
+    assert eigs.min() >= -1e-8, f"eigenvalue {eigs.min()} {where}"
+
+
+def test_factor_sim_factors_stay_physical():
+    # walk FactorSim gate by gate over seeded plans, with a batch of data
+    # rows, and check every live factor once each gate has been applied and
+    # the wires it was last to touch retired
     rng = np.random.default_rng(7)
-    plan, data, params = random_plan(rng, max_wires=4)
-    a = frontier_run(plan, data, params, validate=True)
-    b = run_pure(plan, data, params)
-    assert a == pytest.approx(b, abs=1e-12)
+    for k in range(40):
+        plan, _, params = random_plan(rng, max_wires=6)
+        rows = rng.uniform(0.0, np.pi, (3, plan.n_wires))
+        sim = FactorSim(batch_size=3)
+        for i, gate in enumerate(plan.gates):
+            for w in gate.wires:
+                if w not in sim._where:
+                    sim.allocate(w)
+            angle = gate.angle.resolve(rows, params) if gate.angle is not None else None
+            sim.apply(gate, angle)
+            for w in plan.retire_schedule[i]:
+                sim.retire(w)
+            for f in sim._factors:
+                _assert_physical(f.rho, f"in plan {k} after gate {i}")
+        want = [run_pure(plan, row, params) for row in rows]
+        np.testing.assert_allclose(sim.prob_one(plan.readout_wire), want, atol=1e-12)
 
 
 def test_retirement_preserves_readout():
@@ -122,7 +141,7 @@ def test_retirement_preserves_readout():
         0,
     )
     assert plan.retire_schedule[2] == frozenset({1})
-    assert frontier_run(plan) == pytest.approx(run_pure(plan), abs=1e-14)
+    assert run_plan(plan) == pytest.approx(run_pure(plan), abs=1e-14)
 
 
 def test_run_plan_batch_matches_pure_rowwise():
@@ -171,8 +190,6 @@ def test_run_plan_batch_validation():
         run_plan_batch(plan, None)  # data slots but no data
     with pytest.raises(ValueError):
         run_plan_batch(plan, np.zeros((3, 0)))  # rows too narrow
-    with pytest.raises(ValueError):
-        run_plan_batch(plan, np.zeros((3, 1)), measure=(1,))  # wire 1 retires early
 
 
 def test_run_plan_batch_jobs_equivalence():
@@ -218,5 +235,6 @@ def test_factor_sim_batch_width_cap():
         GateOp(GateKind.CFLIP_X, (1, 2)),
     )
     plan = CircuitPlan(3, gates, 0)
-    with pytest.raises(FrontierWidthError):
+    with pytest.raises(FrontierWidthError) as err:
         run_plan_batch(plan, None, batch_size=2, width_cap=2)
+    assert err.value.peak_width == 3 and err.value.cap == 2

@@ -14,7 +14,6 @@ from qcnn import (
     exact_prob_one,
     gate_matrix,
     run_pure,
-    run_pure_many,
     sample_shots,
 )
 
@@ -157,19 +156,3 @@ def test_run_pure_resolves_data_and_params():
     )
     assert run_pure(sym, data, params) == pytest.approx(run_pure(lit), abs=1e-15)
     assert sym.n_data_slots == 2
-
-
-def test_run_pure_many_marginals():
-    plan = CircuitPlan(
-        2,
-        (
-            GateOp(GateKind.RY, (0,), Angle.const(0.9)),
-            GateOp(GateKind.RY, (1,), Angle.const(1.7)),
-        ),
-        0,
-    )
-    probs = run_pure_many(plan, wires=(0, 1))
-    np.testing.assert_allclose(
-        probs, [np.sin(0.45) ** 2, np.sin(0.85) ** 2], atol=1e-14
-    )
-    np.testing.assert_allclose(run_pure_many(plan), [np.sin(0.45) ** 2], atol=1e-14)

@@ -1,5 +1,8 @@
 """Training mathematics: the activation, the two-point displacement rule,
 the three update directions, both measure modes, and the epoch loop."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from qcnn import (
     Architecture,
     EvalMode,
     GradMethod,
+    LabeledImage,
     LossCurve,
     MeasureMode,
     ModelParams,
@@ -172,19 +176,6 @@ def test_combined_direction_is_scaled_loss_descent():
     )
 
 
-def test_combined_reduces_to_shift_with_unit_chain():
-    obj, _ = _objective("conv", n=5, seed=7)
-    rng = np.random.default_rng(17)
-    params = ModelParams((rng.uniform(0, np.pi, 4),))
-    ones = lambda p: np.ones_like(np.asarray(p, dtype=float))
-    np.testing.assert_allclose(
-        grad_combined(obj, params, sigmoid_deriv_fn=ones),
-        grad_shift(obj, params),
-        rtol=1e-12,
-        atol=1e-12,
-    )
-
-
 def test_shift_direction_zero_on_zero_error():
     # labels equal to the activated outputs produce a zero update
     config = TrainConfig(arch="conv", seed=8)
@@ -309,6 +300,10 @@ def test_train_config_validation():
         TrainConfig(arch="conv", width_cap=0)
     with pytest.raises(ValueError):
         TrainConfig(arch="dense")
+    for field, bad in (("epochs", 2.5), ("epochs", True), ("shots", "1000"), ("jobs", 1.0), ("seed", -1)):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(arch="conv", **{field: bad})
+    assert TrainConfig(arch="conv", epochs=np.int64(3), jobs=None).epochs == 3
     config = TrainConfig(
         arch="conv-pool-pool",
         grad_method="combined",
@@ -428,3 +423,23 @@ def test_save_curve_format(tmp_path):
     assert lines[0] == "epoch,mse"
     assert lines[1] == "1,0.25"
     assert lines[2] == f"2,{1 / 3:.17g}"
+
+
+def test_update_paths_match_recorded_runs():
+    # recorded final angles and loss curves of seeded runs: every rule x
+    # strategy x eval mode on the 2x2 lattice with fresh batches, and the
+    # layer-wise and sampled paths of the 8x8 lattice on fixed dim images,
+    # whose readouts stay clear of 1/2 so the updates are not vanishing
+    doc = json.loads((Path(__file__).parent / "data" / "update_paths.json").read_text())
+    dim8 = [LabeledImage(8, np.array(p), y) for p, y in zip(doc["dim8"]["pixels"], doc["dim8"]["labels"])]
+    for run in doc["runs"]:
+        cfg = TrainConfig(
+            arch=run["arch"], epochs=run["epochs"], batch_size=run["batch_size"],
+            grad_method=run["grad_method"], update_strategy=run["update_strategy"],
+            eval_mode=run["eval_mode"], learning_rate=run["learning_rate"], seed=run["seed"],
+        )
+        initial = ModelParams.from_flat(run["initial"])
+        params, curve = train(cfg, dataset=dim8 if run["fixed_data"] else None, initial=initial)
+        what = f"{run['arch']} {run['grad_method']} {run['update_strategy']} {run['eval_mode']}"
+        np.testing.assert_allclose(params.vector(), run["params"], rtol=0, atol=1e-12, err_msg=what)
+        np.testing.assert_allclose(curve.mses, run["mses"], rtol=0, atol=1e-12, err_msg=what)
