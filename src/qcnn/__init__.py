@@ -1,6 +1,10 @@
 """Variational image classifiers on pixel lattices, with dense and
 frontier-limited batched circuit simulation, shot sampling, and a
-reproducible training protocol."""
+reproducible training protocol.
+
+The package namespace re-exports the names the README, the demos and the
+benchmark read; everything else is imported from its submodule.
+"""
 
 from .baseline import (
     ClassicalKernel,
@@ -9,93 +13,32 @@ from .baseline import (
     classical_loss_and_grad,
     classical_train,
     classical_update,
-    init_classical,
 )
-from .dataset import (
-    VALID_SIDES,
-    DatasetFormatError,
-    LabeledImage,
-    gen_dataset,
-    gen_sample,
-    load_dataset,
-    save_dataset,
-)
-from .encoding import pixel_to_angle, prob_to_angle
-from .gates import CFLIP_X, CFLIP_Y, CFLIP_Z, Angle, GateKind, GateOp, gate_matrix, rx_matrix, ry_matrix
-from .network import (
-    Architecture,
-    LayerBoundary,
-    LayerSpec,
-    ModelParams,
-    build_plan,
-    conv_feature_map,
-    group_plan,
-    init_params,
-    layer_structure,
-    load_params,
-    save_params,
-)
-from .pgm import PgmFormatError, read_pgm, write_pgm
+from .dataset import LabeledImage, gen_dataset
+from .encoding import pixel_to_angle
+from .gates import Angle, GateKind, GateOp
+from .network import Architecture, ModelParams, build_plan, conv_feature_map, group_plan
+from .pgm import read_pgm, write_pgm
 from .plans import CircuitPlan
-from .runner import DEFAULT_WIDTH_CAP, FactorSim, FrontierWidthError, run_plan, run_plan_batch
-from .statevec import PureState, apply_gate, exact_prob_one, run_pure, sample_shots
-from .training import (
-    EvalMode,
-    GradMethod,
-    LossCurve,
-    MeasureMode,
-    Prediction,
-    TrainConfig,
-    TrainingObjective,
-    UpdateStrategy,
-    activate,
-    activate_deriv,
-    evaluate,
-    forward,
-    grad_combined,
-    grad_shift,
-    grad_sigmoid_update,
-    loss_gradient,
-    mse,
-    save_curve,
-    sigmoid,
-    sigmoid_deriv,
-    train,
-)
+from .runner import FrontierWidthError, run_plan, run_plan_batch
+from .statevec import PureState, apply_gate, exact_prob_one, run_pure
+from .training import TrainConfig, TrainingObjective, evaluate, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Angle",
     "Architecture",
-    "CFLIP_X",
-    "CFLIP_Y",
-    "CFLIP_Z",
     "CircuitPlan",
     "ClassicalKernel",
-    "DEFAULT_WIDTH_CAP",
-    "DatasetFormatError",
-    "EvalMode",
-    "FactorSim",
     "FrontierWidthError",
     "GateKind",
     "GateOp",
-    "GradMethod",
     "LabeledImage",
-    "LayerBoundary",
-    "LayerSpec",
-    "LossCurve",
-    "MeasureMode",
     "ModelParams",
-    "PgmFormatError",
-    "Prediction",
     "PureState",
     "TrainConfig",
     "TrainingObjective",
-    "UpdateStrategy",
-    "VALID_SIDES",
-    "activate",
-    "activate_deriv",
     "apply_gate",
     "build_plan",
     "classical_evaluate",
@@ -106,33 +49,13 @@ __all__ = [
     "conv_feature_map",
     "evaluate",
     "exact_prob_one",
-    "forward",
-    "gate_matrix",
     "gen_dataset",
-    "gen_sample",
-    "grad_combined",
-    "grad_shift",
-    "grad_sigmoid_update",
     "group_plan",
-    "init_classical",
-    "init_params",
-    "layer_structure",
-    "load_dataset",
-    "load_params",
-    "loss_gradient",
-    "mse",
     "pixel_to_angle",
-    "prob_to_angle",
     "read_pgm",
     "run_plan",
     "run_plan_batch",
     "run_pure",
-    "sample_shots",
-    "save_curve",
-    "save_dataset",
-    "save_params",
-    "sigmoid",
-    "sigmoid_deriv",
     "train",
     "write_pgm",
 ]

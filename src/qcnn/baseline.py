@@ -14,7 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .training import LossCurve, TrainConfig, _derived_rng, _epoch_batch, _pixel_matrix, _TAG_INIT, mse, sigmoid
+from .training import (
+    _TAG_INIT,
+    LossCurve,
+    TrainConfig,
+    _derived_rng,
+    _epoch_batch,
+    _pixel_matrix,
+    _require_full_batch,
+    mse,
+    sigmoid,
+)
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,7 @@ def classical_update(kernel: ClassicalKernel, pixel_rows, labels, learning_rate:
 def classical_train(config: TrainConfig, dataset=None, log_fn=None):
     """Train the reference neuron; returns (kernel, loss curve).  Uses the
     same per-epoch batch stream as the lattice trainer at equal seed."""
+    _require_full_batch(config, dataset)
     init_seed = int(_derived_rng(config.seed, _TAG_INIT).integers(0, 2**63 - 1))
     kernel = init_classical(config.arch.image_side, init_seed)
     curve = LossCurve()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import time
@@ -106,17 +107,21 @@ def _merged_train_settings(args) -> tuple:
     }
     merged = {}
     for key, value in file_cfg.items():
-        if key in ("data", "params_out", "curve_out", "seed"):
+        if key in ("data", "params_out", "curve_out"):
+            if not isinstance(value, str):
+                raise CliError(f"config key '{key}' must be a path string, got {value!r}")
             continue
-        merged[key] = value
+        if key != "seed":
+            merged[key] = value
     for key, value in flags.items():
         if value is not None:
             merged[key] = value
     merged["seed"] = _resolve_seed(args.seed, file_cfg.get("seed"))
     if "arch" not in merged or merged["arch"] is None:
         raise CliError("an architecture is required (--arch or config file)")
-    if merged.get("learning_rate") is not None and merged["learning_rate"] <= 0:
-        raise CliError(f"--lr must be positive, got {merged['learning_rate']}")
+    lr = merged.get("learning_rate")
+    if isinstance(lr, numbers.Real) and not isinstance(lr, bool) and lr <= 0:
+        raise CliError(f"--lr must be positive, got {lr}")
 
     data_path = args.data if args.data is not None else file_cfg.get("data")
     params_out = args.params_out if args.params_out is not None else file_cfg.get("params_out", "params.txt")
@@ -143,6 +148,8 @@ def cmd_train(args) -> int:
                 f"{data_path} holds {dataset[0].side}x{dataset[0].side} images but "
                 f"{config.arch.value} expects {config.arch.image_side}x{config.arch.image_side}"
             )
+        if len(dataset) < config.batch_size:
+            raise CliError(f"{data_path} holds {len(dataset)} rows, fewer than --batch {config.batch_size}")
     log_fn = (lambda line: print(line, file=sys.stderr)) if args.progress else None
     t0 = time.perf_counter()
     params, curve = train(config, dataset=dataset, log_fn=log_fn)

@@ -103,14 +103,6 @@ def ry_matrix(theta) -> np.ndarray:
     return m
 
 
-def fixed_matrix(kind: GateKind) -> np.ndarray:
-    """The constant 4x4 matrix of a controlled-flip kind."""
-    try:
-        return _FIXED[kind]
-    except KeyError:
-        raise ValueError(f"{kind} is not a fixed two-wire gate") from None
-
-
 @dataclass(frozen=True)
 class Angle:
     """Where a rotation angle comes from when a plan is evaluated.

@@ -130,23 +130,13 @@ def _rep_wire(layers, level: int, group: int) -> int:
 _PLAN_CACHE = {}
 
 
-def build_plan(arch: Architecture, params: "ModelParams" = None, image=None):
+def build_plan(arch: Architecture):
     """The end-to-end circuit plan and layer boundaries for an architecture.
 
     The plan is symbolic: pixel angles fill data slots (slot = wire = pixel
     index) and kernel angles fill parameter slots, both resolved at run
-    time.  params/image, when given, are checked against the architecture.
+    time.
     """
-    if params is not None and params.n_layers != arch.conv_layer_count:
-        raise ValueError(
-            f"{arch.value} takes {arch.conv_layer_count} kernel blocks, got {params.n_layers}"
-        )
-    if image is not None:
-        flat = np.asarray(image).reshape(-1)
-        if flat.size != arch.image_side ** 2:
-            raise ValueError(
-                f"{arch.value} expects a {arch.image_side}x{arch.image_side} image, got {flat.size} pixels"
-            )
     if arch in _PLAN_CACHE:
         return _PLAN_CACHE[arch]
 

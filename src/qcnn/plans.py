@@ -13,13 +13,16 @@ class CircuitPlan:
 
     retire_schedule[i] is the set of wires whose last gate is gates[i]; the
     readout wire is never scheduled for retirement, so it stays measurable
-    after the final gate.
+    after the final gate.  The peak live width under that schedule is
+    computed once, here, and is what the engine's width cap is checked
+    against.
     """
 
     n_wires: int
     gates: tuple
     readout_wire: int
     retire_schedule: tuple = field(init=False, compare=False, repr=False)
+    _peak_width: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gates = tuple(self.gates)
@@ -44,6 +47,17 @@ class CircuitPlan:
             if w != self.readout_wire:
                 schedule[i] = schedule[i] | {w}
         object.__setattr__(self, "retire_schedule", tuple(schedule))
+
+        seen = set()
+        active = peak = 0
+        for g, retired in zip(gates, schedule):
+            for w in g.wires:
+                if w not in seen:
+                    seen.add(w)
+                    active += 1
+            peak = max(peak, active)
+            active -= len(retired)
+        object.__setattr__(self, "_peak_width", peak)
 
     @property
     def n_data_slots(self) -> int:
@@ -73,14 +87,4 @@ class CircuitPlan:
     def peak_active_width(self) -> int:
         """Largest number of simultaneously live wires when gates run in
         plan order with retirement at last use."""
-        seen = set()
-        active = 0
-        peak = 0
-        for i, g in enumerate(self.gates):
-            for w in g.wires:
-                if w not in seen:
-                    seen.add(w)
-                    active += 1
-            peak = max(peak, active)
-            active -= len(self.retire_schedule[i])
-        return peak
+        return self._peak_width

@@ -41,30 +41,23 @@ class _Factor:
 
 
 class FactorSim:
-    """Batched frontier state held as a product of independent factors."""
+    """Batched frontier state held as a product of independent factors.
+    Live width is the plan's business: run_plan_batch checks
+    CircuitPlan.peak_active_width() against the cap before the walk."""
 
-    def __init__(self, batch_size: int, width_cap: int = DEFAULT_WIDTH_CAP):
+    def __init__(self, batch_size: int):
         self.batch = batch_size
-        self.width_cap = width_cap
         self._factors: list = []
         self._where: dict = {}  # wire -> factor
-        self.peak_width = 0
-
-    @property
-    def n_active(self) -> int:
-        return sum(len(f.wires) for f in self._factors)
 
     def allocate(self, wire: int) -> None:
         if wire in self._where:
             raise ValueError(f"wire {wire} is already active")
-        if self.n_active + 1 > self.width_cap:
-            raise FrontierWidthError(self.n_active + 1, self.width_cap)
         rho = np.zeros((self.batch, 2, 2), dtype=np.complex128)
         rho[:, 0, 0] = 1.0
         f = _Factor([wire], rho)
         self._factors.append(f)
         self._where[wire] = f
-        self.peak_width = max(self.peak_width, self.n_active)
 
     def _merge(self, fa: _Factor, fb: _Factor) -> _Factor:
         da = fa.rho.shape[-1]
@@ -111,8 +104,8 @@ class FactorSim:
         return density_prob_one(f.rho, pos, len(f.wires))
 
 
-def _run_chunk(plan, data, params, shift, width_cap, batch):
-    sim = FactorSim(batch, width_cap=width_cap)
+def _run_chunk(plan, data, params, shift, batch):
+    sim = FactorSim(batch)
     for i, gate in enumerate(plan.gates):
         for w in gate.wires:
             if w not in sim._where:
@@ -144,8 +137,12 @@ def run_plan_batch(
     data: (B, n_data_slots) angle matrix, or None for plans without data
     slots (then batch_size sets B, default 1).  shift maps gate positions to
     angle offsets, which is how one rotation occurrence is displaced without
-    touching the other occurrences of the same trainable angle.
+    touching the other occurrences of the same trainable angle.  A plan
+    whose peak live width exceeds width_cap raises FrontierWidthError
+    before any gate runs.
     """
+    if plan.peak_active_width() > width_cap:
+        raise FrontierWidthError(plan.peak_active_width(), width_cap)
     if data is not None:
         data = np.asarray(data, dtype=np.float64)
         if data.ndim == 1:
@@ -165,10 +162,10 @@ def run_plan_batch(
         chunks = [(data[lo:hi], hi - lo) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(
-                pool.map(lambda c: _run_chunk(plan, c[0], params, shift, width_cap, c[1]), chunks)
+                pool.map(lambda c: _run_chunk(plan, c[0], params, shift, c[1]), chunks)
             )
         return np.concatenate(parts)
-    return _run_chunk(plan, data, params, shift, width_cap, b)
+    return _run_chunk(plan, data, params, shift, b)
 
 
 def run_plan(plan: CircuitPlan, data=None, params=None, **kw) -> float:

@@ -1,4 +1,4 @@
-"""Dense state-vector simulation and shot sampling.
+"""Dense state-vector simulation.
 
 This is the reference engine: it keeps all wires of a circuit at once, so it
 is exact but limited to small wire counts.  Wire 0 occupies the most
@@ -69,17 +69,6 @@ def exact_prob_one(state: PureState, wire: int) -> float:
     if not 0 <= wire < state.n_wires:
         raise ValueError(f"wire {wire} out of range for {state.n_wires}-wire state")
     return float(vector_prob_one(state.amplitudes, wire, state.n_wires))
-
-
-def sample_shots(p1: float, shots: int, seed: int) -> int:
-    """Count of 1-outcomes in `shots` independent measurements at exact
-    probability p1, drawn from a seeded PCG64 generator."""
-    if not np.isfinite(p1) or not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p1}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return int(rng.binomial(shots, p1))
 
 
 def run_pure(plan, data=None, params=None) -> float:

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabeledImage, gen_dataset
-from .encoding import prob_to_angle
+from .dataset import gen_dataset
+from .encoding import pixel_to_angle, prob_to_angle
 from .network import (
     Architecture,
     ModelParams,
@@ -91,7 +91,7 @@ class TrainConfig:
     width_cap: int = DEFAULT_WIDTH_CAP
 
     def __post_init__(self):
-        self.arch = Architecture.from_string(self.arch) if isinstance(self.arch, str) else self.arch
+        self.arch = _enum_from(Architecture, self.arch, "arch")
         self.grad_method = _enum_from(GradMethod, self.grad_method, "gradient method")
         self.measure_mode = _enum_from(MeasureMode, self.measure_mode, "measure mode")
         self.update_strategy = _enum_from(UpdateStrategy, self.update_strategy, "update strategy")
@@ -102,6 +102,10 @@ class TrainConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -119,13 +123,6 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.seed = int(self.seed)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    p1: float
-    activated: float
-    label_hat: int
 
 
 @dataclass
@@ -214,11 +211,11 @@ class TrainingObjective:
             raise ValueError(
                 f"{self.arch.value} expects {self.arch.image_side ** 2} pixels per row, got {pixel_rows.shape}"
             )
-        self.angles = np.pi * pixel_rows / 255.0
+        self.angles = pixel_to_angle(pixel_rows)
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.shape != (pixel_rows.shape[0],):
             raise ValueError("one label per pixel row is required")
-        self.plan, self.boundaries = build_plan(self.arch)
+        self.plan, _ = build_plan(self.arch)
         self.layers = layer_structure(self.arch)
         self.base_key = int(base_key)
         self._eval_ordinal = 0
@@ -227,15 +224,6 @@ class TrainingObjective:
     @property
     def batch_size(self) -> int:
         return self.labels.shape[0]
-
-    def occurrence_count(self, param_layer: int) -> int:
-        for spec in self.layers:
-            if spec.kind == "conv" and spec.param_layer == param_layer:
-                return len(spec.groups)
-        raise ValueError(f"no convolution layer with ordinal {param_layer}")
-
-    def param_slots(self) -> list:
-        return [(l, j) for l in range(self.arch.conv_layer_count) for j in range(4)]
 
     def _sample(self, probs, *key) -> np.ndarray:
         rng = _derived_rng(self.config.seed, _TAG_SHOTS, self.base_key, *key)
@@ -291,73 +279,54 @@ class TrainingObjective:
         """d p1 / d angle per sample, from two-point displacements summed
         over each angle's occurrences.  Columns follow `slots` (default: all
         angles, layer-major)."""
-        slots = list(slots) if slots is not None else self.param_slots()
+        slots = list(slots) if slots is not None else self.plan.param_slots()
         cols = np.zeros((self.batch_size, len(slots)))
         for c, (layer, j) in enumerate(slots):
-            for occ in range(self.occurrence_count(layer)):
+            n_occ = len(self.plan.param_occurrences(layer, j))
+            if not n_occ:
+                raise ValueError(f"the {self.arch.value} plan has no trainable angle {(layer, j)}")
+            for occ in range(n_occ):
                 up = self.p1(params, shift_occ=(layer, j, occ, +np.pi / 2))
                 dn = self.p1(params, shift_occ=(layer, j, occ, -np.pi / 2))
                 cols[:, c] += 0.5 * (up - dn)
         return cols
 
 
-def forward(params: ModelParams, image, config: TrainConfig, base_key: int = 0) -> Prediction:
-    """Single-sample forward pass: readout probability, activation, label."""
-    pixels = image.pixels if isinstance(image, LabeledImage) else np.asarray(image).reshape(-1)
-    obj = TrainingObjective(config, pixels[None, :], np.zeros(1), base_key=base_key)
-    p1 = float(obj.p1(params)[0])
-    act = float(activate(p1))
-    return Prediction(p1, act, int(act > config.threshold))
-
-
-def update_direction(
-    objective: TrainingObjective, params: ModelParams, p1s, *, chain: bool, slots=None
-) -> np.ndarray:
-    """Circuit-derivative update direction at readouts p1s: prediction
-    error times the shot-scaled circuit jacobian, summed over the batch.
-    With chain the error is first multiplied per sample by the activation
-    derivative; without it that factor is deliberately left out."""
-    jac = objective.jacobian(params, slots=slots)
+def update_direction(objective: TrainingObjective, params: ModelParams, p1s, slots) -> np.ndarray:
+    """Flat per-angle update direction of the configured rule at readouts
+    p1s, zero outside `slots`.  The circuit-derivative rules weight the
+    shot-scaled jacobian by the prediction error (times the activation
+    derivative for `combined`) and sum over the batch; `sigmoid` puts one
+    scalar, shot-scaled readout times error times activation derivative
+    summed over the batch, on every slot."""
+    cfg = objective.config
     err = objective.labels - activate(p1s)
-    w = err * activate_deriv(p1s) if chain else err
-    return (w[:, None] * (objective.config.shots * jac)).sum(axis=0)
-
-
-def grad_shift(objective: TrainingObjective, params: ModelParams, slots=None) -> np.ndarray:
-    """Update direction of the circuit-derivative rule."""
-    return update_direction(objective, params, objective.p1(params), chain=False, slots=slots)
-
-
-def grad_combined(objective: TrainingObjective, params: ModelParams, slots=None) -> np.ndarray:
-    """Update direction of the circuit derivative chained with the
-    activation derivative per sample before the batch reduction."""
-    return update_direction(objective, params, objective.p1(params), chain=True, slots=slots)
-
-
-def grad_sigmoid_update(
-    params: ModelParams, batch_p1s, errors, learning_rate: float, shots: int = 1000, layer: int = None
-) -> ModelParams:
-    """The activation-derivative rule: one scalar, shot-scaled readout times
-    error times activation derivative summed over the batch, added to every
-    kernel angle (or to one layer's angles when `layer` is given)."""
-    p1s = np.asarray(batch_p1s, dtype=np.float64)
-    err = np.asarray(errors, dtype=np.float64)
-    s = learning_rate * float(np.sum((shots * p1s) * err * activate_deriv(p1s)))
-    blocks = []
-    for l, block in enumerate(params.layers):
-        blocks.append(block + s if (layer is None or l == layer) else block.copy())
-    return ModelParams(tuple(blocks))
+    cols = [4 * layer + j for layer, j in slots]
+    direction = np.zeros(cfg.arch.n_params)
+    if cfg.grad_method is GradMethod.SIGMOID:
+        direction[cols] = float(np.sum((cfg.shots * p1s) * err * activate_deriv(p1s)))
+        return direction
+    w = err * activate_deriv(p1s) if cfg.grad_method is GradMethod.COMBINED else err
+    jac = objective.jacobian(params, slots=slots)
+    direction[cols] = (w[:, None] * (cfg.shots * jac)).sum(axis=0)
+    return direction
 
 
 def loss_gradient(objective: TrainingObjective, params: ModelParams) -> np.ndarray:
     """Exact gradient of the batch-mean squared error of the activated
     readout, assembled from the two-point circuit derivative and the closed
-    forms of the outer layers.  Proportional to -grad_combined."""
+    forms of the outer layers.  A negative multiple of the `combined` rule's
+    update direction."""
     p1s = objective.p1(params)
     jac = objective.jacobian(params)
     act = activate(p1s)
     w = 4.0 * (act - objective.labels) * activate_deriv(p1s) / objective.batch_size
     return (w[:, None] * jac).sum(axis=0)
+
+
+def _require_full_batch(config: TrainConfig, dataset) -> None:
+    if dataset is not None and len(dataset) < config.batch_size:
+        raise ValueError(f"dataset holds {len(dataset)} rows, fewer than the batch size {config.batch_size}")
 
 
 def _epoch_batch(config: TrainConfig, dataset, epoch: int):
@@ -371,13 +340,21 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
     """Run the training protocol and return (final params, loss curve).
 
     dataset: optional list of LabeledImage reused every epoch (the first
-    batch_size samples); without it each epoch draws a fresh seeded batch.
+    batch_size samples, so it must hold at least that many); without it
+    each epoch draws a fresh seeded batch.  Simultaneous updates move every
+    angle from the epoch's readouts; layer-wise updates move one layer at a
+    time, each from fresh readouts at the params the previous layer left.
     """
+    _require_full_batch(config, dataset)
     init_seed = int(_derived_rng(config.seed, _TAG_INIT).integers(0, 2**63 - 1))
     params = initial if initial is not None else init_params(config.arch, init_seed, config.init_scheme)
     curve = LossCurve()
-    lr = config.learning_rate
-    conv_layers = config.arch.conv_layer_count
+    simultaneous = config.update_strategy is UpdateStrategy.SIMULTANEOUS
+    slots = build_plan(config.arch)[0].param_slots()
+    if simultaneous:
+        slot_groups = [slots]
+    else:
+        slot_groups = [[s for s in slots if s[0] == layer] for layer in range(config.arch.conv_layer_count)]
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -389,25 +366,9 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
         p1s = obj.p1(params)
         epoch_mse = mse(activate(p1s), labels)
 
-        if config.grad_method is GradMethod.SIGMOID:
-            if config.update_strategy is UpdateStrategy.SIMULTANEOUS:
-                params = grad_sigmoid_update(params, p1s, labels - activate(p1s), lr, config.shots)
-            else:
-                for layer in range(conv_layers):
-                    fresh = obj.p1(params)
-                    fresh_err = labels - activate(fresh)
-                    params = grad_sigmoid_update(params, fresh, fresh_err, lr, config.shots, layer=layer)
-        else:
-            chain = config.grad_method is GradMethod.COMBINED
-            if config.update_strategy is UpdateStrategy.SIMULTANEOUS:
-                params = params.with_update(lr * update_direction(obj, params, p1s, chain=chain))
-            else:
-                for layer in range(conv_layers):
-                    slots = [(layer, j) for j in range(4)]
-                    direction = update_direction(obj, params, obj.p1(params), chain=chain, slots=slots)
-                    delta = np.zeros(config.arch.n_params)
-                    delta[4 * layer : 4 * layer + 4] = lr * direction
-                    params = params.with_update(delta)
+        for group in slot_groups:
+            readouts = p1s if simultaneous else obj.p1(params)
+            params = params.with_update(config.learning_rate * update_direction(obj, params, readouts, group))
 
         ms = (time.perf_counter() - t0) * 1000.0
         curve.record(epoch, epoch_mse, ms, obj.evals)

@@ -21,21 +21,18 @@ from qcnn import (
     PureState,
     TrainConfig,
     TrainingObjective,
-    activate,
     apply_gate,
     build_plan,
     classical_train,
-    gate_matrix,
     gen_dataset,
-    loss_gradient,
-    mse,
     run_plan,
     run_pure,
-    save_curve,
     train,
     write_pgm,
 )
 from qcnn.cli import EXIT_OK, entry
+from qcnn.gates import gate_matrix
+from qcnn.training import activate, loss_gradient, mse, save_curve
 
 
 def _report(capsys, num, subject, ok, detail):

@@ -3,17 +3,17 @@ and the shared batch stream."""
 import numpy as np
 import pytest
 
-from qcnn import (
+from qcnn.baseline import (
     ClassicalKernel,
-    TrainConfig,
     classical_evaluate,
     classical_forward,
     classical_loss_and_grad,
     classical_train,
     classical_update,
-    gen_dataset,
     init_classical,
 )
+from qcnn.dataset import gen_dataset
+from qcnn.training import TrainConfig
 
 
 def _batch(n=12, side=2, seed=60):

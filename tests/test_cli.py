@@ -177,11 +177,14 @@ def test_train_rejects_empty_dataset(tmp_path, capsys):
 
 def test_train_width_cap_exhaustion_exits_3(tmp_path, capsys):
     rc = entry(["train", "--arch", "conv-pool-conv-pool", "--epochs", "1",
-                "--batch", "1", "--width-cap", "4", "--seed", "0",
+                "--batch", "1", "--width-cap", "4", "--seed", "0", "--progress",
                 "--params-out", str(tmp_path / "p.txt"),
                 "--curve-out", str(tmp_path / "c.csv")])
     assert rc == EXIT_RESOURCE
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the plan's true peak is reported, and the refusal comes before epoch 1
+    assert "error: plan needs 9 simultaneously live wires, exceeding the cap of 4" in err
+    assert "epoch=" not in err
 
 
 def test_eval_reports_metrics(tmp_path, capsys):
@@ -289,6 +292,35 @@ def test_train_config_rejects_non_integer_fields(tmp_path, capsys):
                     "--curve-out", str(tmp_path / "c.csv")])
         assert rc == EXIT_USAGE
         assert f"{key} must be an integer" in capsys.readouterr().err
+
+
+def test_train_config_rejects_wrongly_typed_values(tmp_path, capsys):
+    for key, value in (
+        ("learning_rate", "1e-7"), ("learning_rate", True), ("threshold", "0.5"), ("arch", 5),
+        ("params_out", 5), ("curve_out", ["c.csv"]), ("data", 7),
+    ):
+        cfg = tmp_path / "typed.json"
+        doc = {"arch": "conv", "epochs": 1, "batch_size": 2, key: value}
+        if key not in ("params_out", "curve_out"):
+            doc.update(params_out=str(tmp_path / "p.txt"), curve_out=str(tmp_path / "c.csv"))
+        cfg.write_text(json.dumps(doc))
+        assert entry(["train", "--config", str(cfg)]) == EXIT_USAGE, key
+        err = capsys.readouterr().err
+        assert f"{key}" in err and "Traceback" not in err, err
+    cfg.write_text(json.dumps({"arch": "conv", "learning_rate": 0}))
+    assert entry(["train", "--config", str(cfg)]) == EXIT_USAGE
+    assert "--lr must be positive" in capsys.readouterr().err
+
+
+def test_train_refuses_data_shorter_than_batch(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    entry(["gen", "--side", "2", "--count", "5", "--seed", "1", "--out", str(data)])
+    capsys.readouterr()
+    rc, params, _ = _train(tmp_path, "short", ["--data", str(data), "--batch", "1000", "--progress"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{data} holds 5 rows, fewer than --batch 1000" in err and "epoch=" not in err
+    assert not params.exists()
 
 
 def test_negative_seed_names_its_source(tmp_path, monkeypatch, capsys):

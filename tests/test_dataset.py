@@ -3,7 +3,7 @@ diagnostics of the loader."""
 import numpy as np
 import pytest
 
-from qcnn import (
+from qcnn.dataset import (
     VALID_SIDES,
     DatasetFormatError,
     LabeledImage,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qcnn import pixel_to_angle, prob_to_angle
+from qcnn.encoding import pixel_to_angle, prob_to_angle
 
 
 def test_pixel_map_endpoints_and_linearity():

@@ -1,22 +1,17 @@
 """Frontier-engine checks on the batched factored runner: equivalence with
 the dense oracle on random plans, lazy allocation and retirement, physical
-factors after every gate, and the width cap."""
+factors after every gate, and the width cap, which is checked against the
+plan's peak live width before any gate runs."""
 import numpy as np
 import pytest
 
+import qcnn.runner
 from conftest import random_plan
-from qcnn import (
-    Angle,
-    CircuitPlan,
-    FrontierWidthError,
-    GateKind,
-    GateOp,
-    ModelParams,
-    run_plan,
-    run_plan_batch,
-    run_pure,
-)
-from qcnn.runner import FactorSim
+from qcnn.gates import Angle, GateKind, GateOp
+from qcnn.network import ModelParams
+from qcnn.plans import CircuitPlan
+from qcnn.runner import FactorSim, FrontierWidthError, run_plan, run_plan_batch
+from qcnn.statevec import run_pure
 
 
 def test_frontier_matches_pure_on_random_plans():
@@ -34,15 +29,14 @@ def test_frontier_manual_walk():
     sim = FactorSim(batch_size=1)
     sim.allocate(5)
     sim.allocate(2)
-    assert sim.n_active == 2
+    assert len(sim._where) == 2
     sim.apply(GateOp(GateKind.RY, (2,), Angle.const(1.3)), angle=1.3)
     sim.apply(GateOp(GateKind.CFLIP_X, (5, 2)))
     assert sim.prob_one(5)[0] == pytest.approx(np.sin(0.65) ** 2, abs=1e-14)
     sim.retire(2)
-    assert sim.n_active == 1 and sim._where[5].rho.shape == (1, 2, 2)
+    assert len(sim._where) == 1 and sim._where[5].rho.shape == (1, 2, 2)
     # the traced-out control leaves the target marginal untouched
     assert sim.prob_one(5)[0] == pytest.approx(np.sin(0.65) ** 2, abs=1e-14)
-    assert sim.peak_width == 2
 
 
 def test_frontier_state_errors():
@@ -53,17 +47,31 @@ def test_frontier_state_errors():
     with pytest.raises(ValueError):
         sim.apply(GateOp(GateKind.RY, (3,), Angle.const(0.1)), angle=0.1)
     with pytest.raises(FrontierWidthError):
-        FactorSim(batch_size=1, width_cap=0).allocate(0)
+        run_plan(CircuitPlan(1, (GateOp(GateKind.RY, (0,), Angle.const(0.1)),), 0), width_cap=0)
 
 
-def test_width_cap_enforced():
-    sim = FactorSim(batch_size=1, width_cap=2)
-    sim.allocate(0)
-    sim.allocate(1)
+def test_width_cap_enforced(monkeypatch):
+    # four wires live at once, refused under a cap of 2 before the first
+    # gate is realized; the error reports the plan's peak (4), not the width
+    # at which a gate-by-gate walk would first overflow (3)
+    gates = (
+        GateOp(GateKind.RY, (0,), Angle.const(0.3)),
+        GateOp(GateKind.RY, (1,), Angle.const(0.4)),
+        GateOp(GateKind.RY, (2,), Angle.const(0.5)),
+        GateOp(GateKind.RY, (3,), Angle.const(0.6)),
+        GateOp(GateKind.CFLIP_X, (0, 1)),
+        GateOp(GateKind.CFLIP_X, (0, 2)),
+        GateOp(GateKind.CFLIP_X, (0, 3)),
+    )
+    plan = CircuitPlan(4, gates, 0)
+    assert plan.peak_active_width() == 4
+    realized = []
+    monkeypatch.setattr(qcnn.runner, "gate_matrix", lambda *a: realized.append(a))
     with pytest.raises(FrontierWidthError) as err:
-        sim.allocate(2)
-    assert err.value.peak_width == 3 and err.value.cap == 2
-    assert "3" in str(err.value) and "2" in str(err.value)
+        run_plan_batch(plan, None, batch_size=2, width_cap=2)
+    assert err.value.peak_width == 4 and err.value.cap == 2
+    assert "4" in str(err.value) and "2" in str(err.value)
+    assert realized == []
 
 
 def test_frontier_run_untouched_readout_is_zero():
@@ -211,21 +219,17 @@ def test_factor_sim_merge_and_retire():
     sim.allocate(0)
     sim.allocate(1)
     sim.allocate(2)
-    assert sim.n_active == 3 and len(sim._factors) == 3
+    assert len(sim._where) == 3 and len(sim._factors) == 3
     sim.apply(GateOp(GateKind.RY, (1,), Angle.const(2.0)), angle=2.0)
     sim.apply(GateOp(GateKind.CFLIP_X, (0, 1)))  # merges two factors
     assert len(sim._factors) == 2
     np.testing.assert_allclose(sim.prob_one(0), np.full(3, np.sin(1.0) ** 2), atol=1e-14)
     np.testing.assert_allclose(sim.prob_one(9), np.zeros(3))  # untouched wire
     sim.retire(1)
-    assert sim.n_active == 2
+    assert len(sim._where) == 2
     np.testing.assert_allclose(sim.prob_one(0), np.full(3, np.sin(1.0) ** 2), atol=1e-14)
     with pytest.raises(ValueError):
         sim.allocate(0)
-    capped = FactorSim(batch_size=1, width_cap=1)
-    capped.allocate(0)
-    with pytest.raises(FrontierWidthError):
-        capped.allocate(1)
 
 
 def test_factor_sim_batch_width_cap():

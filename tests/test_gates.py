@@ -3,9 +3,8 @@ unitarity, and the angle-source plumbing on gate descriptions."""
 import numpy as np
 import pytest
 
-import qcnn
-from qcnn import Angle, GateKind, GateOp, ModelParams, gate_matrix, rx_matrix, ry_matrix
-from qcnn.gates import fixed_matrix
+from qcnn.gates import CFLIP_X, CFLIP_Y, CFLIP_Z, Angle, GateKind, GateOp, gate_matrix, rx_matrix, ry_matrix
+from qcnn.network import ModelParams
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -16,15 +15,15 @@ Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 def test_cflip_matrices_frozen():
     # first wire = target = high bit of the pair, second wire = control
     np.testing.assert_array_equal(
-        qcnn.CFLIP_X,
+        CFLIP_X,
         [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
     )
     np.testing.assert_array_equal(
-        qcnn.CFLIP_Y,
+        CFLIP_Y,
         [[1, 0, 0, 0], [0, 0, 0, -1j], [0, 0, 1, 0], [0, 1j, 0, 0]],
     )
     np.testing.assert_array_equal(
-        qcnn.CFLIP_Z,
+        CFLIP_Z,
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
     )
 
@@ -33,7 +32,7 @@ def test_cflip_matrices_are_controlled_paulis():
     # block structure: identity on control=0, the Pauli on control=1.
     # basis order is |t c> with t the high bit, so control=1 selects the
     # odd rows/columns.
-    for mat, pauli in ((qcnn.CFLIP_X, X), (qcnn.CFLIP_Y, Y), (qcnn.CFLIP_Z, Z)):
+    for mat, pauli in ((CFLIP_X, X), (CFLIP_Y, Y), (CFLIP_Z, Z)):
         np.testing.assert_array_equal(mat[0::2, 0::2], I2)
         np.testing.assert_array_equal(mat[1::2, 1::2], pauli)
         np.testing.assert_array_equal(mat[0::2, 1::2], np.zeros((2, 2)))
@@ -43,12 +42,12 @@ def test_cflip_matrices_are_controlled_paulis():
 def test_cflip_basis_action():
     # |t=0,c=1> is basis index 1, |t=1,c=1> is index 3
     e = np.eye(4, dtype=np.complex128)
-    np.testing.assert_array_equal(qcnn.CFLIP_X @ e[1], e[3])
-    np.testing.assert_array_equal(qcnn.CFLIP_X @ e[3], e[1])
-    np.testing.assert_array_equal(qcnn.CFLIP_Y @ e[1], 1j * e[3])
-    np.testing.assert_array_equal(qcnn.CFLIP_Y @ e[3], -1j * e[1])
-    np.testing.assert_array_equal(qcnn.CFLIP_Z @ e[3], -e[3])
-    for mat in (qcnn.CFLIP_X, qcnn.CFLIP_Y, qcnn.CFLIP_Z):
+    np.testing.assert_array_equal(CFLIP_X @ e[1], e[3])
+    np.testing.assert_array_equal(CFLIP_X @ e[3], e[1])
+    np.testing.assert_array_equal(CFLIP_Y @ e[1], 1j * e[3])
+    np.testing.assert_array_equal(CFLIP_Y @ e[3], -1j * e[1])
+    np.testing.assert_array_equal(CFLIP_Z @ e[3], -e[3])
+    for mat in (CFLIP_X, CFLIP_Y, CFLIP_Z):
         np.testing.assert_array_equal(mat @ e[0], e[0])
         np.testing.assert_array_equal(mat @ e[2], e[2])
 
@@ -76,7 +75,7 @@ def test_unitarity_all_kinds():
     for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 100):
         for mat in (rx_matrix(theta), ry_matrix(theta)):
             np.testing.assert_allclose(mat @ mat.conj().T, I2, atol=1e-12)
-    for mat in (qcnn.CFLIP_X, qcnn.CFLIP_Y, qcnn.CFLIP_Z):
+    for mat in (CFLIP_X, CFLIP_Y, CFLIP_Z):
         np.testing.assert_allclose(mat @ mat.conj().T, np.eye(4), atol=1e-15)
 
 
@@ -105,9 +104,11 @@ def test_gate_kind_properties():
 
 
 def test_fixed_matrix_lookup():
-    np.testing.assert_array_equal(fixed_matrix(GateKind.CFLIP_Y), qcnn.CFLIP_Y)
-    with pytest.raises(ValueError):
-        fixed_matrix(GateKind.RX)
+    # the controlled flips realize as their frozen constants, whatever angle
+    # is passed along
+    for kind, mat in ((GateKind.CFLIP_X, CFLIP_X), (GateKind.CFLIP_Y, CFLIP_Y), (GateKind.CFLIP_Z, CFLIP_Z)):
+        assert gate_matrix(GateOp(kind, (0, 1))) is mat
+        assert gate_matrix(GateOp(kind, (1, 0)), 0.7) is mat
 
 
 def test_angle_sources_resolve():
@@ -148,4 +149,4 @@ def test_gate_matrix_dispatch():
     ry = GateOp(GateKind.RY, (1,), Angle.const(-0.9))
     np.testing.assert_allclose(gate_matrix(ry, -0.9), ry_matrix(-0.9), atol=0)
     flip = GateOp(GateKind.CFLIP_Y, (0, 1))
-    np.testing.assert_array_equal(gate_matrix(flip), qcnn.CFLIP_Y)
+    np.testing.assert_array_equal(gate_matrix(flip), CFLIP_Y)

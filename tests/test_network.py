@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcnn import (
+from qcnn.encoding import pixel_to_angle
+from qcnn.gates import GateKind
+from qcnn.network import (
     Architecture,
-    GateKind,
     ModelParams,
     build_plan,
     conv_feature_map,
@@ -16,12 +17,10 @@ from qcnn import (
     init_params,
     layer_structure,
     load_params,
-    pixel_to_angle,
-    run_plan,
-    run_plan_batch,
-    run_pure,
     save_params,
 )
+from qcnn.runner import run_plan, run_plan_batch
+from qcnn.statevec import run_pure
 
 CONV = Architecture.CONV
 CPP = Architecture.CONV_POOL_POOL
@@ -129,11 +128,7 @@ def test_param_occurrence_index():
     assert len(cpcp.param_slots()) == 8
 
 
-def test_build_plan_validates_inputs():
-    with pytest.raises(ValueError):
-        build_plan(CONV, params=ModelParams((np.zeros(4), np.zeros(4))))
-    with pytest.raises(ValueError):
-        build_plan(CPP, image=np.zeros(9))
+def test_build_plan_is_cached():
     a1, _ = build_plan(CONV)
     a2, _ = build_plan(CONV)
     assert a1 is a2  # plans are cached per architecture

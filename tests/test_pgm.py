@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qcnn import PgmFormatError, read_pgm, write_pgm
+from qcnn.pgm import PgmFormatError, read_pgm, write_pgm
 
 
 def test_roundtrip(tmp_path):

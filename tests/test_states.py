@@ -1,21 +1,12 @@
 """State-vector engine checks against an independent dense-embedding oracle,
-plus measurement and shot-sampling behavior."""
+plus measurement behavior."""
 import numpy as np
 import pytest
 
 from conftest import GATE_KINDS, embed_gate, random_state
-from qcnn import (
-    Angle,
-    CircuitPlan,
-    GateKind,
-    GateOp,
-    PureState,
-    apply_gate,
-    exact_prob_one,
-    gate_matrix,
-    run_pure,
-    sample_shots,
-)
+from qcnn.gates import Angle, GateKind, GateOp, gate_matrix
+from qcnn.plans import CircuitPlan
+from qcnn.statevec import PureState, apply_gate, exact_prob_one, run_pure
 
 
 def _random_gate(rng, n_wires):
@@ -86,27 +77,6 @@ def test_exact_prob_one_marginals():
     assert exact_prob_one(psi, 1) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         exact_prob_one(psi, 2)
-
-
-def test_sample_shots_deterministic_and_bounded():
-    a = sample_shots(0.37, 1000, seed=42)
-    b = sample_shots(0.37, 1000, seed=42)
-    assert a == b and 0 <= a <= 1000
-    assert sample_shots(0.0, 500, seed=1) == 0
-    assert sample_shots(1.0, 500, seed=1) == 500
-    # law of large numbers at a pinned seed
-    assert abs(sample_shots(0.3, 100000, seed=7) / 100000 - 0.3) < 0.01
-
-
-def test_sample_shots_validation():
-    with pytest.raises(ValueError):
-        sample_shots(-0.1, 100, seed=0)
-    with pytest.raises(ValueError):
-        sample_shots(1.1, 100, seed=0)
-    with pytest.raises(ValueError):
-        sample_shots(np.nan, 100, seed=0)
-    with pytest.raises(ValueError):
-        sample_shots(0.5, 0, seed=0)
 
 
 def test_run_pure_single_rotation_law():

@@ -6,31 +6,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcnn import (
-    Architecture,
+from qcnn.baseline import classical_train
+from qcnn.dataset import LabeledImage, gen_dataset
+from qcnn.network import Architecture, ModelParams
+from qcnn.training import (
     EvalMode,
     GradMethod,
-    LabeledImage,
     LossCurve,
     MeasureMode,
-    ModelParams,
     TrainConfig,
     TrainingObjective,
     UpdateStrategy,
     activate,
     activate_deriv,
     evaluate,
-    forward,
-    gen_dataset,
-    grad_combined,
-    grad_shift,
-    grad_sigmoid_update,
     loss_gradient,
     mse,
     save_curve,
     sigmoid,
     sigmoid_deriv,
     train,
+    update_direction,
 )
 
 
@@ -125,7 +121,7 @@ def test_jacobian_sums_shared_occurrences():
     obj, _ = _objective("conv-pool-pool", n=4, seed=3)
     rng = np.random.default_rng(13)
     params = ModelParams((rng.uniform(0, np.pi, 4),))
-    assert obj.occurrence_count(0) == 4
+    assert all(len(obj.plan.param_occurrences(0, j)) == 4 for j in range(4))
     np.testing.assert_allclose(
         obj.jacobian(params), _fd_jacobian(obj, params), atol=1e-8
     )
@@ -139,9 +135,9 @@ def test_jacobian_slot_selection():
     assert full.shape == (2, 8)
     sub = obj.jacobian(params, slots=[(1, 0), (1, 1), (1, 2), (1, 3)])
     np.testing.assert_allclose(sub, full[:, 4:], atol=1e-12)
-    assert obj.occurrence_count(1) == 2
+    assert len(obj.plan.param_occurrences(1, 0)) == 2
     with pytest.raises(ValueError):
-        obj.occurrence_count(5)
+        obj.jacobian(params, slots=[(5, 0)])
 
 
 def test_loss_gradient_matches_finite_difference():
@@ -166,10 +162,10 @@ def test_loss_gradient_matches_finite_difference():
 def test_combined_direction_is_scaled_loss_descent():
     # the chained update direction is exactly -shots * B/4 times the loss
     # gradient, so the two formulations describe the same descent direction
-    obj, config = _objective("conv", n=5, seed=6)
+    obj, config = _objective("conv", n=5, seed=6, grad_method="combined")
     rng = np.random.default_rng(16)
     params = ModelParams((rng.uniform(0, np.pi, 4),))
-    combined = grad_combined(obj, params)
+    combined = update_direction(obj, params, obj.p1(params), obj.plan.param_slots())
     grad = loss_gradient(obj, params)
     np.testing.assert_allclose(
         combined, -config.shots * obj.batch_size / 4.0 * grad, rtol=1e-10, atol=1e-12
@@ -183,30 +179,39 @@ def test_shift_direction_zero_on_zero_error():
     obj = TrainingObjective(config, pixels, np.array([0.0]))
     params = ModelParams((np.array([0.4, 1.0, 0.2, 2.0]),))
     obj.labels = activate(obj.p1(params))
-    direction = grad_shift(obj, params)
+    direction = update_direction(obj, params, obj.p1(params), obj.plan.param_slots())
     np.testing.assert_allclose(direction, np.zeros(4), atol=1e-12)
 
 
 def test_sigmoid_update_rule_formula():
+    config = TrainConfig(arch="conv", grad_method="sigmoid", shots=10)
     params = ModelParams((np.array([1.0, 2.0, 3.0, 4.0]),))
-    p1s, err = np.array([0.5]), np.array([0.2])
-    out = grad_sigmoid_update(params, p1s, err, learning_rate=1e-3, shots=10)
-    # scalar = lr * (shots*p1) * err * activation'(p1) = 1e-3 * 10*0.5*0.2*0.25
-    np.testing.assert_allclose(out.vector(), params.vector() + 2.5e-4)
-    # zero learning rate and zero error both freeze the parameters
-    same = grad_sigmoid_update(params, p1s, err, learning_rate=0.0)
-    np.testing.assert_array_equal(same.vector(), params.vector())
-    same = grad_sigmoid_update(params, p1s, np.zeros(1), learning_rate=1e-3)
-    np.testing.assert_array_equal(same.vector(), params.vector())
+    slots = [(0, j) for j in range(4)]
+    # readout 1/2 activates to 1/2, so label 0.7 is an error of 0.2
+    p1s = np.array([0.5])
+    obj = TrainingObjective(config, np.zeros((1, 4)), np.array([0.7]))
+    # scalar = (shots*p1) * err * activation'(p1) = 10*0.5*0.2*0.25
+    np.testing.assert_allclose(update_direction(obj, params, p1s, slots), np.full(4, 0.25))
+    # zero error freezes the parameters
+    obj.labels = np.array([0.5])
+    np.testing.assert_array_equal(update_direction(obj, params, p1s, slots), np.zeros(4))
+    # one scalar per batch: the per-sample terms are summed
+    two = TrainingObjective(config, np.zeros((2, 4)), np.array([0.7, 0.7]))
+    np.testing.assert_allclose(update_direction(two, params, np.array([0.5, 0.5]), slots), np.full(4, 0.5))
 
 
 def test_sigmoid_update_layer_targeting():
-    params = ModelParams((np.zeros(4), np.zeros(4)))
-    out = grad_sigmoid_update(
-        params, np.array([0.9]), np.array([0.5]), learning_rate=1.0, shots=1, layer=1
-    )
-    assert np.all(out.layers[0] == 0.0)
-    assert np.all(out.layers[1] != 0.0)
+    # every rule leaves the angles outside the requested slots at zero, and
+    # a layer's circuit-derivative direction does not depend on which other
+    # layers are requested alongside it
+    for rule in ("sigmoid", "shift", "combined"):
+        obj, _ = _objective("conv-pool-conv-pool", n=2, seed=4, grad_method=rule)
+        params = ModelParams((np.full(4, 0.3), np.full(4, -0.2)))
+        p1s = obj.p1(params)
+        second = update_direction(obj, params, p1s, [(1, j) for j in range(4)])
+        assert np.all(second[:4] == 0.0) and np.all(second[4:] != 0.0), rule
+        full = update_direction(obj, params, p1s, obj.plan.param_slots())
+        np.testing.assert_allclose(second[4:], full[4:], rtol=0, atol=1e-15, err_msg=rule)
 
 
 def test_intermediate_equals_end_to_end_single_layer():
@@ -266,19 +271,36 @@ def test_sampled_mode_quantizes_and_repeats():
     )
 
 
-def test_forward_prediction_fields():
+def test_readout_extremes_and_predicted_labels():
+    # a zero kernel on a black window reads 0; a single half-turn on one
+    # wire flips the window parity outright.  evaluate() thresholds the
+    # activated readouts: activate(0) < 1/2 predicts label 0, activate(1)
+    # > 1/2 predicts label 1
     config = TrainConfig(arch="conv", threshold=0.5)
-    pred = forward(ModelParams((np.zeros(4),)), np.array([0, 0, 0, 0]), config)
-    assert pred.p1 == pytest.approx(0.0, abs=1e-12)
-    assert pred.activated == pytest.approx(activate(0.0))
-    assert pred.label_hat == 0
-    # a single half-turn on one wire flips the window parity outright
-    hot = forward(
-        ModelParams((np.array([np.pi, 0.0, 0.0, 0.0]),)), np.array([0, 0, 0, 0]), config
-    )
-    assert hot.p1 == pytest.approx(1.0, abs=1e-12)
-    assert hot.activated == pytest.approx(activate(1.0))
-    assert hot.label_hat == 1
+    cold = ModelParams((np.zeros(4),))
+    hot = ModelParams((np.array([np.pi, 0.0, 0.0, 0.0]),))
+    obj = TrainingObjective(config, np.zeros((1, 4)), np.zeros(1))
+    assert obj.p1(cold)[0] == pytest.approx(0.0, abs=1e-12)
+    assert obj.p1(hot)[0] == pytest.approx(1.0, abs=1e-12)
+    black = [LabeledImage(2, np.zeros(4), 0)]
+    assert evaluate(cold, black, config) == pytest.approx((activate(0.0) ** 2, 1.0))
+    assert evaluate(hot, black, config) == pytest.approx((activate(1.0) ** 2, 0.0))
+
+
+def test_shot_sampling_deterministic_and_bounded():
+    # sampled readouts are binomial counts over the shot number, drawn from
+    # a stream keyed by (seed, epoch, evaluation, layer): equal keys repeat,
+    # certain outcomes stay certain, and the rate converges on the readout
+    obj, _ = _objective("conv", n=3, seed=42, eval_mode="sampled", shots=1000)
+    p = np.array([0.37, 0.0, 1.0])
+    a = obj._sample(p, 0, 0)
+    np.testing.assert_array_equal(a, obj._sample(p, 0, 0))
+    assert not np.array_equal(a, obj._sample(p, 1, 0))
+    assert 0.0 <= a[0] <= 1.0 and a[1] == 0.0 and a[2] == 1.0
+    # readouts a rounding error outside [0, 1] are clipped, not refused
+    np.testing.assert_array_equal(obj._sample(np.array([-1e-12, 1.0 + 1e-12, 0.0]), 0, 0), [0.0, 1.0, 0.0])
+    big, _ = _objective("conv", n=1, seed=7, eval_mode="sampled", shots=100000)
+    assert abs(big._sample(np.array([0.3]), 0, 0)[0] - 0.3) < 0.01
 
 
 def test_train_config_validation():
@@ -300,9 +322,14 @@ def test_train_config_validation():
         TrainConfig(arch="conv", width_cap=0)
     with pytest.raises(ValueError):
         TrainConfig(arch="dense")
-    for field, bad in (("epochs", 2.5), ("epochs", True), ("shots", "1000"), ("jobs", 1.0), ("seed", -1)):
+    for field, bad in (
+        ("epochs", 2.5), ("epochs", True), ("shots", "1000"), ("jobs", 1.0), ("seed", -1),
+        ("learning_rate", "1e-7"), ("learning_rate", True), ("learning_rate", None),
+        ("threshold", "0.5"), ("threshold", False), ("arch", 5), ("arch", None),
+    ):
         with pytest.raises(ValueError, match=field):
-            TrainConfig(arch="conv", **{field: bad})
+            TrainConfig(**{"arch": "conv", field: bad})
+    assert TrainConfig(arch="conv", learning_rate=1, threshold=np.float64(0.25)).learning_rate == 1
     assert TrainConfig(arch="conv", epochs=np.int64(3), jobs=None).epochs == 3
     config = TrainConfig(
         arch="conv-pool-pool",
@@ -375,6 +402,17 @@ def test_train_fresh_batches_differ_across_epochs():
     assert _epoch_batch(config, fixed, 1) == fixed[:10]
 
 
+def test_train_refuses_dataset_shorter_than_batch():
+    # a fixed dataset supplies the first batch_size rows every epoch, so a
+    # shorter one is refused before epoch 1 rather than trained on silently
+    config = TrainConfig(arch="conv", epochs=1, batch_size=6)
+    short = gen_dataset(5, 2, seed=1)
+    for fn in (train, classical_train):
+        with pytest.raises(ValueError, match="5 rows, fewer than the batch size 6"):
+            fn(config, dataset=short)
+    train(config, dataset=gen_dataset(6, 2, seed=1))
+
+
 def test_train_layer_wise_strategy():
     config = TrainConfig(
         arch="conv-pool-conv-pool",
@@ -427,19 +465,20 @@ def test_save_curve_format(tmp_path):
 
 def test_update_paths_match_recorded_runs():
     # recorded final angles and loss curves of seeded runs: every rule x
-    # strategy x eval mode on the 2x2 lattice with fresh batches, and the
-    # layer-wise and sampled paths of the 8x8 lattice on fixed dim images,
-    # whose readouts stay clear of 1/2 so the updates are not vanishing
+    # strategy x eval mode on the 2x2 lattice and on the 4x4 lattice measured
+    # after each layer, both with fresh batches, and the layer-wise and
+    # sampled paths of the 8x8 lattice on fixed dim images, whose readouts
+    # stay clear of 1/2 so the updates are not vanishing
     doc = json.loads((Path(__file__).parent / "data" / "update_paths.json").read_text())
     dim8 = [LabeledImage(8, np.array(p), y) for p, y in zip(doc["dim8"]["pixels"], doc["dim8"]["labels"])]
     for run in doc["runs"]:
+        keys = ("arch", "measure_mode", "grad_method", "update_strategy", "eval_mode")
         cfg = TrainConfig(
-            arch=run["arch"], epochs=run["epochs"], batch_size=run["batch_size"],
-            grad_method=run["grad_method"], update_strategy=run["update_strategy"],
-            eval_mode=run["eval_mode"], learning_rate=run["learning_rate"], seed=run["seed"],
+            **{k: run[k] for k in keys}, epochs=run["epochs"], batch_size=run["batch_size"],
+            learning_rate=run["learning_rate"], seed=run["seed"],
         )
         initial = ModelParams.from_flat(run["initial"])
         params, curve = train(cfg, dataset=dim8 if run["fixed_data"] else None, initial=initial)
-        what = f"{run['arch']} {run['grad_method']} {run['update_strategy']} {run['eval_mode']}"
+        what = " ".join(run[k] for k in keys)
         np.testing.assert_allclose(params.vector(), run["params"], rtol=0, atol=1e-12, err_msg=what)
         np.testing.assert_allclose(curve.mses, run["mses"], rtol=0, atol=1e-12, err_msg=what)
