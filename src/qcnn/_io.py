@@ -1,0 +1,23 @@
+"""Output files are written whole or not at all."""
+from __future__ import annotations
+
+import os
+import secrets
+from pathlib import Path
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ASCII text to a temporary file beside `path`, then move it over
+    `path` in one step: a failed write leaves the old file as it was and no
+    temporary file behind.  An OSError names `path`, not the temporary."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        try:
+            with open(tmp, "x", encoding="ascii") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc

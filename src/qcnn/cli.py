@@ -179,7 +179,7 @@ def cmd_eval(args) -> int:
             f"(inferred from {side}x{side} data) needs {arch.n_params}"
         )
     seed = _resolve_seed(args.seed, None)
-    config = TrainConfig(arch=arch, threshold=args.threshold, seed=seed, jobs=args.jobs)
+    config = TrainConfig(arch=arch, measure_mode=args.measure, threshold=args.threshold, seed=seed, jobs=args.jobs)
     params = ModelParams.from_vector(arch, vector)
     m, acc = evaluate(params, samples, config)
     print(f"samples {len(samples)}")
@@ -245,6 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="report MSE and accuracy of saved params on a dataset")
     p.add_argument("--params", required=True, help="params file, one angle per line")
     p.add_argument("--data", required=True, help="dataset CSV")
+    p.add_argument("--measure", choices=["end-to-end", "intermediate"], default="end-to-end",
+                   help="circuit to score with; match the one the params were trained with")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import write_text_atomic
+
 VALID_SIDES = (2, 4, 8)
 
 
@@ -83,7 +85,7 @@ def save_dataset(samples, path) -> None:
         if s.side ** 2 != k:
             raise ValueError("all samples in a dataset must share one side length")
         lines.append(",".join([str(s.label)] + [str(int(p)) for p in s.pixels]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> list:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import write_text_atomic
 from .encoding import pixel_to_angle
 from .gates import Angle, GateKind, GateOp
 from .plans import CircuitPlan
@@ -67,12 +68,18 @@ class LayerSpec:
 
 
 @dataclass(frozen=True)
-class LayerBoundary:
-    """Wires of the end-to-end plan that carry a layer's outputs."""
+class PlanNode:
+    """One group of the end-to-end plan.  gates[lo:hi] are the node's own
+    gates; its children's subtrees come right before lo, so the node list
+    is in post-order with the root last.  After gate hi - 1 every wire of
+    the subtree except `wire` is retired: the node's output is the reduced
+    state of that one wire."""
 
-    index: int
-    kind: str
-    wires: tuple
+    layer: int
+    lo: int
+    hi: int
+    children: tuple
+    wire: int
 
 
 def layer_structure(arch: Architecture) -> tuple:
@@ -122,16 +129,12 @@ def _emit_conv_block(gates, wires, param_layer):
     return a
 
 
-def _rep_wire(layers, level: int, group: int) -> int:
-    first = layers[level].groups[group][0]
-    return first if level == 0 else _rep_wire(layers, level - 1, first)
-
-
 _PLAN_CACHE = {}
 
 
 def build_plan(arch: Architecture):
-    """The end-to-end circuit plan and layer boundaries for an architecture.
+    """The end-to-end circuit plan of an architecture and its group nodes
+    (PlanNode tuple, post-order).
 
     The plan is symbolic: pixel angles fill data slots (slot = wire = pixel
     index) and kernel angles fill parameter slots, both resolved at run
@@ -142,30 +145,34 @@ def build_plan(arch: Architecture):
 
     layers = layer_structure(arch)
     gates = []
+    nodes = []
 
     def emit(level: int, group: int) -> int:
         spec = layers[level]
         idxs = spec.groups[group]
         if level == 0:
+            children = ()
             wires = list(idxs)
+            lo = len(gates)
             for w in wires:
                 gates.append(GateOp(GateKind.RY, (w,), Angle.data(w)))
         else:
-            wires = [emit(level - 1, i) for i in idxs]
+            children = tuple(emit(level - 1, i) for i in idxs)
+            wires = [nodes[c].wire for c in children]
+            lo = len(gates)
         if spec.kind == "conv":
-            return _emit_conv_block(gates, wires, spec.param_layer)
-        tgt, ctl = wires
-        gates.append(GateOp(GateKind.CFLIP_X, (tgt, ctl)))
-        return tgt
+            out = _emit_conv_block(gates, wires, spec.param_layer)
+        else:
+            tgt, ctl = wires
+            gates.append(GateOp(GateKind.CFLIP_X, (tgt, ctl)))
+            out = tgt
+        nodes.append(PlanNode(level, lo, len(gates), children, out))
+        return len(nodes) - 1
 
-    readout = emit(len(layers) - 1, 0)
-    plan = CircuitPlan(arch.image_side ** 2, tuple(gates), readout)
-    boundaries = tuple(
-        LayerBoundary(i, spec.kind, tuple(_rep_wire(layers, i, g) for g in range(len(spec.groups))))
-        for i, spec in enumerate(layers)
-    )
-    _PLAN_CACHE[arch] = (plan, boundaries)
-    return plan, boundaries
+    root = emit(len(layers) - 1, 0)
+    plan = CircuitPlan(arch.image_side ** 2, tuple(gates), nodes[root].wire)
+    _PLAN_CACHE[arch] = (plan, tuple(nodes))
+    return _PLAN_CACHE[arch]
 
 
 _GROUP_PLAN_CACHE = {}
@@ -249,7 +256,7 @@ def init_params(arch: Architecture, seed: int, scheme: str = "uniform") -> Model
 def save_params(params: ModelParams, path) -> None:
     """One angle per line, kernel-block order, full double precision."""
     lines = [f"{a:.17g}" for a in params.vector()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_params(path) -> ModelParams:
@@ -276,15 +283,9 @@ def conv_feature_map(pixels, kernel_angles, *, jobs: int = None) -> np.ndarray:
     if kernel.shape != (4,):
         raise ValueError(f"kernel takes 4 angles, got {kernel.size}")
 
-    angles = pixel_to_angle(grid)
     out_h, out_w = height // 2, width // 2
-    windows = np.empty((out_h * out_w, 4))
-    for wr in range(out_h):
-        for wc in range(out_w):
-            r, c = 2 * wr, 2 * wc
-            windows[wr * out_w + wc] = (
-                angles[r, c], angles[r, c + 1], angles[r + 1, c], angles[r + 1, c + 1]
-            )
+    # window (wr, wc) holds pixels (2wr, 2wc), (2wr, 2wc+1), (2wr+1, 2wc), (2wr+1, 2wc+1)
+    windows = pixel_to_angle(grid).reshape(out_h, 2, out_w, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
     plan = group_plan("conv", 0)
     probs = run_plan_batch(plan, windows, ModelParams((kernel,)), jobs=jobs)
     return probs.reshape(out_h, out_w)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import write_text_atomic
+
 
 class PgmFormatError(ValueError):
     pass
@@ -84,4 +86,4 @@ def write_pgm(path, grid, comment: str = None) -> None:
     lines.append("255")
     for row in grid:
         lines.append(" ".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -6,7 +6,9 @@ than the total wire count.  Live wires that have never interacted are held
 as separate factors, one small density matrix per independent group; wires
 merge only when a two-wire gate spans groups, which for the convolution
 plans keeps every factor at kernel size.  A leading batch axis evaluates a
-whole sample batch (and shifted variants) in single numpy calls.
+whole sample batch in single numpy calls.  walk_plan runs any gate span from
+given input states, which lets a caller re-run one subtree of a
+tree-structured plan on the cached outputs of the others.
 """
 from __future__ import annotations
 
@@ -51,10 +53,14 @@ class FactorSim:
         self._where: dict = {}  # wire -> factor
 
     def allocate(self, wire: int) -> None:
-        if wire in self._where:
-            raise ValueError(f"wire {wire} is already active")
         rho = np.zeros((self.batch, 2, 2), dtype=np.complex128)
         rho[:, 0, 0] = 1.0
+        self.seed(wire, rho)
+
+    def seed(self, wire: int, rho) -> None:
+        """Make a wire live in a given (B, 2, 2) state, its own factor."""
+        if wire in self._where:
+            raise ValueError(f"wire {wire} is already active")
         f = _Factor([wire], rho)
         self._factors.append(f)
         self._where[wire] = f
@@ -95,6 +101,14 @@ class FactorSim:
         f.rho = trace_out(f.rho, pos, len(f.wires))
         f.wires.pop(pos)
 
+    def density(self, wire: int) -> np.ndarray:
+        """(B, 2, 2) state of a live wire that shares its factor with no
+        other wire."""
+        f = self._where.get(wire)
+        if f is None or len(f.wires) != 1:
+            raise ValueError(f"wire {wire} is not a live wire of its own")
+        return f.rho
+
     def prob_one(self, wire: int) -> np.ndarray:
         f = self._where.get(wire)
         if f is None:
@@ -104,9 +118,36 @@ class FactorSim:
         return density_prob_one(f.rho, pos, len(f.wires))
 
 
-def _run_chunk(plan, data, params, shift, batch):
+def walk_plan(
+    plan: CircuitPlan,
+    batch: int,
+    data=None,
+    params=None,
+    *,
+    lo: int = 0,
+    hi: int = None,
+    inputs: dict = None,
+    shift: dict = None,
+    width_cap: int = DEFAULT_WIDTH_CAP,
+) -> FactorSim:
+    """Apply gates [lo, hi) of a plan (default: all of them) to a batch of
+    `batch` rows and return the resulting state.
+
+    inputs maps wires that are live when gate lo runs to their (B, 2, 2)
+    states; every other wire enters in |0> at its first gate of the span.
+    Wires retire at their last gate in the plan, so a span that holds a
+    whole subtree of a tree-structured plan leaves only the subtree's output
+    wire live.  shift maps gate positions to angle offsets.  A plan whose
+    peak live width exceeds width_cap raises FrontierWidthError before any
+    gate runs.
+    """
+    if plan.peak_active_width() > width_cap:
+        raise FrontierWidthError(plan.peak_active_width(), width_cap)
     sim = FactorSim(batch)
-    for i, gate in enumerate(plan.gates):
+    for w, rho in (inputs or {}).items():
+        sim.seed(w, rho)
+    for i in range(lo, len(plan.gates) if hi is None else hi):
+        gate = plan.gates[i]
         for w in gate.wires:
             if w not in sim._where:
                 sim.allocate(w)
@@ -118,7 +159,25 @@ def _run_chunk(plan, data, params, shift, batch):
         sim.apply(gate, angle)
         for w in plan.retire_schedule[i]:
             sim.retire(w)
-    return sim.prob_one(plan.readout_wire)
+    return sim
+
+
+def batch_chunks(batch: int, jobs: int = None) -> list:
+    """Row ranges [lo, hi) that split a batch across `jobs` worker threads;
+    one range when threads would not pay."""
+    if jobs and jobs > 1 and batch >= 2 * jobs:
+        bounds = np.linspace(0, batch, jobs + 1).astype(int)
+        return list(zip(bounds[:-1], bounds[1:]))
+    return [(0, batch)]
+
+
+def map_chunks(fn, chunks, jobs: int = None) -> np.ndarray:
+    """fn(lo, hi) over the row ranges, on worker threads when there are
+    several, concatenated in row order."""
+    if len(chunks) == 1:
+        return fn(*chunks[0])
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return np.concatenate(list(pool.map(lambda c: fn(*c), chunks)))
 
 
 def run_plan_batch(
@@ -132,7 +191,7 @@ def run_plan_batch(
     jobs: int = None,
 ) -> np.ndarray:
     """Readout-wire probability of 1 for a batch of data rows at shared
-    parameters, shape (B,).
+    parameters, shape (B,): walk_plan over the whole plan.
 
     data: (B, n_data_slots) angle matrix, or None for plans without data
     slots (then batch_size sets B, default 1).  shift maps gate positions to
@@ -141,8 +200,6 @@ def run_plan_batch(
     whose peak live width exceeds width_cap raises FrontierWidthError
     before any gate runs.
     """
-    if plan.peak_active_width() > width_cap:
-        raise FrontierWidthError(plan.peak_active_width(), width_cap)
     if data is not None:
         data = np.asarray(data, dtype=np.float64)
         if data.ndim == 1:
@@ -157,15 +214,12 @@ def run_plan_batch(
             raise ValueError("plan has data slots but no data was given")
         b = batch_size or 1
 
-    if jobs and jobs > 1 and data is not None and b >= 2 * jobs:
-        bounds = np.linspace(0, b, jobs + 1).astype(int)
-        chunks = [(data[lo:hi], hi - lo) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(lambda c: _run_chunk(plan, c[0], params, shift, c[1]), chunks)
-            )
-        return np.concatenate(parts)
-    return _run_chunk(plan, data, params, shift, b)
+    def run(lo, hi):
+        rows = None if data is None else data[lo:hi]
+        sim = walk_plan(plan, hi - lo, rows, params, shift=shift, width_cap=width_cap)
+        return sim.prob_one(plan.readout_wire)
+
+    return map_chunks(run, batch_chunks(b, jobs if data is not None else None), jobs)
 
 
 def run_plan(plan: CircuitPlan, data=None, params=None, **kw) -> float:

@@ -21,10 +21,10 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
+from ._io import write_text_atomic
 from .dataset import gen_dataset
 from .encoding import pixel_to_angle, prob_to_angle
 from .network import (
@@ -35,7 +35,7 @@ from .network import (
     init_params,
     layer_structure,
 )
-from .runner import DEFAULT_WIDTH_CAP, run_plan_batch
+from .runner import DEFAULT_WIDTH_CAP, batch_chunks, map_chunks, run_plan_batch, walk_plan
 
 _TAG_INIT = 101
 _TAG_DATA = 202
@@ -156,7 +156,7 @@ def save_curve(curve: LossCurve, path) -> None:
     lines = ["epoch,mse"]
     for e, m in zip(curve.epochs, curve.mses):
         lines.append(f"{e},{m:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def sigmoid(x):
@@ -201,7 +201,14 @@ def _pixel_matrix(batch) -> np.ndarray:
 class TrainingObjective:
     """One batch bound to one architecture and config: evaluates readout
     probabilities, optionally with a single rotation occurrence displaced,
-    and assembles the per-sample circuit jacobian from those displacements."""
+    and assembles the per-sample circuit jacobian from those displacements.
+
+    End to end, the plan runs node by node (see network.PlanNode) and the
+    node outputs at the last undisplaced parameters are kept: a displaced
+    evaluation recomputes only the nodes from the displaced gate's node up
+    to the root and reads every sibling subtree from the cache.  The
+    readouts are the same bits as a whole-plan run_plan_batch.
+    """
 
     def __init__(self, config: TrainConfig, pixel_rows, labels, base_key: int = 0):
         self.config = config
@@ -215,11 +222,14 @@ class TrainingObjective:
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.shape != (pixel_rows.shape[0],):
             raise ValueError("one label per pixel row is required")
-        self.plan, _ = build_plan(self.arch)
+        self.plan, self.nodes = build_plan(self.arch)
         self.layers = layer_structure(self.arch)
         self.base_key = int(base_key)
         self._eval_ordinal = 0
         self.evals = 0
+        self._parent = {c: k for k, node in enumerate(self.nodes) for c in node.children}
+        self._chunks = batch_chunks(self.batch_size, config.jobs)
+        self._node_outs = {}  # chunk start -> (params bytes, node outputs, readout)
 
     @property
     def batch_size(self) -> int:
@@ -242,12 +252,8 @@ class TrainingObjective:
             shift = None
             if shift_occ is not None:
                 layer, j, occ, delta = shift_occ
-                gate_idx = self.plan.param_occurrences(layer, j)[occ]
-                shift = {gate_idx: delta}
-            p = run_plan_batch(
-                self.plan, self.angles, params,
-                shift=shift, width_cap=cfg.width_cap, jobs=cfg.jobs,
-            )
+                shift = {self.plan.param_occurrences(layer, j)[occ]: delta}
+            p = map_chunks(lambda lo, hi: self._tree_readout(params, lo, hi, shift), self._chunks, cfg.jobs)
             return self._sample(p, ordinal, 0) if sampled else p
 
         values = self.angles
@@ -274,6 +280,39 @@ class TrainingObjective:
                 return outs[:, 0]
             values = prob_to_angle(outs)
         raise AssertionError("architecture has no layers")
+
+    def _tree_readout(self, params, lo, hi, shift):
+        """End-to-end readout of rows lo..hi-1 from the node outputs at
+        `params`, built on first use; a shift recomputes the path from its
+        gate's node to the root."""
+        rows = self.angles[lo:hi]
+        key = params.vector().tobytes()
+        cached = self._node_outs.get(lo)
+        if cached is None or cached[0] != key:
+            outs = [None] * len(self.nodes)
+            cached = (key, outs, self._walk_nodes(range(len(self.nodes)), rows, params, outs))
+            self._node_outs[lo] = cached
+        if not shift:
+            return cached[2].copy()
+        (gate,) = shift
+        path = [next(k for k, node in enumerate(self.nodes) if node.lo <= gate < node.hi)]
+        while path[-1] in self._parent:
+            path.append(self._parent[path[-1]])
+        return self._walk_nodes(path, rows, params, list(cached[1]), shift)
+
+    def _walk_nodes(self, order, rows, params, outs, shift=None):
+        """Run the nodes in `order` over angle rows, each on its
+        children's outputs from `outs`, storing its own there; returns the
+        readout of the last node walked, which must be the root."""
+        for k in order:
+            node = self.nodes[k]
+            sim = walk_plan(
+                self.plan, len(rows), rows, params, lo=node.lo, hi=node.hi,
+                inputs={self.nodes[c].wire: outs[c] for c in node.children},
+                shift=shift, width_cap=self.config.width_cap,
+            )
+            outs[k] = sim.density(node.wire)
+        return sim.prob_one(node.wire)
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed

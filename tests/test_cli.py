@@ -7,7 +7,9 @@ import pytest
 
 from qcnn.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, entry
 from qcnn.dataset import load_dataset
+from qcnn.network import Architecture, ModelParams
 from qcnn.pgm import read_pgm, write_pgm
+from qcnn.training import TrainConfig, evaluate
 
 
 @pytest.fixture(autouse=True)
@@ -197,6 +199,28 @@ def test_eval_reports_metrics(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "samples 8" in out and "mse 0." in out and "accuracy " in out
+
+
+def test_eval_scores_with_the_measure_mode_it_is_given(tmp_path, capsys):
+    # params trained with --measure intermediate are scored by that circuit;
+    # the default stays end-to-end
+    data = tmp_path / "d.csv"
+    entry(["gen", "--side", "4", "--count", "40", "--seed", "3", "--out", str(data)])
+    params = tmp_path / "p.txt"
+    _write_params(params, [0.1, 0.1, 0.1, 0.1])
+    samples = load_dataset(data)
+    kernel = ModelParams.from_vector(Architecture.CONV_POOL_POOL, [0.1] * 4)
+    want = {
+        mode: evaluate(kernel, samples, TrainConfig(arch="conv-pool-pool", measure_mode=mode))[0]
+        for mode in ("end-to-end", "intermediate")
+    }
+    assert abs(want["end-to-end"] - want["intermediate"]) > 0.01
+    capsys.readouterr()
+    for argv, mode in (([], "end-to-end"), (["--measure", "intermediate"], "intermediate"),
+                       (["--measure", "end-to-end"], "end-to-end")):
+        rc = entry(["eval", "--params", str(params), "--data", str(data)] + argv)
+        assert rc == EXIT_OK
+        assert f"mse {want[mode]:.6f}" in capsys.readouterr().out.splitlines()
 
 
 def test_eval_rejects_param_count_mismatch(tmp_path, capsys):

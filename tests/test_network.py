@@ -11,6 +11,7 @@ from qcnn.gates import GateKind
 from qcnn.network import (
     Architecture,
     ModelParams,
+    PlanNode,
     build_plan,
     conv_feature_map,
     group_plan,
@@ -65,7 +66,7 @@ def test_layer_structure_spatial_windows():
 
 
 def test_conv_plan_gate_sequence_frozen():
-    plan, boundaries = build_plan(CONV)
+    plan, nodes = build_plan(CONV)
     seq = [(g.kind, g.wires) for g in plan.gates]
     assert seq == [
         (GateKind.RY, (0,)),
@@ -88,7 +89,7 @@ def test_conv_plan_gate_sequence_frozen():
         (0, 0), (0, 1), (0, 2), (0, 3),
     ]
     assert plan.readout_wire == 0
-    assert len(boundaries) == 1 and boundaries[0].wires == (0,)
+    assert nodes == (PlanNode(layer=0, lo=0, hi=14, children=(), wire=0),)
 
 
 def test_plan_sizes_and_peak_widths():
@@ -108,11 +109,40 @@ def test_plan_sizes_and_peak_widths():
 
 
 def test_plan_boundaries_name_live_wires():
-    _, boundaries = build_plan(CPP)
-    assert [b.kind for b in boundaries] == ["conv", "pool", "pool"]
-    assert boundaries[0].wires == (0, 2, 8, 10)
-    assert boundaries[1].wires == (0, 8)
-    assert boundaries[2].wires == (0,)
+    # the nodes' output wires, layer by layer, are the wires that carry each
+    # layer's outputs (the first wire of each group's leftmost window)
+    _, nodes = build_plan(CPP)
+    assert [n.layer for n in nodes] == [0, 0, 1, 0, 0, 1, 2]
+    assert tuple(n.wire for n in nodes if n.layer == 0) == (0, 2, 8, 10)
+    assert tuple(n.wire for n in nodes if n.layer == 1) == (0, 8)
+    assert tuple(n.wire for n in nodes if n.layer == 2) == (0,)
+    _, nodes = build_plan(CPCP)
+    assert tuple(n.wire for n in nodes if n.layer == 0) == (
+        0, 2, 4, 6, 16, 18, 20, 22, 32, 34, 36, 38, 48, 50, 52, 54,
+    )
+    assert tuple(n.wire for n in nodes if n.layer == 1) == (0, 4, 16, 20, 32, 36, 48, 52)
+    assert tuple(n.wire for n in nodes if n.layer == 2) == (0, 32)
+    assert tuple(n.wire for n in nodes if n.layer == 3) == (0,)
+
+
+def test_plan_nodes_tile_the_plan_in_post_order():
+    for arch in (CONV, CPP, CPCP):
+        plan, nodes = build_plan(arch)
+        layers = layer_structure(arch)
+        # own spans tile the gate list; children come right before their parent
+        assert nodes[0].lo == 0 and nodes[-1].hi == len(plan.gates)
+        assert all(a.hi == b.lo for a, b in zip(nodes, nodes[1:]))
+        assert nodes[-1].wire == plan.readout_wire and nodes[-1].layer == len(layers) - 1
+        first = {}
+        for k, node in enumerate(nodes):
+            assert len(node.children) == (0 if node.layer == 0 else len(layers[node.layer].groups[0]))
+            assert all(c < k and nodes[c].layer == node.layer - 1 for c in node.children)
+            first[k] = first[node.children[0]] if node.children else node.lo
+            # the subtree's gates touch no wire after it ends, except its output
+            inside = {w for g in plan.gates[first[k] : node.hi] for w in g.wires}
+            later = {w for g in plan.gates[node.hi :] for w in g.wires}
+            assert inside & later <= {node.wire}
+            assert node.wire in inside
 
 
 def test_param_occurrence_index():

@@ -1,6 +1,8 @@
 """Training mathematics: the activation, the two-point displacement rule,
 the three update directions, both measure modes, and the epoch loop."""
+import functools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from qcnn.baseline import classical_train
 from qcnn.dataset import LabeledImage, gen_dataset
 from qcnn.network import Architecture, ModelParams
+from qcnn.runner import run_plan_batch
 from qcnn.training import (
     EvalMode,
     GradMethod,
@@ -138,6 +141,85 @@ def test_jacobian_slot_selection():
     assert len(obj.plan.param_occurrences(1, 0)) == 2
     with pytest.raises(ValueError):
         obj.jacobian(params, slots=[(5, 0)])
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_plan_runs(arch):
+    """Readouts of whole-plan walks at fixed inputs: undisplaced, then the
+    (+pi/2, -pi/2) pair of every occurrence of every slot, in the order the
+    jacobian evaluates them."""
+    obj, config = _objective(arch, n=5, seed=21)
+    params = ModelParams.from_vector(config.arch, np.random.default_rng(22).uniform(-0.6, 0.6, config.arch.n_params))
+    plan = obj.plan
+    runs = [run_plan_batch(plan, obj.angles, params)]
+    for layer, j in plan.param_slots():
+        for g in plan.param_occurrences(layer, j):
+            runs += [run_plan_batch(plan, obj.angles, params, shift={g: d}) for d in (np.pi / 2, -np.pi / 2)]
+    return params, runs
+
+
+@pytest.mark.parametrize("jobs", [None, 2])
+@pytest.mark.parametrize("eval_mode", ["exact", "sampled"])
+@pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
+def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode, jobs):
+    # node-by-node evaluation with cached sibling subtrees gives the same
+    # bits as walking the whole plan with one rotation occurrence displaced,
+    # on one thread or two; sampled mode draws the same shots from them
+    params, runs = _whole_plan_runs(arch)
+    obj, _ = _objective(arch, n=5, seed=21, eval_mode=eval_mode, jobs=jobs, shots=100)
+    want = iter(obj._sample(p, k, 0) if eval_mode == "sampled" else p for k, p in enumerate(runs))
+    np.testing.assert_array_equal(obj.p1(params), next(want))
+    slots = obj.plan.param_slots()
+    jac = np.zeros((5, len(slots)))
+    for c, (layer, j) in enumerate(slots):
+        for _ in obj.plan.param_occurrences(layer, j):
+            up, dn = next(want), next(want)
+            jac[:, c] += 0.5 * (up - dn)
+    np.testing.assert_array_equal(obj.jacobian(params), jac)
+    assert obj.evals == 5 * len(runs)
+
+
+def test_evals_count_the_protocol_whatever_the_call_order():
+    # a jacobian without a preceding readout builds the node cache itself;
+    # evals still counts batch x protocol evaluations, not engine work
+    obj, config = _objective("conv-pool-conv-pool", n=3, seed=23)
+    params = ModelParams.from_vector(config.arch, np.full(8, 0.3))
+    obj.jacobian(params)
+    assert obj.evals == 3 * 2 * (4 * 16 + 4 * 2)
+    obj.p1(params)
+    assert obj.evals == 3 * (1 + 2 * (4 * 16 + 4 * 2))
+
+
+def test_node_cache_follows_the_params():
+    # readouts and jacobian at new params never reuse subtrees of old ones
+    arch = Architecture.CONV_POOL_CONV_POOL
+    rng = np.random.default_rng(24)
+    a, b = (ModelParams.from_vector(arch, rng.uniform(-0.6, 0.6, 8)) for _ in range(2))
+    obj, _ = _objective(arch.value, n=3, seed=24)
+    fresh, _ = _objective(arch.value, n=3, seed=24)
+    pa = obj.p1(a)
+    np.testing.assert_array_equal(obj.jacobian(b, slots=[(0, 1), (1, 2)]), fresh.jacobian(b, slots=[(0, 1), (1, 2)]))
+    np.testing.assert_array_equal(obj.p1(b), fresh.p1(b))
+    np.testing.assert_array_equal(obj.p1(a), pa)
+    assert not np.array_equal(pa, fresh.p1(b))
+
+
+def test_threaded_node_caches_stay_per_chunk():
+    # more worker threads than cores, switching as often as possible: each
+    # chunk's node cache is written by its own thread only, so readouts and
+    # jacobians across changing params match a single-threaded objective
+    rng = np.random.default_rng(25)
+    draws = [ModelParams((rng.uniform(-0.6, 0.6, 4),)) for _ in range(3)]
+    threaded, _ = _objective("conv-pool-pool", n=16, seed=25, jobs=8)
+    single, _ = _objective("conv-pool-pool", n=16, seed=25)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for params in draws + draws[:1]:
+            np.testing.assert_array_equal(threaded.p1(params), single.p1(params))
+            np.testing.assert_array_equal(threaded.jacobian(params), single.jacobian(params))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_loss_gradient_matches_finite_difference():
