@@ -33,8 +33,8 @@ _ARCH_BY_SIDE = {2: Architecture.CONV, 4: Architecture.CONV_POOL_POOL, 8: Archit
 # TrainConfig fields a config file may set, plus run plumbing.
 _CONFIG_KEYS = (
     "arch", "epochs", "batch_size", "learning_rate", "shots", "grad_method",
-    "measure_mode", "update_strategy", "eval_mode", "threshold", "init_scheme",
-    "seed", "jobs", "width_cap", "data", "params_out", "curve_out",
+    "measure_mode", "update_strategy", "eval_mode", "init_scheme", "seed",
+    "width_cap", "data", "params_out", "curve_out",
 )
 
 
@@ -100,9 +100,7 @@ def _merged_train_settings(args) -> tuple:
         "measure_mode": args.measure,
         "update_strategy": args.update,
         "eval_mode": args.eval_mode,
-        "threshold": args.threshold,
         "init_scheme": args.init,
-        "jobs": args.jobs,
         "width_cap": args.width_cap,
     }
     merged = {}
@@ -179,9 +177,9 @@ def cmd_eval(args) -> int:
             f"(inferred from {side}x{side} data) needs {arch.n_params}"
         )
     seed = _resolve_seed(args.seed, None)
-    config = TrainConfig(arch=arch, measure_mode=args.measure, threshold=args.threshold, seed=seed, jobs=args.jobs)
+    config = TrainConfig(arch=arch, measure_mode=args.measure, seed=seed)
     params = ModelParams.from_vector(arch, vector)
-    m, acc = evaluate(params, samples, config)
+    m, acc = evaluate(params, samples, config, threshold=args.threshold)
     print(f"samples {len(samples)}")
     print(f"mse {m:.6f}")
     print(f"accuracy {acc:.6f}")
@@ -198,7 +196,7 @@ def cmd_featmap(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     kernel = vector[:4]
-    probs = conv_feature_map(grid, kernel, jobs=args.jobs)
+    probs = conv_feature_map(grid, kernel)
     out = np.rint(np.clip(probs, 0.0, 1.0) * 255).astype(np.int64)
     write_pgm(args.out, out, comment="window summary probabilities, rescaled to 0..255")
     print(f"wrote {out.shape[0]}x{out.shape[1]} feature map to {args.out}")
@@ -230,10 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=["end-to-end", "intermediate"], default=None)
     p.add_argument("--update", choices=["simultaneous", "layer-wise"], default=None)
     p.add_argument("--eval-mode", choices=["exact", "sampled"], default=None)
-    p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--init", choices=["uniform", "zeros"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="worker threads for batch evaluation")
     p.add_argument("--width-cap", type=int, default=None,
                    help=f"simultaneously live wire limit (default {DEFAULT_WIDTH_CAP})")
     p.add_argument("--data", default=None, help="fixed dataset CSV reused every epoch")
@@ -249,14 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="circuit to score with; match the one the params were trained with")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("featmap", help="render a half-resolution window-summary image")
     p.add_argument("--in", dest="infile", required=True, help="input PGM (P2), even dimensions")
     p.add_argument("--params", required=True, help="kernel angles file (first four are used)")
     p.add_argument("--out", required=True, help="output PGM path")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(fn=cmd_featmap)
 
     return parser

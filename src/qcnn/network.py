@@ -270,7 +270,7 @@ def load_params(path) -> ModelParams:
     return ModelParams.from_flat(vec)
 
 
-def conv_feature_map(pixels, kernel_angles, *, jobs: int = None) -> np.ndarray:
+def conv_feature_map(pixels, kernel_angles) -> np.ndarray:
     """Slide the 2x2 kernel (stride 2) over a grayscale grid and return the
     window summary probabilities as a half-resolution float grid."""
     grid = np.asarray(pixels)
@@ -287,5 +287,5 @@ def conv_feature_map(pixels, kernel_angles, *, jobs: int = None) -> np.ndarray:
     # window (wr, wc) holds pixels (2wr, 2wc), (2wr, 2wc+1), (2wr+1, 2wc), (2wr+1, 2wc+1)
     windows = pixel_to_angle(grid).reshape(out_h, 2, out_w, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
     plan = group_plan("conv", 0)
-    probs = run_plan_batch(plan, windows, ModelParams((kernel,)), jobs=jobs)
+    probs = run_plan_batch(plan, windows, ModelParams((kernel,)))
     return probs.reshape(out_h, out_w)

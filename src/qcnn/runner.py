@@ -12,8 +12,6 @@ tree-structured plan on the cached outputs of the others.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from ._contract import apply_to_density, density_prob_one, trace_out
@@ -162,24 +160,6 @@ def walk_plan(
     return sim
 
 
-def batch_chunks(batch: int, jobs: int = None) -> list:
-    """Row ranges [lo, hi) that split a batch across `jobs` worker threads;
-    one range when threads would not pay."""
-    if jobs and jobs > 1 and batch >= 2 * jobs:
-        bounds = np.linspace(0, batch, jobs + 1).astype(int)
-        return list(zip(bounds[:-1], bounds[1:]))
-    return [(0, batch)]
-
-
-def map_chunks(fn, chunks, jobs: int = None) -> np.ndarray:
-    """fn(lo, hi) over the row ranges, on worker threads when there are
-    several, concatenated in row order."""
-    if len(chunks) == 1:
-        return fn(*chunks[0])
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return np.concatenate(list(pool.map(lambda c: fn(*c), chunks)))
-
-
 def run_plan_batch(
     plan: CircuitPlan,
     data=None,
@@ -188,7 +168,6 @@ def run_plan_batch(
     batch_size: int = None,
     shift: dict = None,
     width_cap: int = DEFAULT_WIDTH_CAP,
-    jobs: int = None,
 ) -> np.ndarray:
     """Readout-wire probability of 1 for a batch of data rows at shared
     parameters, shape (B,): walk_plan over the whole plan.
@@ -213,13 +192,8 @@ def run_plan_batch(
         if plan.n_data_slots:
             raise ValueError("plan has data slots but no data was given")
         b = batch_size or 1
-
-    def run(lo, hi):
-        rows = None if data is None else data[lo:hi]
-        sim = walk_plan(plan, hi - lo, rows, params, shift=shift, width_cap=width_cap)
-        return sim.prob_one(plan.readout_wire)
-
-    return map_chunks(run, batch_chunks(b, jobs if data is not None else None), jobs)
+    sim = walk_plan(plan, b, data, params, shift=shift, width_cap=width_cap)
+    return sim.prob_one(plan.readout_wire)
 
 
 def run_plan(plan: CircuitPlan, data=None, params=None, **kw) -> float:

@@ -35,7 +35,7 @@ from .network import (
     init_params,
     layer_structure,
 )
-from .runner import DEFAULT_WIDTH_CAP, batch_chunks, map_chunks, run_plan_batch, walk_plan
+from .runner import DEFAULT_WIDTH_CAP, run_plan_batch, walk_plan
 
 _TAG_INIT = 101
 _TAG_DATA = 202
@@ -84,10 +84,8 @@ class TrainConfig:
     measure_mode: MeasureMode = MeasureMode.END_TO_END
     update_strategy: UpdateStrategy = UpdateStrategy.SIMULTANEOUS
     eval_mode: EvalMode = EvalMode.EXACT
-    threshold: float = 0.5
     init_scheme: str = "uniform"
     seed: int = 0
-    jobs: int = None
     width_cap: int = DEFAULT_WIDTH_CAP
 
     def __post_init__(self):
@@ -96,16 +94,13 @@ class TrainConfig:
         self.measure_mode = _enum_from(MeasureMode, self.measure_mode, "measure mode")
         self.update_strategy = _enum_from(UpdateStrategy, self.update_strategy, "update strategy")
         self.eval_mode = _enum_from(EvalMode, self.eval_mode, "eval mode")
-        for name in ("epochs", "batch_size", "shots", "seed", "jobs", "width_cap"):
+        for name in ("epochs", "batch_size", "shots", "seed", "width_cap"):
             value = getattr(self, name)
-            if name == "jobs" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
+            raise ValueError(f"learning_rate must be a real number, got {lr!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -114,8 +109,6 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative and finite")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("decision threshold must lie strictly inside (0, 1)")
         if self.init_scheme not in ("uniform", "zeros"):
             raise ValueError(f"unknown init scheme {self.init_scheme!r}")
         if self.width_cap < 1:
@@ -228,8 +221,7 @@ class TrainingObjective:
         self._eval_ordinal = 0
         self.evals = 0
         self._parent = {c: k for k, node in enumerate(self.nodes) for c in node.children}
-        self._chunks = batch_chunks(self.batch_size, config.jobs)
-        self._node_outs = {}  # chunk start -> (params bytes, node outputs, readout)
+        self._node_outs = None  # (params bytes, node outputs, readout)
 
     @property
     def batch_size(self) -> int:
@@ -253,7 +245,7 @@ class TrainingObjective:
             if shift_occ is not None:
                 layer, j, occ, delta = shift_occ
                 shift = {self.plan.param_occurrences(layer, j)[occ]: delta}
-            p = map_chunks(lambda lo, hi: self._tree_readout(params, lo, hi, shift), self._chunks, cfg.jobs)
+            p = self._tree_readout(params, shift)
             return self._sample(p, ordinal, 0) if sampled else p
 
         values = self.angles
@@ -270,10 +262,7 @@ class TrainingObjective:
                 ):
                     gate_idx = tpl.param_occurrences(shift_occ[0], shift_occ[1])[0]
                     shift = {gate_idx: shift_occ[3]}
-                outs[:, g] = run_plan_batch(
-                    tpl, values[:, grp], params,
-                    shift=shift, width_cap=cfg.width_cap, jobs=cfg.jobs,
-                )
+                outs[:, g] = run_plan_batch(tpl, values[:, grp], params, shift=shift, width_cap=cfg.width_cap)
             if sampled:
                 outs = self._sample(outs, ordinal, li + 1)
             if li == len(self.layers) - 1:
@@ -281,33 +270,30 @@ class TrainingObjective:
             values = prob_to_angle(outs)
         raise AssertionError("architecture has no layers")
 
-    def _tree_readout(self, params, lo, hi, shift):
-        """End-to-end readout of rows lo..hi-1 from the node outputs at
-        `params`, built on first use; a shift recomputes the path from its
-        gate's node to the root."""
-        rows = self.angles[lo:hi]
+    def _tree_readout(self, params, shift):
+        """End-to-end readout from the node outputs at `params`, built on
+        first use; a shift recomputes the path from its gate's node to the
+        root."""
         key = params.vector().tobytes()
-        cached = self._node_outs.get(lo)
-        if cached is None or cached[0] != key:
+        if self._node_outs is None or self._node_outs[0] != key:
             outs = [None] * len(self.nodes)
-            cached = (key, outs, self._walk_nodes(range(len(self.nodes)), rows, params, outs))
-            self._node_outs[lo] = cached
+            self._node_outs = (key, outs, self._walk_nodes(range(len(self.nodes)), params, outs))
         if not shift:
-            return cached[2].copy()
+            return self._node_outs[2].copy()
         (gate,) = shift
         path = [next(k for k, node in enumerate(self.nodes) if node.lo <= gate < node.hi)]
         while path[-1] in self._parent:
             path.append(self._parent[path[-1]])
-        return self._walk_nodes(path, rows, params, list(cached[1]), shift)
+        return self._walk_nodes(path, params, list(self._node_outs[1]), shift)
 
-    def _walk_nodes(self, order, rows, params, outs, shift=None):
-        """Run the nodes in `order` over angle rows, each on its
+    def _walk_nodes(self, order, params, outs, shift=None):
+        """Run the nodes in `order` over the angle rows, each on its
         children's outputs from `outs`, storing its own there; returns the
         readout of the last node walked, which must be the root."""
         for k in order:
             node = self.nodes[k]
             sim = walk_plan(
-                self.plan, len(rows), rows, params, lo=node.lo, hi=node.hi,
+                self.plan, self.batch_size, self.angles, params, lo=node.lo, hi=node.hi,
                 inputs={self.nodes[c].wire: outs[c] for c in node.children},
                 shift=shift, width_cap=self.config.width_cap,
             )
@@ -417,13 +403,16 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
     return params, curve
 
 
-def evaluate(params: ModelParams, samples, config: TrainConfig):
-    """MSE and accuracy of a parameter set over a sample list, exact mode."""
+def evaluate(params: ModelParams, samples, config: TrainConfig, threshold: float = 0.5):
+    """MSE and accuracy of a parameter set over a sample list, exact mode;
+    an activated readout above `threshold` predicts label 1."""
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be a real number strictly inside (0, 1), got {threshold!r}")
     if not samples:
         raise ValueError("cannot evaluate an empty dataset")
     pixels = _pixel_matrix(samples)
     labels = np.array([s.label for s in samples], dtype=np.float64)
     obj = TrainingObjective(config, pixels, labels)
     acts = activate(obj.p1(params))
-    preds = (acts > config.threshold).astype(np.float64)
+    preds = (acts > threshold).astype(np.float64)
     return mse(acts, labels), float(np.mean(preds == labels))

@@ -1,6 +1,8 @@
 """Output files are replaced whole: a write that fails part way leaves the
-previous file as it was and no temporary file beside it."""
+previous file as it was and no temporary file beside it, and a replaced file
+keeps its permission bits."""
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -53,3 +55,19 @@ def test_write_replaces_the_file_and_leaves_nothing_else(tmp_path, name):
     with pytest.raises(FileNotFoundError) as err:
         WRITERS[name](tmp_path / "missing" / "out.txt")
     assert err.value.filename == str(tmp_path / "missing" / "out.txt")
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_replaced_file_keeps_its_permissions(tmp_path, name):
+    # a new file gets the default mode, a replaced one keeps its own
+    umask = os.umask(0)
+    os.umask(umask)
+    fresh = tmp_path / "fresh.txt"
+    WRITERS[name](fresh)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+    out = tmp_path / "out.txt"
+    out.write_text("old contents\n", encoding="ascii")
+    out.chmod(0o600)
+    WRITERS[name](out)
+    assert out.read_text(encoding="ascii") != "old contents\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600

@@ -128,6 +128,53 @@ def test_train_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys: momentum" in capsys.readouterr().err
 
 
+def test_removed_options_exit_2(tmp_path, capsys):
+    # evaluation runs on one thread, and the decision threshold is an eval
+    # option only: train --threshold, every --jobs flag and a "jobs" config
+    # key are refused before any work
+    data = tmp_path / "d.csv"
+    entry(["gen", "--side", "2", "--count", "4", "--seed", "0", "--out", str(data)])
+    params = tmp_path / "p.txt"
+    _write_params(params, [0.1] * 4)
+    img = tmp_path / "in.pgm"
+    write_pgm(img, np.zeros((2, 2), dtype=int))
+    outs = ["--params-out", str(tmp_path / "p_out.txt"), "--curve-out", str(tmp_path / "c.csv")]
+    for argv in (
+        ["train", "--arch", "conv", "--epochs", "1", "--batch", "2", "--threshold", "0.7"] + outs,
+        ["train", "--arch", "conv", "--epochs", "1", "--batch", "2", "--jobs", "2"] + outs,
+        ["eval", "--params", str(params), "--data", str(data), "--jobs", "2"],
+        ["featmap", "--in", str(img), "--params", str(params), "--out", str(tmp_path / "o.pgm"), "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            entry(argv)
+        assert info.value.code == EXIT_USAGE, argv
+    capsys.readouterr()
+    cfg = tmp_path / "jobs.json"
+    cfg.write_text(json.dumps({"arch": "conv", "epochs": 1, "batch_size": 2, "jobs": 2}))
+    assert entry(["train", "--config", str(cfg)] + outs) == EXIT_USAGE
+    assert "unknown config keys: jobs" in capsys.readouterr().err
+    assert not (tmp_path / "p_out.txt").exists()
+
+
+def test_eval_threshold_sets_the_decision_boundary(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    entry(["gen", "--side", "2", "--count", "8", "--seed", "0", "--out", str(data)])
+    params = tmp_path / "p.txt"
+    _write_params(params, [0.5, 0.25, 1.0, 2.0])
+    samples = load_dataset(data)
+    kernel = ModelParams.from_vector(Architecture.CONV, [0.5, 0.25, 1.0, 2.0])
+    capsys.readouterr()
+    accs = set()
+    for threshold in ("0.3", "0.7"):
+        _, acc = evaluate(kernel, samples, TrainConfig(arch="conv"), threshold=float(threshold))
+        accs.add(acc)
+        assert entry(["eval", "--params", str(params), "--data", str(data), "--threshold", threshold]) == EXIT_OK
+        assert f"accuracy {acc:.6f}" in capsys.readouterr().out.splitlines()
+    assert len(accs) == 2
+    assert entry(["eval", "--params", str(params), "--data", str(data), "--threshold", "1.5"]) == EXIT_USAGE
+    assert "threshold" in capsys.readouterr().err
+
+
 def test_train_seed_precedence_file_over_env(tmp_path, monkeypatch):
     _, ref_params, _ = _train(tmp_path, "seed5", ["--seed", "5"])
 

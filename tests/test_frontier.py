@@ -200,13 +200,18 @@ def test_run_plan_batch_validation():
         run_plan_batch(plan, np.zeros((3, 0)))  # rows too narrow
 
 
-def test_run_plan_batch_jobs_equivalence():
+def test_run_plan_batch_rows_are_independent():
+    # a row's readout does not depend on the rows beside it: any split of
+    # the batch gives the readouts of the whole batch, displaced or not
     rng = np.random.default_rng(77)
-    plan, _, params = random_plan(rng, max_wires=5)
-    rows = rng.uniform(0.0, np.pi, (32, plan.n_wires))
-    solo = run_plan_batch(plan, rows, params)
-    pooled = run_plan_batch(plan, rows, params, jobs=4)
-    np.testing.assert_allclose(pooled, solo, atol=1e-15)
+    for _ in range(10):
+        plan, _, params = random_plan(rng, max_wires=5)
+        rows = rng.uniform(0.0, np.pi, (32, plan.n_wires))
+        rotations = [g for g, op in enumerate(plan.gates) if op.kind.is_rotation]
+        for shift in (None, {rotations[0]: np.pi / 2} if rotations else None):
+            whole = run_plan_batch(plan, rows, params, shift=shift)
+            parts = [run_plan_batch(plan, rows[a:b], params, shift=shift) for a, b in ((0, 1), (1, 13), (13, 32))]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 def test_run_plan_scalar_wrapper():

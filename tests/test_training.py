@@ -2,7 +2,6 @@
 the three update directions, both measure modes, and the epoch loop."""
 import functools
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -158,15 +157,14 @@ def _whole_plan_runs(arch):
     return params, runs
 
 
-@pytest.mark.parametrize("jobs", [None, 2])
 @pytest.mark.parametrize("eval_mode", ["exact", "sampled"])
 @pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
-def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode, jobs):
+def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode):
     # node-by-node evaluation with cached sibling subtrees gives the same
-    # bits as walking the whole plan with one rotation occurrence displaced,
-    # on one thread or two; sampled mode draws the same shots from them
+    # bits as walking the whole plan with one rotation occurrence displaced;
+    # sampled mode draws the same shots from them
     params, runs = _whole_plan_runs(arch)
-    obj, _ = _objective(arch, n=5, seed=21, eval_mode=eval_mode, jobs=jobs, shots=100)
+    obj, _ = _objective(arch, n=5, seed=21, eval_mode=eval_mode, shots=100)
     want = iter(obj._sample(p, k, 0) if eval_mode == "sampled" else p for k, p in enumerate(runs))
     np.testing.assert_array_equal(obj.p1(params), next(want))
     slots = obj.plan.param_slots()
@@ -204,22 +202,19 @@ def test_node_cache_follows_the_params():
     assert not np.array_equal(pa, fresh.p1(b))
 
 
-def test_threaded_node_caches_stay_per_chunk():
-    # more worker threads than cores, switching as often as possible: each
-    # chunk's node cache is written by its own thread only, so readouts and
-    # jacobians across changing params match a single-threaded objective
-    rng = np.random.default_rng(25)
-    draws = [ModelParams((rng.uniform(-0.6, 0.6, 4),)) for _ in range(3)]
-    threaded, _ = _objective("conv-pool-pool", n=16, seed=25, jobs=8)
-    single, _ = _objective("conv-pool-pool", n=16, seed=25)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for params in draws + draws[:1]:
-            np.testing.assert_array_equal(threaded.p1(params), single.p1(params))
-            np.testing.assert_array_equal(threaded.jacobian(params), single.jacobian(params))
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.mark.parametrize("measure_mode", ["end-to-end", "intermediate"])
+def test_objective_rows_do_not_depend_on_their_batch(measure_mode):
+    # one node cache serves the whole batch: objectives over row slices give
+    # the readouts and jacobian rows of one objective over all the rows
+    config = TrainConfig(arch="conv-pool-conv-pool", seed=26, measure_mode=measure_mode)
+    samples = gen_dataset(12, config.arch.image_side, seed=66)
+    rows = np.stack([s.pixels.astype(float) for s in samples])
+    labels = np.array([s.label for s in samples], dtype=float)
+    params = ModelParams.from_vector(config.arch, np.random.default_rng(26).uniform(-0.6, 0.6, 8))
+    whole = TrainingObjective(config, rows, labels)
+    parts = [TrainingObjective(config, rows[a:b], labels[a:b]) for a, b in ((0, 1), (1, 7), (7, 12))]
+    np.testing.assert_array_equal(np.concatenate([o.p1(params) for o in parts]), whole.p1(params))
+    np.testing.assert_array_equal(np.concatenate([o.jacobian(params) for o in parts]), whole.jacobian(params))
 
 
 def test_loss_gradient_matches_finite_difference():
@@ -358,7 +353,7 @@ def test_readout_extremes_and_predicted_labels():
     # wire flips the window parity outright.  evaluate() thresholds the
     # activated readouts: activate(0) < 1/2 predicts label 0, activate(1)
     # > 1/2 predicts label 1
-    config = TrainConfig(arch="conv", threshold=0.5)
+    config = TrainConfig(arch="conv")
     cold = ModelParams((np.zeros(4),))
     hot = ModelParams((np.array([np.pi, 0.0, 0.0, 0.0]),))
     obj = TrainingObjective(config, np.zeros((1, 4)), np.zeros(1))
@@ -366,7 +361,9 @@ def test_readout_extremes_and_predicted_labels():
     assert obj.p1(hot)[0] == pytest.approx(1.0, abs=1e-12)
     black = [LabeledImage(2, np.zeros(4), 0)]
     assert evaluate(cold, black, config) == pytest.approx((activate(0.0) ** 2, 1.0))
-    assert evaluate(hot, black, config) == pytest.approx((activate(1.0) ** 2, 0.0))
+    assert evaluate(hot, black, config, threshold=0.5) == pytest.approx((activate(1.0) ** 2, 0.0))
+    # the decision threshold moves the predicted labels, not the mse
+    assert evaluate(hot, black, config, threshold=0.99) == pytest.approx((activate(1.0) ** 2, 1.0))
 
 
 def test_shot_sampling_deterministic_and_bounded():
@@ -395,8 +392,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(arch="conv", shots=0)
     with pytest.raises(ValueError):
-        TrainConfig(arch="conv", threshold=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(arch="conv", init_scheme="ones")
     with pytest.raises(ValueError):
         TrainConfig(arch="conv", grad_method="newton")
@@ -405,14 +400,23 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(arch="dense")
     for field, bad in (
-        ("epochs", 2.5), ("epochs", True), ("shots", "1000"), ("jobs", 1.0), ("seed", -1),
+        ("epochs", 2.5), ("epochs", True), ("shots", "1000"), ("seed", -1),
         ("learning_rate", "1e-7"), ("learning_rate", True), ("learning_rate", None),
-        ("threshold", "0.5"), ("threshold", False), ("arch", 5), ("arch", None),
+        ("arch", 5), ("arch", None),
     ):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{"arch": "conv", field: bad})
-    assert TrainConfig(arch="conv", learning_rate=1, threshold=np.float64(0.25)).learning_rate == 1
-    assert TrainConfig(arch="conv", epochs=np.int64(3), jobs=None).epochs == 3
+    assert TrainConfig(arch="conv", learning_rate=1).learning_rate == 1
+    assert TrainConfig(arch="conv", epochs=np.int64(3)).epochs == 3
+    # the decision threshold belongs to evaluate(), which checks it first
+    samples = gen_dataset(2, 2, seed=0)
+    params = ModelParams((np.zeros(4),))
+    for bad in (1.0, 0.0, float("nan"), "0.5", False):
+        with pytest.raises(ValueError, match="threshold"):
+            evaluate(params, samples, TrainConfig(arch="conv"), threshold=bad)
+    # every activated readout is at least activate(0) > 0.25, so all predict 1
+    acc = evaluate(params, samples, TrainConfig(arch="conv"), threshold=np.float64(0.25))[1]
+    assert acc == np.mean([s.label for s in samples])
     config = TrainConfig(
         arch="conv-pool-pool",
         grad_method="combined",
