@@ -1,4 +1,5 @@
-"""Output files are written whole or not at all."""
+"""File helpers: output files are written whole or not at all, and the
+integers of input files are read in plain decimal only."""
 from __future__ import annotations
 
 import contextlib
@@ -26,3 +27,12 @@ def write_text_atomic(path, text: str) -> None:
             tmp.unlink(missing_ok=True)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def decimal_ints(tokens) -> list:
+    """Integers of tokens in ASCII decimal digits with an optional leading
+    minus; ValueError on whatever else int() takes (`+3`, `1_0`, spaces)."""
+    digits = "".join(tokens).replace("-", "")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not a plain decimal integer")
+    return [int(t) for t in tokens]

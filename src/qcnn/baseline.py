@@ -20,7 +20,7 @@ from .training import (
     TrainConfig,
     _derived_rng,
     _epoch_batch,
-    _pixel_matrix,
+    _pixels_and_labels,
     _require_full_batch,
     mse,
     sigmoid,
@@ -97,8 +97,7 @@ def classical_train(config: TrainConfig, dataset=None, log_fn=None):
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         batch = _epoch_batch(config, dataset, epoch)
-        rows = _pixel_matrix(batch)
-        labels = np.array([s.label for s in batch], dtype=np.float64)
+        rows, labels = _pixels_and_labels(batch)
         acts = classical_forward(kernel, rows)
         epoch_mse = mse(acts, labels)
         kernel = classical_update(kernel, rows, labels, config.learning_rate)
@@ -112,8 +111,7 @@ def classical_train(config: TrainConfig, dataset=None, log_fn=None):
 def classical_evaluate(kernel: ClassicalKernel, samples, threshold: float = 0.5):
     if not samples:
         raise ValueError("cannot evaluate an empty dataset")
-    rows = _pixel_matrix(samples)
-    labels = np.array([s.label for s in samples], dtype=np.float64)
+    rows, labels = _pixels_and_labels(samples)
     acts = classical_forward(kernel, rows)
     preds = (acts > threshold).astype(np.float64)
     return mse(acts, labels), float(np.mean(preds == labels))

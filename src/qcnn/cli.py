@@ -1,10 +1,11 @@
 """Command-line surface: dataset generation, training, evaluation, and
 feature-map rendering, with reproducible seeded runs.
 
-Exit codes: 0 success, 2 usage or validation problem, 3 simulator width
-limit exceeded.  A training run may read a flat JSON config file; flags
-override file values, and unset values fall back to the standard defaults.
-The environment variable QCNN_SEED supplies a seed of last resort.
+Exit codes: 0 success, 2 usage or validation problem.  A training run may
+read a flat JSON config file; flags override file values, and unset values
+fall back to the standard defaults.  The environment variable QCNN_SEED
+supplies the seed of `gen` and `train` as a last resort; `eval` is exact
+and takes no seed.
 """
 from __future__ import annotations
 
@@ -21,12 +22,10 @@ import numpy as np
 from .dataset import VALID_SIDES, DatasetFormatError, gen_dataset, load_dataset, save_dataset
 from .network import Architecture, ModelParams, conv_feature_map, load_params, save_params
 from .pgm import PgmFormatError, read_pgm, write_pgm
-from .runner import DEFAULT_WIDTH_CAP, FrontierWidthError
 from .training import TrainConfig, evaluate, save_curve, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_RESOURCE = 3
 
 _ARCH_BY_SIDE = {2: Architecture.CONV, 4: Architecture.CONV_POOL_POOL, 8: Architecture.CONV_POOL_CONV_POOL}
 
@@ -34,7 +33,7 @@ _ARCH_BY_SIDE = {2: Architecture.CONV, 4: Architecture.CONV_POOL_POOL, 8: Archit
 _CONFIG_KEYS = (
     "arch", "epochs", "batch_size", "learning_rate", "shots", "grad_method",
     "measure_mode", "update_strategy", "eval_mode", "init_scheme", "seed",
-    "width_cap", "data", "params_out", "curve_out",
+    "data", "params_out", "curve_out",
 )
 
 
@@ -101,7 +100,6 @@ def _merged_train_settings(args) -> tuple:
         "update_strategy": args.update,
         "eval_mode": args.eval_mode,
         "init_scheme": args.init,
-        "width_cap": args.width_cap,
     }
     merged = {}
     for key, value in file_cfg.items():
@@ -176,8 +174,7 @@ def cmd_eval(args) -> int:
             f"{args.params} holds {vector.size} angles but {arch.value} "
             f"(inferred from {side}x{side} data) needs {arch.n_params}"
         )
-    seed = _resolve_seed(args.seed, None)
-    config = TrainConfig(arch=arch, measure_mode=args.measure, seed=seed)
+    config = TrainConfig(arch=arch, measure_mode=args.measure)
     params = ModelParams.from_vector(arch, vector)
     m, acc = evaluate(params, samples, config, threshold=args.threshold)
     print(f"samples {len(samples)}")
@@ -230,8 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-mode", choices=["exact", "sampled"], default=None)
     p.add_argument("--init", choices=["uniform", "zeros"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--width-cap", type=int, default=None,
-                   help=f"simultaneously live wire limit (default {DEFAULT_WIDTH_CAP})")
     p.add_argument("--data", default=None, help="fixed dataset CSV reused every epoch")
     p.add_argument("--params-out", default=None)
     p.add_argument("--curve-out", default=None)
@@ -244,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=["end-to-end", "intermediate"], default="end-to-end",
                    help="circuit to score with; match the one the params were trained with")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("featmap", help="render a half-resolution window-summary image")
@@ -267,9 +261,6 @@ def entry(argv=None) -> int:
     except (DatasetFormatError, PgmFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FrontierWidthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import write_text_atomic
+from ._io import decimal_ints, write_text_atomic
 
 VALID_SIDES = (2, 4, 8)
 
@@ -89,9 +89,14 @@ def save_dataset(samples, path) -> None:
 
 
 def load_dataset(path) -> list:
-    """Read a dataset CSV back, validating shape, ranges and the header."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    """Read a dataset CSV back, validating shape, ranges and the header.
+    Values are plain decimal integers in an ASCII file."""
+    raw = Path(path).read_bytes()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError(f"{path}: line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
     if not lines:
         raise DatasetFormatError(f"{path}: line 1: empty file")
     cols = lines[0].split(",")
@@ -109,7 +114,7 @@ def load_dataset(path) -> list:
         if len(parts) != k + 1:
             raise DatasetFormatError(f"{path}: line {ln}: expected {k + 1} columns, got {len(parts)}")
         try:
-            values = [int(p) for p in parts]
+            values = decimal_ints(parts)
         except ValueError:
             raise DatasetFormatError(f"{path}: line {ln}: non-integer value") from None
         label, pixels = values[0], values[1:]

@@ -1,8 +1,9 @@
 """Plain-text grayscale image files (magic number P2).
 
-Reader accepts `#` comments and arbitrary whitespace, checks the sample
-count and range, and rescales to the 0..255 range this package uses
-everywhere.  Writer emits maxval 255, one image row per text line.
+Reader accepts `#` comments and arbitrary whitespace, reads plain decimal
+integers only, checks the sample count and range, and rescales to the
+0..255 range this package uses everywhere.  Writer emits maxval 255, one
+image row per text line.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import write_text_atomic
+from ._io import decimal_ints, write_text_atomic
 
 
 class PgmFormatError(ValueError):
@@ -41,7 +42,7 @@ def read_pgm(path) -> np.ndarray:
     if len(toks) < 4:
         raise PgmFormatError(f"{path}: truncated header")
     try:
-        width, height, maxval = int(toks[1]), int(toks[2]), int(toks[3])
+        width, height, maxval = decimal_ints(toks[1:4])
     except ValueError:
         raise PgmFormatError(f"{path}: width, height and maxval must be integers") from None
     if width < 1 or height < 1:
@@ -55,7 +56,7 @@ def read_pgm(path) -> np.ndarray:
             f"{path}: expected {width * height} pixel values, found {len(values)}"
         )
     try:
-        flat = np.array([int(v) for v in values], dtype=np.int64)
+        flat = np.array(decimal_ints(values), dtype=np.int64)
     except ValueError:
         raise PgmFormatError(f"{path}: pixel values must be integers") from None
     if flat.min() < 0 or flat.max() > maxval:

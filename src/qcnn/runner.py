@@ -6,9 +6,10 @@ than the total wire count.  Live wires that have never interacted are held
 as separate factors, one small density matrix per independent group; wires
 merge only when a two-wire gate spans groups, which for the convolution
 plans keeps every factor at kernel size.  A leading batch axis evaluates a
-whole sample batch in single numpy calls.  walk_plan runs any gate span from
-given input states, which lets a caller re-run one subtree of a
-tree-structured plan on the cached outputs of the others.
+whole sample batch in single numpy calls.  walk_plan can start after a
+plan's first gates from given input states, which lets a caller compose a
+tree of small group plans: a parent group's template runs on its
+children's output states in place of its own encoding gates.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ class _Factor:
 
 class FactorSim:
     """Batched frontier state held as a product of independent factors.
-    Live width is the plan's business: run_plan_batch checks
+    Live width is the plan's business: walk_plan checks
     CircuitPlan.peak_active_width() against the cap before the walk."""
 
     def __init__(self, batch_size: int):
@@ -123,28 +124,25 @@ def walk_plan(
     params=None,
     *,
     lo: int = 0,
-    hi: int = None,
     inputs: dict = None,
     shift: dict = None,
     width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> FactorSim:
-    """Apply gates [lo, hi) of a plan (default: all of them) to a batch of
-    `batch` rows and return the resulting state.
+    """Apply the gates of a plan from position lo on (default: all of
+    them) to a batch of `batch` rows and return the resulting state.
 
     inputs maps wires that are live when gate lo runs to their (B, 2, 2)
-    states; every other wire enters in |0> at its first gate of the span.
-    Wires retire at their last gate in the plan, so a span that holds a
-    whole subtree of a tree-structured plan leaves only the subtree's output
-    wire live.  shift maps gate positions to angle offsets.  A plan whose
-    peak live width exceeds width_cap raises FrontierWidthError before any
-    gate runs.
+    states; every other wire enters in |0> at its first gate from lo on.
+    Wires retire at their last gate, so only the readout wire stays live.
+    shift maps gate positions to angle offsets.  A plan whose peak live
+    width exceeds width_cap raises FrontierWidthError before any gate runs.
     """
     if plan.peak_active_width() > width_cap:
         raise FrontierWidthError(plan.peak_active_width(), width_cap)
     sim = FactorSim(batch)
     for w, rho in (inputs or {}).items():
         sim.seed(w, rho)
-    for i in range(lo, len(plan.gates) if hi is None else hi):
+    for i in range(lo, len(plan.gates)):
         gate = plan.gates[i]
         for w in gate.wires:
             if w not in sim._where:

@@ -35,7 +35,7 @@ from .network import (
     init_params,
     layer_structure,
 )
-from .runner import DEFAULT_WIDTH_CAP, run_plan_batch, walk_plan
+from .runner import run_plan_batch, walk_plan
 
 _TAG_INIT = 101
 _TAG_DATA = 202
@@ -86,7 +86,6 @@ class TrainConfig:
     eval_mode: EvalMode = EvalMode.EXACT
     init_scheme: str = "uniform"
     seed: int = 0
-    width_cap: int = DEFAULT_WIDTH_CAP
 
     def __post_init__(self):
         self.arch = _enum_from(Architecture, self.arch, "arch")
@@ -94,7 +93,7 @@ class TrainConfig:
         self.measure_mode = _enum_from(MeasureMode, self.measure_mode, "measure mode")
         self.update_strategy = _enum_from(UpdateStrategy, self.update_strategy, "update strategy")
         self.eval_mode = _enum_from(EvalMode, self.eval_mode, "eval mode")
-        for name in ("epochs", "batch_size", "shots", "seed", "width_cap"):
+        for name in ("epochs", "batch_size", "shots", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -111,8 +110,6 @@ class TrainConfig:
             raise ValueError("shots must be >= 1")
         if self.init_scheme not in ("uniform", "zeros"):
             raise ValueError(f"unknown init scheme {self.init_scheme!r}")
-        if self.width_cap < 1:
-            raise ValueError("width cap must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.seed = int(self.seed)
@@ -138,10 +135,6 @@ class LossCurve:
     @property
     def total_evals(self) -> int:
         return sum(self.evals)
-
-    @property
-    def total_wall_ms(self) -> float:
-        return sum(self.wall_ms)
 
 
 def save_curve(curve: LossCurve, path) -> None:
@@ -187,8 +180,10 @@ def _derived_rng(*key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(int(k) for k in key))))
 
 
-def _pixel_matrix(batch) -> np.ndarray:
-    return np.stack([np.asarray(s.pixels, dtype=np.float64) for s in batch])
+def _pixels_and_labels(samples) -> tuple:
+    """(pixel rows, labels) of a sample list as float64 arrays."""
+    pixels = np.stack([np.asarray(s.pixels, dtype=np.float64) for s in samples])
+    return pixels, np.array([s.label for s in samples], dtype=np.float64)
 
 
 class TrainingObjective:
@@ -196,11 +191,13 @@ class TrainingObjective:
     probabilities, optionally with a single rotation occurrence displaced,
     and assembles the per-sample circuit jacobian from those displacements.
 
-    End to end, the plan runs node by node (see network.PlanNode) and the
-    node outputs at the last undisplaced parameters are kept: a displaced
-    evaluation recomputes only the nodes from the displaced gate's node up
-    to the root and reads every sibling subtree from the cache.  The
-    readouts are the same bits as a whole-plan run_plan_batch.
+    Both measure modes run the group templates (network.group_plan) layer
+    by layer along layer_structure.  End to end a group hands its parent its
+    (B, 2, 2) state, seeded in place of the parent's RY encoding gates, and
+    the states at the last undisplaced parameters are kept: a displaced
+    evaluation re-runs its group and that group's ancestors only, with the
+    same bits as a whole-plan run_plan_batch.  Measured after each layer a
+    group hands up its readout probability, re-encoded as an angle.
     """
 
     def __init__(self, config: TrainConfig, pixel_rows, labels, base_key: int = 0):
@@ -215,13 +212,12 @@ class TrainingObjective:
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.shape != (pixel_rows.shape[0],):
             raise ValueError("one label per pixel row is required")
-        self.plan, self.nodes = build_plan(self.arch)
+        self.plan = build_plan(self.arch)[0]
         self.layers = layer_structure(self.arch)
         self.base_key = int(base_key)
         self._eval_ordinal = 0
         self.evals = 0
-        self._parent = {c: k for k, node in enumerate(self.nodes) for c in node.children}
-        self._node_outs = None  # (params bytes, node outputs, readout)
+        self._states = None  # (params bytes, group states per layer, readout)
 
     @property
     def batch_size(self) -> int:
@@ -231,74 +227,75 @@ class TrainingObjective:
         rng = _derived_rng(self.config.seed, _TAG_SHOTS, self.base_key, *key)
         return rng.binomial(self.config.shots, np.clip(probs, 0.0, 1.0)) / self.config.shots
 
+    def _site(self, shift_occ):
+        """(layer index, group, template shift): occurrence `occ` of angle
+        (layer, j) is group `occ` of that conv layer, at its RX gate for j."""
+        layer, j, occ, delta = shift_occ
+        li = next((i for i, spec in enumerate(self.layers) if spec.param_layer == layer), None)
+        if li is None or j not in range(4) or occ not in range(len(self.layers[li].groups)):
+            raise ValueError(f"the {self.arch.value} network has no occurrence {occ} of angle {(layer, j)}")
+        return li, occ, {group_plan("conv", layer).param_occurrences(layer, j)[0]: delta}
+
     def p1(self, params: ModelParams, shift_occ=None) -> np.ndarray:
         """Readout probability per sample.  shift_occ = (layer, index, occ,
         delta) displaces occurrence `occ` of one trainable angle."""
         ordinal = self._eval_ordinal
         self._eval_ordinal += 1
         self.evals += self.batch_size
-        cfg = self.config
-        sampled = cfg.eval_mode is EvalMode.SAMPLED
+        sampled = self.config.eval_mode is EvalMode.SAMPLED
+        site = None if shift_occ is None else self._site(shift_occ)
 
-        if cfg.measure_mode is MeasureMode.END_TO_END:
-            shift = None
-            if shift_occ is not None:
-                layer, j, occ, delta = shift_occ
-                shift = {self.plan.param_occurrences(layer, j)[occ]: delta}
-            p = self._tree_readout(params, shift)
+        if self.config.measure_mode is MeasureMode.END_TO_END:
+            p = self._tree_readout(params, site)
             return self._sample(p, ordinal, 0) if sampled else p
 
-        values = self.angles
         for li, spec in enumerate(self.layers):
+            values = prob_to_angle(outs) if li else self.angles
             tpl = group_plan(spec.kind, spec.param_layer)
             outs = np.empty((self.batch_size, len(spec.groups)))
             for g, grp in enumerate(spec.groups):
-                shift = None
-                if (
-                    shift_occ is not None
-                    and spec.kind == "conv"
-                    and spec.param_layer == shift_occ[0]
-                    and g == shift_occ[2]
-                ):
-                    gate_idx = tpl.param_occurrences(shift_occ[0], shift_occ[1])[0]
-                    shift = {gate_idx: shift_occ[3]}
-                outs[:, g] = run_plan_batch(tpl, values[:, grp], params, shift=shift, width_cap=cfg.width_cap)
+                shift = site[2] if site is not None and site[:2] == (li, g) else None
+                outs[:, g] = run_plan_batch(tpl, values[:, grp], params, shift=shift)
             if sampled:
                 outs = self._sample(outs, ordinal, li + 1)
-            if li == len(self.layers) - 1:
-                return outs[:, 0]
-            values = prob_to_angle(outs)
-        raise AssertionError("architecture has no layers")
+        return outs[:, 0]
 
-    def _tree_readout(self, params, shift):
-        """End-to-end readout from the node outputs at `params`, built on
-        first use; a shift recomputes the path from its gate's node to the
-        root."""
+    def _walk_group(self, li, g, params, below, shift=None):
+        """Group g of layer li walked through its template: layer 0 on its
+        pixel angles, an upper layer on its children's states in `below`."""
+        spec = self.layers[li]
+        grp = spec.groups[g]
+        tpl = group_plan(spec.kind, spec.param_layer)
+        if li == 0:
+            return walk_plan(tpl, self.batch_size, self.angles[:, grp], params, shift=shift)
+        inputs = {w: below[c] for w, c in enumerate(grp)}
+        return walk_plan(tpl, self.batch_size, None, params, lo=len(grp), inputs=inputs, shift=shift)
+
+    def _tree_readout(self, params, site):
+        """End-to-end readout from the group states at `params`, built on
+        first use; a displaced site re-runs its group and then each
+        ancestor on the cached states of the others."""
         key = params.vector().tobytes()
-        if self._node_outs is None or self._node_outs[0] != key:
-            outs = [None] * len(self.nodes)
-            self._node_outs = (key, outs, self._walk_nodes(range(len(self.nodes)), params, outs))
-        if not shift:
-            return self._node_outs[2].copy()
-        (gate,) = shift
-        path = [next(k for k, node in enumerate(self.nodes) if node.lo <= gate < node.hi)]
-        while path[-1] in self._parent:
-            path.append(self._parent[path[-1]])
-        return self._walk_nodes(path, params, list(self._node_outs[1]), shift)
-
-    def _walk_nodes(self, order, params, outs, shift=None):
-        """Run the nodes in `order` over the angle rows, each on its
-        children's outputs from `outs`, storing its own there; returns the
-        readout of the last node walked, which must be the root."""
-        for k in order:
-            node = self.nodes[k]
-            sim = walk_plan(
-                self.plan, self.batch_size, self.angles, params, lo=node.lo, hi=node.hi,
-                inputs={self.nodes[c].wire: outs[c] for c in node.children},
-                shift=shift, width_cap=self.config.width_cap,
-            )
-            outs[k] = sim.density(node.wire)
-        return sim.prob_one(node.wire)
+        if self._states is None or self._states[0] != key:
+            states = []
+            for li, spec in enumerate(self.layers):
+                below = states[-1] if li else None
+                sims = [self._walk_group(li, g, params, below) for g in range(len(spec.groups))]
+                states.append([sim.density(0) for sim in sims])
+            self._states = (key, states, sims[0].prob_one(0))
+        if site is None:
+            return self._states[2].copy()
+        states = self._states[1]
+        li, g, shift = site
+        below = states[li - 1] if li else None
+        while True:
+            sim = self._walk_group(li, g, params, below, shift)
+            if li == len(self.layers) - 1:
+                return sim.prob_one(0)
+            below = list(states[li])
+            below[g] = sim.density(0)
+            li, shift = li + 1, None
+            g = next(p for p, grp in enumerate(self.layers[li].groups) if g in grp)
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
@@ -384,8 +381,7 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         batch = _epoch_batch(config, dataset, epoch)
-        pixels = _pixel_matrix(batch)
-        labels = np.array([s.label for s in batch], dtype=np.float64)
+        pixels, labels = _pixels_and_labels(batch)
         obj = TrainingObjective(config, pixels, labels, base_key=epoch)
 
         p1s = obj.p1(params)
@@ -410,8 +406,7 @@ def evaluate(params: ModelParams, samples, config: TrainConfig, threshold: float
         raise ValueError(f"threshold must be a real number strictly inside (0, 1), got {threshold!r}")
     if not samples:
         raise ValueError("cannot evaluate an empty dataset")
-    pixels = _pixel_matrix(samples)
-    labels = np.array([s.label for s in samples], dtype=np.float64)
+    pixels, labels = _pixels_and_labels(samples)
     obj = TrainingObjective(config, pixels, labels)
     acts = activate(obj.p1(params))
     preds = (acts > threshold).astype(np.float64)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qcnn.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, entry
+from qcnn.cli import EXIT_OK, EXIT_USAGE, entry
 from qcnn.dataset import load_dataset
 from qcnn.network import Architecture, ModelParams
 from qcnn.pgm import read_pgm, write_pgm
@@ -129,9 +129,10 @@ def test_train_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_removed_options_exit_2(tmp_path, capsys):
-    # evaluation runs on one thread, and the decision threshold is an eval
-    # option only: train --threshold, every --jobs flag and a "jobs" config
-    # key are refused before any work
+    # evaluation runs on one thread, training walks one group template at a
+    # time, eval is exact and the decision threshold is an eval option only:
+    # train --threshold and --width-cap, eval --seed, every --jobs flag and
+    # the "jobs" and "width_cap" config keys are refused before any work
     data = tmp_path / "d.csv"
     entry(["gen", "--side", "2", "--count", "4", "--seed", "0", "--out", str(data)])
     params = tmp_path / "p.txt"
@@ -142,18 +143,21 @@ def test_removed_options_exit_2(tmp_path, capsys):
     for argv in (
         ["train", "--arch", "conv", "--epochs", "1", "--batch", "2", "--threshold", "0.7"] + outs,
         ["train", "--arch", "conv", "--epochs", "1", "--batch", "2", "--jobs", "2"] + outs,
+        ["train", "--arch", "conv", "--epochs", "1", "--batch", "2", "--width-cap", "4"] + outs,
         ["eval", "--params", str(params), "--data", str(data), "--jobs", "2"],
+        ["eval", "--params", str(params), "--data", str(data), "--seed", "1"],
         ["featmap", "--in", str(img), "--params", str(params), "--out", str(tmp_path / "o.pgm"), "--jobs", "2"],
     ):
         with pytest.raises(SystemExit) as info:
             entry(argv)
         assert info.value.code == EXIT_USAGE, argv
     capsys.readouterr()
-    cfg = tmp_path / "jobs.json"
-    cfg.write_text(json.dumps({"arch": "conv", "epochs": 1, "batch_size": 2, "jobs": 2}))
-    assert entry(["train", "--config", str(cfg)] + outs) == EXIT_USAGE
-    assert "unknown config keys: jobs" in capsys.readouterr().err
-    assert not (tmp_path / "p_out.txt").exists()
+    for key in ("jobs", "width_cap"):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"arch": "conv", "epochs": 1, "batch_size": 2, key: 4}))
+        assert entry(["train", "--config", str(cfg)] + outs) == EXIT_USAGE
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "p_out.txt").exists()
 
 
 def test_eval_threshold_sets_the_decision_boundary(tmp_path, capsys):
@@ -224,18 +228,6 @@ def test_train_rejects_empty_dataset(tmp_path, capsys):
     assert "dataset is empty" in capsys.readouterr().err
 
 
-def test_train_width_cap_exhaustion_exits_3(tmp_path, capsys):
-    rc = entry(["train", "--arch", "conv-pool-conv-pool", "--epochs", "1",
-                "--batch", "1", "--width-cap", "4", "--seed", "0", "--progress",
-                "--params-out", str(tmp_path / "p.txt"),
-                "--curve-out", str(tmp_path / "c.csv")])
-    assert rc == EXIT_RESOURCE
-    err = capsys.readouterr().err
-    # the plan's true peak is reported, and the refusal comes before epoch 1
-    assert "error: plan needs 9 simultaneously live wires, exceeding the cap of 4" in err
-    assert "epoch=" not in err
-
-
 def test_eval_reports_metrics(tmp_path, capsys):
     data = tmp_path / "d.csv"
     entry(["gen", "--side", "2", "--count", "8", "--seed", "0", "--out", str(data)])
@@ -268,6 +260,20 @@ def test_eval_scores_with_the_measure_mode_it_is_given(tmp_path, capsys):
         rc = entry(["eval", "--params", str(params), "--data", str(data)] + argv)
         assert rc == EXIT_OK
         assert f"mse {want[mode]:.6f}" in capsys.readouterr().out.splitlines()
+
+
+def test_eval_refuses_lenient_integers_and_non_ascii_data(tmp_path, capsys):
+    params = tmp_path / "p.txt"
+    _write_params(params, [0.1] * 4)
+    data = tmp_path / "d.csv"
+    head = "label,p0,p1,p2,p3\n"
+    data.write_text(head + "1,1_0, 7,+3,4\n")
+    assert entry(["eval", "--params", str(params), "--data", str(data)]) == EXIT_USAGE
+    assert f"{data}: line 2: non-integer value" in capsys.readouterr().err
+    data.write_bytes(head.encode() + "0,1,2,\u0663,4\n".encode())
+    assert entry(["eval", "--params", str(params), "--data", str(data)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{data}: line 2: non-ASCII byte 0xd9" in err and "codec" not in err
 
 
 def test_eval_rejects_param_count_mismatch(tmp_path, capsys):
@@ -356,7 +362,7 @@ def test_train_checks_output_directories_before_training(tmp_path, capsys):
 
 
 def test_train_config_rejects_non_integer_fields(tmp_path, capsys):
-    for key, value in (("epochs", 2.5), ("epochs", True), ("batch_size", "4"), ("width_cap", 4.0)):
+    for key, value in (("epochs", 2.5), ("epochs", True), ("batch_size", "4")):
         cfg = tmp_path / "typed.json"
         cfg.write_text(json.dumps({"arch": "conv", key: value}))
         rc = entry(["train", "--config", str(cfg), "--params-out", str(tmp_path / "p.txt"),

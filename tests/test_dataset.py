@@ -121,6 +121,23 @@ def test_load_rejects_bad_rows(tmp_path):
         load_dataset(p)
 
 
+def test_load_reads_plain_decimal_integers_only(tmp_path):
+    # int() would read these as 10, 7 and 3; a dataset holds digits only
+    head = "label,p0,p1,p2,p3\n"
+    for row in ("1,1_0,7,3,4", "1,10, 7,3,4", "1,10,7,+3,4", "1,10,7,3,4 ", "1,10,7,-,4"):
+        p = _write(tmp_path, head + row + "\n")
+        with pytest.raises(DatasetFormatError, match="line 2: non-integer"):
+            load_dataset(p)
+    p = _write(tmp_path, head + "1,-1,7,3,4\n")
+    with pytest.raises(DatasetFormatError, match="line 2: pixel out of range 0..255"):
+        load_dataset(p)
+    # a non-ASCII byte names the file and its line, not the codec
+    p = tmp_path / "bad.csv"
+    p.write_bytes((head + "1,5,5,5,5\n0,1,2,").encode() + "\u0663".encode() + b",4\n")
+    with pytest.raises(DatasetFormatError, match=r"bad\.csv: line 3: non-ASCII byte 0xd9"):
+        load_dataset(p)
+
+
 def test_load_tolerates_blank_lines(tmp_path):
     p = _write(tmp_path, "label,p0,p1,p2,p3\n1,5,5,5,5\n\n0,1,2,3,4\n")
     back = load_dataset(p)

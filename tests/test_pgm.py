@@ -46,6 +46,9 @@ def test_reader_rejections(tmp_path):
         "P2\n1 1\n255\nbad\n": "integers",
         "P2\n1 1\n255\n300\n": "0..255",
         "P2\n1 1\n255\n-1\n": "0..255",
+        # int() would read these as 10 and 3, or the width as 2
+        "P2\n2 1\n255\n1_0 +3\n": "pixel values must be integers",
+        "P2\n+2 1\n255\n0 0\n": "width, height and maxval must be integers",
     }
     for text, key in cases.items():
         path.write_text(text)

@@ -140,6 +140,12 @@ def test_jacobian_slot_selection():
     assert len(obj.plan.param_occurrences(1, 0)) == 2
     with pytest.raises(ValueError):
         obj.jacobian(params, slots=[(5, 0)])
+    # a displaced occurrence outside the network is refused in both modes
+    for mode in ("end-to-end", "intermediate"):
+        other, _ = _objective("conv-pool-conv-pool", n=2, seed=4, measure_mode=mode)
+        for layer, j, occ in ((1, 0, 2), (1, 0, -1), (0, 4, 0), (2, 0, 0)):
+            with pytest.raises(ValueError, match="no occurrence"):
+                other.p1(params, shift_occ=(layer, j, occ, np.pi / 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,6 +181,30 @@ def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode)
             jac[:, c] += 0.5 * (up - dn)
     np.testing.assert_array_equal(obj.jacobian(params), jac)
     assert obj.evals == 5 * len(runs)
+
+
+@pytest.mark.parametrize("measure_mode, counts", [
+    ("end-to-end", (126, 571, 3757)),
+    ("intermediate", (126, 2145, 40455)),
+])
+def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, counts):
+    # gate applications of one readout plus a full jacobian, whatever the
+    # batch size: end to end a displaced evaluation re-runs only its group
+    # and that group's ancestors on the cached states of the others, while
+    # a measurement after each layer makes every group run again
+    import qcnn.runner
+
+    calls = []
+    apply = qcnn.runner.apply_to_density
+    monkeypatch.setattr(qcnn.runner, "apply_to_density", lambda *a: calls.append(1) or apply(*a))
+    for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), counts):
+        for n in (1, 3):
+            obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode)
+            params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
+            calls.clear()
+            obj.p1(params)
+            obj.jacobian(params)
+            assert len(calls) == want, (arch, n)
 
 
 def test_evals_count_the_protocol_whatever_the_call_order():
@@ -395,8 +425,6 @@ def test_train_config_validation():
         TrainConfig(arch="conv", init_scheme="ones")
     with pytest.raises(ValueError):
         TrainConfig(arch="conv", grad_method="newton")
-    with pytest.raises(ValueError):
-        TrainConfig(arch="conv", width_cap=0)
     with pytest.raises(ValueError):
         TrainConfig(arch="dense")
     for field, bad in (
