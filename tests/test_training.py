@@ -9,7 +9,8 @@ import pytest
 
 from qcnn.baseline import classical_train
 from qcnn.dataset import LabeledImage, gen_dataset
-from qcnn.network import Architecture, ModelParams
+from qcnn.encoding import prob_to_angle
+from qcnn.network import Architecture, ModelParams, group_plan, layer_structure
 from qcnn.runner import run_plan_batch
 from qcnn.training import (
     EvalMode,
@@ -181,6 +182,50 @@ def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode)
             jac[:, c] += 0.5 * (up - dn)
     np.testing.assert_array_equal(obj.jacobian(params), jac)
     assert obj.evals == 5 * len(runs)
+
+
+def _per_group_readout(obj, params, site, ordinal):
+    """Readout measured after each layer, every group of every layer run as
+    its own template; site = (layer, j, occ, delta) displaces occurrence
+    `occ` of angle (layer, j), which is group `occ` of that conv layer.
+    Sampled mode draws each layer's readouts with the evaluation's key."""
+    values = obj.angles
+    for li, spec in enumerate(layer_structure(obj.arch)):
+        tpl = group_plan(spec.kind, spec.param_layer)
+        outs = np.empty((obj.batch_size, len(spec.groups)))
+        for g, grp in enumerate(spec.groups):
+            shift = None
+            if site is not None and spec.param_layer == site[0] and g == site[2]:
+                shift = {tpl.param_occurrences(site[0], site[1])[0]: site[3]}
+            outs[:, g] = run_plan_batch(tpl, values[:, grp], params, shift=shift)
+        if obj.config.eval_mode is EvalMode.SAMPLED:
+            outs = obj._sample(outs, ordinal, li + 1)
+        values = prob_to_angle(outs)
+    return outs[:, 0]
+
+
+@pytest.mark.parametrize("eval_mode", ["exact", "sampled"])
+@pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
+def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode):
+    # measured after each layer, a readout and every displaced readout of
+    # the jacobian give the same bits as running every group of every layer
+    # again; sampled mode draws the same shots between the layers
+    obj, config = _objective(arch, n=5, seed=21, measure_mode="intermediate", eval_mode=eval_mode, shots=100)
+    params = ModelParams.from_vector(config.arch, np.random.default_rng(22).uniform(-0.6, 0.6, config.arch.n_params))
+    slots = obj.plan.param_slots()
+    sites = [None] + [
+        (layer, j, occ, d)
+        for layer, j in slots
+        for occ in range(len(obj.plan.param_occurrences(layer, j)))
+        for d in (np.pi / 2, -np.pi / 2)
+    ]
+    want = [_per_group_readout(obj, params, site, k) for k, site in enumerate(sites)]
+    np.testing.assert_array_equal(obj.p1(params), want[0])
+    jac = np.zeros((5, len(slots)))
+    for (layer, j, _, _), up, dn in zip(sites[1::2], want[1::2], want[2::2]):
+        jac[:, slots.index((layer, j))] += 0.5 * (up - dn)
+    np.testing.assert_array_equal(obj.jacobian(params), jac)
+    assert obj.evals == 5 * len(sites)
 
 
 @pytest.mark.parametrize("measure_mode, counts", [
