@@ -22,6 +22,7 @@ from .training import (
     _epoch_batch,
     _pixels_and_labels,
     _require_full_batch,
+    _require_threshold,
     mse,
     sigmoid,
 )
@@ -109,6 +110,9 @@ def classical_train(config: TrainConfig, dataset=None, log_fn=None):
 
 
 def classical_evaluate(kernel: ClassicalKernel, samples, threshold: float = 0.5):
+    """MSE and accuracy over a sample list; an activated output above
+    `threshold` predicts label 1."""
+    _require_threshold(threshold)
     if not samples:
         raise ValueError("cannot evaluate an empty dataset")
     rows, labels = _pixels_and_labels(samples)

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import VALID_SIDES, DatasetFormatError, gen_dataset, load_dataset, save_dataset
+from .dataset import VALID_SIDES, gen_dataset, load_dataset, save_dataset
 from .network import Architecture, ModelParams, conv_feature_map, load_params, save_params
-from .pgm import PgmFormatError, read_pgm, write_pgm
+from .pgm import read_pgm, write_pgm
 from .training import TrainConfig, evaluate, save_curve, train
 
 EXIT_OK = 0
@@ -255,13 +255,7 @@ def entry(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DatasetFormatError, PgmFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

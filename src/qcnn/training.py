@@ -191,13 +191,17 @@ class TrainingObjective:
     probabilities, optionally with a single rotation occurrence displaced,
     and assembles the per-sample circuit jacobian from those displacements.
 
-    Both measure modes run the group templates (network.group_plan) layer
-    by layer along layer_structure.  End to end a group hands its parent its
-    (B, 2, 2) state, seeded in place of the parent's RY encoding gates, and
-    the states at the last undisplaced parameters are kept: a displaced
-    evaluation re-runs its group and that group's ancestors only, with the
-    same bits as a whole-plan run_plan_batch.  Measured after each layer a
-    group hands up its readout probability, re-encoded as an angle.
+    Both measure modes run one walk over the group templates
+    (network.group_plan) along layer_structure, and one cache keyed on the
+    parameters holds each group's undisplaced output.  End to end that is
+    its (B, 2, 2) state, which the parent's template takes in place of its
+    RY encoding gates (the root's is its readout), with the same bits as a
+    whole-plan run_plan_batch.  Measured after each layer it is the group's
+    exact readout; the hand-off stacks a layer's readouts, draws them in
+    sampled mode and re-encodes them as angles.  A group re-runs only when
+    it holds the displaced occurrence or an input moved: a child re-ran, or
+    the layer below was drawn.  Draws are each evaluation's own, so in
+    sampled intermediate mode only the first layer stays cached.
     """
 
     def __init__(self, config: TrainConfig, pixel_rows, labels, base_key: int = 0):
@@ -217,7 +221,7 @@ class TrainingObjective:
         self.base_key = int(base_key)
         self._eval_ordinal = 0
         self.evals = 0
-        self._states = None  # (params bytes, group states per layer, readout)
+        self._cache = None  # (params bytes, each group's undisplaced output per layer)
 
     @property
     def batch_size(self) -> int:
@@ -243,59 +247,45 @@ class TrainingObjective:
         self._eval_ordinal += 1
         self.evals += self.batch_size
         sampled = self.config.eval_mode is EvalMode.SAMPLED
+        measured = self.config.measure_mode is MeasureMode.INTERMEDIATE
         site = None if shift_occ is None else self._site(shift_occ)
-
-        if self.config.measure_mode is MeasureMode.END_TO_END:
-            p = self._tree_readout(params, site)
-            return self._sample(p, ordinal, 0) if sampled else p
-
+        key = params.vector().tobytes()
+        if self._cache is None or self._cache[0] != key:
+            self._cache = (key, [[None] * len(spec.groups) for spec in self.layers])
+        outs, moved = self.angles, set()
         for li, spec in enumerate(self.layers):
-            values = prob_to_angle(outs) if li else self.angles
             tpl = group_plan(spec.kind, spec.param_layer)
-            outs = np.empty((self.batch_size, len(spec.groups)))
+            below = prob_to_angle(outs) if measured and li else outs
+            cache, outs, ran = self._cache[1][li], [], set()
             for g, grp in enumerate(spec.groups):
                 shift = site[2] if site is not None and site[:2] == (li, g) else None
-                outs[:, g] = run_plan_batch(tpl, values[:, grp], params, shift=shift)
-            if sampled:
-                outs = self._sample(outs, ordinal, li + 1)
-        return outs[:, 0]
-
-    def _walk_group(self, li, g, params, below, shift=None):
-        """Group g of layer li walked through its template: layer 0 on its
-        pixel angles, an upper layer on its children's states in `below`."""
-        spec = self.layers[li]
-        grp = spec.groups[g]
-        tpl = group_plan(spec.kind, spec.param_layer)
-        if li == 0:
-            return walk_plan(tpl, self.batch_size, self.angles[:, grp], params, shift=shift)
-        inputs = {w: below[c] for w, c in enumerate(grp)}
-        return walk_plan(tpl, self.batch_size, None, params, lo=len(grp), inputs=inputs, shift=shift)
-
-    def _tree_readout(self, params, site):
-        """End-to-end readout from the group states at `params`, built on
-        first use; a displaced site re-runs its group and then each
-        ancestor on the cached states of the others."""
-        key = params.vector().tobytes()
-        if self._states is None or self._states[0] != key:
-            states = []
-            for li, spec in enumerate(self.layers):
-                below = states[-1] if li else None
-                sims = [self._walk_group(li, g, params, below) for g in range(len(spec.groups))]
-                states.append([sim.density(0) for sim in sims])
-            self._states = (key, states, sims[0].prob_one(0))
-        if site is None:
-            return self._states[2].copy()
-        states = self._states[1]
-        li, g, shift = site
-        below = states[li - 1] if li else None
-        while True:
-            sim = self._walk_group(li, g, params, below, shift)
-            if li == len(self.layers) - 1:
-                return sim.prob_one(0)
-            below = list(states[li])
-            below[g] = sim.density(0)
-            li, shift = li + 1, None
-            g = next(p for p, grp in enumerate(self.layers[li].groups) if g in grp)
+                clean = shift is None and moved.isdisjoint(grp)
+                if clean and cache[g] is not None:
+                    outs.append(cache[g])
+                    continue
+                if measured:
+                    out = run_plan_batch(tpl, below[:, grp], params, shift=shift)
+                else:
+                    if li:
+                        states = {w: below[c] for w, c in enumerate(grp)}
+                        sim = walk_plan(tpl, self.batch_size, None, params, lo=len(grp), inputs=states, shift=shift)
+                    else:
+                        sim = walk_plan(tpl, self.batch_size, below[:, grp], params, shift=shift)
+                    out = sim.prob_one(0) if li == len(self.layers) - 1 else sim.density(0)
+                if clean:
+                    cache[g] = out
+                else:
+                    ran.add(g)
+                outs.append(out)
+            if measured:
+                outs = np.stack(outs, axis=1)
+                if sampled:
+                    # the layers above read this evaluation's own draws
+                    outs, ran = self._sample(outs, ordinal, li + 1), set(range(len(spec.groups)))
+            moved = ran
+        if measured:
+            return outs[:, 0]
+        return self._sample(outs[0], ordinal, 0) if sampled else outs[0].copy()
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
@@ -351,6 +341,11 @@ def _require_full_batch(config: TrainConfig, dataset) -> None:
         raise ValueError(f"dataset holds {len(dataset)} rows, fewer than the batch size {config.batch_size}")
 
 
+def _require_threshold(threshold) -> None:
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be a real number strictly inside (0, 1), got {threshold!r}")
+
+
 def _epoch_batch(config: TrainConfig, dataset, epoch: int):
     if dataset is not None:
         return dataset[: config.batch_size]
@@ -402,8 +397,7 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
 def evaluate(params: ModelParams, samples, config: TrainConfig, threshold: float = 0.5):
     """MSE and accuracy of a parameter set over a sample list, exact mode;
     an activated readout above `threshold` predicts label 1."""
-    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be a real number strictly inside (0, 1), got {threshold!r}")
+    _require_threshold(threshold)
     if not samples:
         raise ValueError("cannot evaluate an empty dataset")
     pixels, labels = _pixels_and_labels(samples)

@@ -109,3 +109,7 @@ def test_classical_evaluate():
     assert 0.0 <= m <= 1.0 and 0.0 <= acc <= 1.0
     with pytest.raises(ValueError):
         classical_evaluate(kernel, [])
+    # the decision threshold is checked as evaluate() checks it
+    for bad in (1.0, 0.0, 1.5, float("nan"), "0.5", False):
+        with pytest.raises(ValueError, match="threshold"):
+            classical_evaluate(kernel, samples, threshold=bad)

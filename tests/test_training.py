@@ -228,15 +228,18 @@ def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode
     assert obj.evals == 5 * len(sites)
 
 
-@pytest.mark.parametrize("measure_mode, counts", [
-    ("end-to-end", (126, 571, 3757)),
-    ("intermediate", (126, 2145, 40455)),
+@pytest.mark.parametrize("measure_mode, eval_mode, counts", [
+    ("end-to-end", "exact", (126, 571, 3757)),
+    ("intermediate", "exact", (126, 705, 4903)),
+    ("intermediate", "sampled", (126, 801, 9991)),
 ])
-def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, counts):
+def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, eval_mode, counts):
     # gate applications of one readout plus a full jacobian, whatever the
-    # batch size: end to end a displaced evaluation re-runs only its group
-    # and that group's ancestors on the cached states of the others, while
-    # a measurement after each layer makes every group run again
+    # batch size: a displaced evaluation re-runs only its group and that
+    # group's ancestors on the cached outputs of the others, states end to
+    # end and exact readouts when measured after each layer; sampled draws
+    # are each evaluation's own, so there every layer above the first runs
+    # again
     import qcnn.runner
 
     calls = []
@@ -244,7 +247,7 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
     monkeypatch.setattr(qcnn.runner, "apply_to_density", lambda *a: calls.append(1) or apply(*a))
     for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), counts):
         for n in (1, 3):
-            obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode)
+            obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode, eval_mode=eval_mode)
             params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
             calls.clear()
             obj.p1(params)
@@ -275,6 +278,9 @@ def test_node_cache_follows_the_params():
     np.testing.assert_array_equal(obj.p1(b), fresh.p1(b))
     np.testing.assert_array_equal(obj.p1(a), pa)
     assert not np.array_equal(pa, fresh.p1(b))
+    # a returned readout is the caller's own: writing to it leaves the cache
+    obj.p1(a)[:] = -1.0
+    np.testing.assert_array_equal(obj.p1(a), pa)
 
 
 @pytest.mark.parametrize("measure_mode", ["end-to-end", "intermediate"])
