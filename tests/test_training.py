@@ -228,31 +228,31 @@ def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode
     assert obj.evals == 5 * len(sites)
 
 
-@pytest.mark.parametrize("measure_mode, eval_mode, counts", [
-    ("end-to-end", "exact", (126, 571, 3757)),
-    ("intermediate", "exact", (126, 705, 4903)),
-    ("intermediate", "sampled", (126, 801, 9991)),
+@pytest.mark.parametrize("measure_mode, counts", [
+    ("end-to-end", {"exact": (126, 571, 3757), "sampled": (126, 571, 3757)}),
+    ("intermediate", {"exact": (126, 705, 4903), "sampled": (126, 801, 9991)}),
 ])
-def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, eval_mode, counts):
+def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, counts):
     # gate applications of one readout plus a full jacobian, whatever the
     # batch size: a displaced evaluation re-runs only its group and that
     # group's ancestors on the cached outputs of the others, states end to
-    # end and exact readouts when measured after each layer; sampled draws
-    # are each evaluation's own, so there every layer above the first runs
-    # again
+    # end and exact readouts when measured after each layer.  Measured and
+    # sampled, the draws are each evaluation's own, so every layer above the
+    # first runs again
     import qcnn.runner
 
     calls = []
     apply = qcnn.runner.apply_to_density
     monkeypatch.setattr(qcnn.runner, "apply_to_density", lambda *a: calls.append(1) or apply(*a))
-    for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), counts):
-        for n in (1, 3):
-            obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode, eval_mode=eval_mode)
-            params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
-            calls.clear()
-            obj.p1(params)
-            obj.jacobian(params)
-            assert len(calls) == want, (arch, n)
+    for eval_mode, per_arch in counts.items():
+        for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), per_arch):
+            for n in (1, 3):
+                obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode, eval_mode=eval_mode)
+                params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
+                calls.clear()
+                obj.p1(params)
+                obj.jacobian(params)
+                assert len(calls) == want, (eval_mode, arch, n)
 
 
 def test_evals_count_the_protocol_whatever_the_call_order():
