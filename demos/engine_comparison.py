@@ -1,11 +1,13 @@
 """
-Two engines, one answer
-=======================
+Three evaluators, one answer
+============================
 
-The same circuits evaluated by the dense state vector and by the batched
-density-matrix walk the trainer uses, which allocates and retires wires on
-the fly.  That walk is what makes the 64-wire lattice affordable: it never
-holds more than nine wires at once.
+The same circuits evaluated by the dense state vector, by the batched
+density-matrix walk, which allocates and retires wires on the fly, and by
+the channel tree the trainer uses, which runs each layer's group template
+as two-input channels compiled from its gates.  The walk is what makes the
+64-wire lattice affordable to any plan: it never holds more than nine
+wires at once.  The channel tree never holds more than a wire pair.
 """
 
 import time
@@ -16,6 +18,8 @@ from qcnn import (
     Architecture,
     FrontierWidthError,
     ModelParams,
+    TrainConfig,
+    TrainingObjective,
     build_plan,
     run_plan,
     run_pure,
@@ -41,8 +45,16 @@ t0 = time.perf_counter()
 batched = run_plan(plan, encode, params)
 t_batched = time.perf_counter() - t0
 
+# the trainer's readout of the same image: pixels of intensity 30
+t0 = time.perf_counter()
+config = TrainConfig(arch=Architecture.CONV_POOL_POOL)
+tree = TrainingObjective(config, np.full((1, 16), 30), np.zeros(1)).p1(params)[0]
+t_tree = time.perf_counter() - t0
+
 print(f"dense state vector: {dense:.12f}  ({t_dense * 1000:.1f} ms)")
 print(f"batched engine:     {batched:.12f}  ({t_batched * 1000:.1f} ms)")
+print(f"channel tree:       {tree:.12f}  ({t_tree * 1000:.1f} ms, compiles its channels on first use)")
+assert abs(tree - dense) < 1e-12
 
 # the 64-wire plan would need a 2**64 state vector; the batched engine
 # runs it in milliseconds because retired wires leave the density matrix
@@ -54,6 +66,11 @@ t0 = time.perf_counter()
 value = run_plan(deep, deep_encode, deep_params)
 print(f"\n64-wire lattice readout: {value:.12f}  "
       f"({(time.perf_counter() - t0) * 1000:.1f} ms, peak width {deep.peak_active_width()})")
+t0 = time.perf_counter()
+deep_config = TrainConfig(arch=Architecture.CONV_POOL_CONV_POOL)
+deep_tree = TrainingObjective(deep_config, np.full((1, 64), 10), np.zeros(1)).p1(deep_params)[0]
+print(f"same, channel tree:      {deep_tree:.12f}  ({(time.perf_counter() - t0) * 1000:.1f} ms)")
+assert deep_tree == value
 
 # the width cap is a guard rail, not a suggestion
 try:

@@ -27,35 +27,10 @@ from .training import TrainConfig, TrainingObjective, evaluate, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angle",
-    "Architecture",
-    "CircuitPlan",
-    "ClassicalKernel",
-    "FrontierWidthError",
-    "GateKind",
-    "GateOp",
-    "LabeledImage",
-    "ModelParams",
-    "PureState",
-    "TrainConfig",
-    "TrainingObjective",
-    "apply_gate",
-    "build_plan",
-    "classical_evaluate",
-    "classical_forward",
-    "classical_loss_and_grad",
-    "classical_train",
-    "classical_update",
-    "conv_feature_map",
-    "evaluate",
-    "exact_prob_one",
-    "gen_dataset",
-    "group_plan",
-    "pixel_to_angle",
-    "read_pgm",
-    "run_plan",
-    "run_plan_batch",
-    "run_pure",
-    "train",
-    "write_pgm",
+    "Angle", "Architecture", "CircuitPlan", "ClassicalKernel", "FrontierWidthError", "GateKind",
+    "GateOp", "LabeledImage", "ModelParams", "PureState", "TrainConfig", "TrainingObjective",
+    "apply_gate", "build_plan", "classical_evaluate", "classical_forward",
+    "classical_loss_and_grad", "classical_train", "classical_update", "conv_feature_map",
+    "evaluate", "exact_prob_one", "gen_dataset", "group_plan", "pixel_to_angle", "read_pgm",
+    "run_plan", "run_plan_batch", "run_pure", "train", "write_pgm",
 ]

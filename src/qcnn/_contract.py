@@ -13,59 +13,41 @@ import numpy as np
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def apply_to_vector(psi: np.ndarray, gate: np.ndarray, positions, n: int) -> np.ndarray:
-    """psi: (..., 2**n). gate: (..., 2**m, 2**m) acting on the given wire
-    positions (first position = high bit of the gate's sub-space)."""
-    m = len(positions)
-    batch = psi.shape[:-1]
-    t = psi.reshape(batch + (2,) * n)
-    g = np.asarray(gate)
-    gt = g.reshape(g.shape[:-2] + (2,) * (2 * m))
-
-    axis = list(_LETTERS[:n])
-    fresh = iter(_LETTERS[n:])
+def _contract(gt, t, positions, axis, fresh):
+    """One einsum of a gate tensor into the given axes of t; returns the
+    result and its axis labels."""
     g_out, g_in, out_axis = [], [], list(axis)
-    for k, p in enumerate(positions):
+    for p in positions:
         lbl = next(fresh)
         g_out.append(lbl)
         g_in.append(axis[p])
         out_axis[p] = lbl
     expr = f"...{''.join(g_out + g_in)},...{''.join(axis)}->...{''.join(out_axis)}"
-    t = np.einsum(expr, gt, t)
+    return np.einsum(expr, gt, t), out_axis
+
+
+def _gate_tensor(gate, m: int) -> np.ndarray:
+    g = np.asarray(gate)
+    return g.reshape(g.shape[:-2] + (2,) * (2 * m))
+
+
+def apply_to_vector(psi: np.ndarray, gate: np.ndarray, positions, n: int) -> np.ndarray:
+    """psi: (..., 2**n). gate: (..., 2**m, 2**m) acting on the given wire
+    positions (first position = high bit of the gate's sub-space)."""
+    batch = psi.shape[:-1]
+    gt = _gate_tensor(gate, len(positions))
+    t, _ = _contract(gt, psi.reshape(batch + (2,) * n), positions, _LETTERS[:n], iter(_LETTERS[n:]))
     return t.reshape(batch + (2**n,))
 
 
 def apply_to_density(rho: np.ndarray, gate: np.ndarray, positions, n: int) -> np.ndarray:
     """rho -> U rho U^dagger.  rho: (..., 2**n, 2**n), gate as above."""
-    m = len(positions)
     batch = rho.shape[:-2]
-    t = rho.reshape(batch + (2,) * (2 * n))
-    g = np.asarray(gate)
-    gt = g.reshape(g.shape[:-2] + (2,) * (2 * m))
-
-    axis = list(_LETTERS[: 2 * n])
+    gt = _gate_tensor(gate, len(positions))
     fresh = iter(_LETTERS[2 * n :])
-
-    g_out, g_in, out_axis = [], [], list(axis)
-    for p in positions:
-        lbl = next(fresh)
-        g_out.append(lbl)
-        g_in.append(axis[p])
-        out_axis[p] = lbl
-    expr = f"...{''.join(g_out + g_in)},...{''.join(axis)}->...{''.join(out_axis)}"
-    t = np.einsum(expr, gt, t)
-    axis = out_axis
-
+    t, axis = _contract(gt, rho.reshape(batch + (2,) * (2 * n)), positions, _LETTERS[: 2 * n], fresh)
     # conj(U) contracted against the bra axes: rho'_{ab} = U_{ac} rho_{cd} conj(U_{bd})
-    g_out, g_in, out_axis = [], [], list(axis)
-    for p in positions:
-        lbl = next(fresh)
-        g_out.append(lbl)
-        g_in.append(axis[n + p])
-        out_axis[n + p] = lbl
-    expr = f"...{''.join(g_out + g_in)},...{''.join(axis)}->...{''.join(out_axis)}"
-    t = np.einsum(expr, np.conj(gt), t)
-
+    t, _ = _contract(np.conj(gt), t, [n + p for p in positions], axis, fresh)
     return t.reshape(batch + (2**n, 2**n))
 
 

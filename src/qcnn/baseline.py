@@ -15,16 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .training import (
-    _TAG_INIT,
-    LossCurve,
-    TrainConfig,
-    _derived_rng,
-    _epoch_batch,
-    _pixels_and_labels,
-    _require_full_batch,
-    _require_threshold,
-    mse,
-    sigmoid,
+    _TAG_INIT, LossCurve, TrainConfig, _derived_rng, _epoch_batch,
+    _pixels_and_labels, _require_full_batch, _require_threshold, mse, sigmoid,
 )
 
 

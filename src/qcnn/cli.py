@@ -89,18 +89,9 @@ def cmd_gen(args) -> int:
 
 def _merged_train_settings(args) -> tuple:
     file_cfg = _load_config_file(args.config) if args.config else {}
-    flags = {
-        "arch": args.arch,
-        "epochs": args.epochs,
-        "batch_size": args.batch,
-        "learning_rate": args.lr,
-        "shots": args.shots,
-        "grad_method": args.grad,
-        "measure_mode": args.measure,
-        "update_strategy": args.update,
-        "eval_mode": args.eval_mode,
-        "init_scheme": args.init,
-    }
+    flags = dict(arch=args.arch, epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr, shots=args.shots,
+                 grad_method=args.grad, measure_mode=args.measure, update_strategy=args.update,
+                 eval_mode=args.eval_mode, init_scheme=args.init)
     merged = {}
     for key, value in file_cfg.items():
         if key in ("data", "params_out", "curve_out"):
@@ -165,10 +156,7 @@ def cmd_eval(args) -> int:
         raise CliError(f"{args.data}: dataset is empty")
     side = samples[0].side
     arch = _ARCH_BY_SIDE[side]
-    try:
-        vector = load_params(args.params).vector()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    vector = load_params(args.params).vector()
     if vector.size != arch.n_params:
         raise CliError(
             f"{args.params} holds {vector.size} angles but {arch.value} "
@@ -188,10 +176,7 @@ def cmd_featmap(args) -> int:
     height, width = grid.shape
     if height % 2 or width % 2:
         raise CliError(f"{args.infile}: image dimensions must be even, got {height}x{width}")
-    try:
-        vector = load_params(args.params).vector()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    vector = load_params(args.params).vector()
     kernel = vector[:4]
     probs = conv_feature_map(grid, kernel)
     out = np.rint(np.clip(probs, 0.0, 1.0) * 255).astype(np.int64)

@@ -32,75 +32,44 @@ class GateKind(Enum):
         return self in (GateKind.RX, GateKind.RY)
 
 
-CFLIP_X = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-    ],
-    dtype=np.complex128,
-)
+CFLIP_X = np.array([[1, 0, 0, 0],
+                    [0, 0, 0, 1],
+                    [0, 0, 1, 0],
+                    [0, 1, 0, 0]], dtype=np.complex128)
 
-CFLIP_Y = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 0, -1j],
-        [0, 0, 1, 0],
-        [0, 1j, 0, 0],
-    ],
-    dtype=np.complex128,
-)
+CFLIP_Y = np.array([[1, 0, 0, 0],
+                    [0, 0, 0, -1j],
+                    [0, 0, 1, 0],
+                    [0, 1j, 0, 0]], dtype=np.complex128)
 
-CFLIP_Z = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, -1],
-    ],
-    dtype=np.complex128,
-)
+CFLIP_Z = np.array([[1, 0, 0, 0],
+                    [0, 1, 0, 0],
+                    [0, 0, 1, 0],
+                    [0, 0, 0, -1]], dtype=np.complex128)
 
-_FIXED = {
-    GateKind.CFLIP_X: CFLIP_X,
-    GateKind.CFLIP_Y: CFLIP_Y,
-    GateKind.CFLIP_Z: CFLIP_Z,
-}
+_FIXED = {GateKind.CFLIP_X: CFLIP_X, GateKind.CFLIP_Y: CFLIP_Y, GateKind.CFLIP_Z: CFLIP_Z}
 
 
-def rx_matrix(theta) -> np.ndarray:
-    """Rotation about x: [[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]].
-
-    Accepts a scalar or an array of angles; an array yields a stack of
-    matrices with shape ``theta.shape + (2, 2)``.
-    """
+def _rotation(theta, off) -> np.ndarray:
     th = np.asarray(theta, dtype=np.float64)
     if not np.all(np.isfinite(th)):
         raise ValueError("rotation angle must be finite")
-    c = np.cos(th / 2.0)
-    s = np.sin(th / 2.0)
+    c, s = np.cos(th / 2.0), np.sin(th / 2.0)
     m = np.empty(th.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -1j * s
-    m[..., 1, 0] = -1j * s
-    m[..., 1, 1] = c
+    m[..., 0, 0] = m[..., 1, 1] = c
+    m[..., 0, 1], m[..., 1, 0] = off[0] * s, off[1] * s
     return m
+
+
+def rx_matrix(theta) -> np.ndarray:
+    """Rotation about x: [[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]];
+    an array of angles yields matrices of shape ``theta.shape + (2, 2)``."""
+    return _rotation(theta, (-1j, -1j))
 
 
 def ry_matrix(theta) -> np.ndarray:
     """Rotation about y: [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]."""
-    th = np.asarray(theta, dtype=np.float64)
-    if not np.all(np.isfinite(th)):
-        raise ValueError("rotation angle must be finite")
-    c = np.cos(th / 2.0)
-    s = np.sin(th / 2.0)
-    m = np.empty(th.shape + (2, 2), dtype=np.complex128)
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -s
-    m[..., 1, 0] = s
-    m[..., 1, 1] = c
-    return m
+    return _rotation(theta, (-1, 1))
 
 
 @dataclass(frozen=True)

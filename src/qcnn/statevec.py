@@ -75,9 +75,6 @@ def run_pure(plan, data=None, params=None) -> float:
     """Evaluate a circuit plan on the full state vector and return the
     readout-wire probability of 1.  Oracle-grade but O(2**n_wires)."""
     state = PureState.zero(plan.n_wires)
-    amps = state.amplitudes
     for gate in plan.gates:
-        angle = gate.angle.resolve(data, params) if gate.angle is not None else None
-        mat = gate_matrix(gate, angle)
-        amps = apply_to_vector(amps, mat, gate.wires, plan.n_wires)
-    return float(vector_prob_one(amps, plan.readout_wire, plan.n_wires))
+        state = apply_gate(state, gate, gate.angle.resolve(data, params) if gate.angle is not None else None)
+    return exact_prob_one(state, plan.readout_wire)

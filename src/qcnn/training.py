@@ -19,23 +19,18 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
+from . import runner
 from ._io import write_text_atomic
 from .dataset import gen_dataset
 from .encoding import pixel_to_angle, prob_to_angle
-from .network import (
-    Architecture,
-    ModelParams,
-    build_plan,
-    group_plan,
-    init_params,
-    layer_structure,
-)
-from .runner import run_plan_batch, walk_plan
+from .gates import Angle
+from .network import Architecture, ModelParams, build_plan, group_plan, init_params, layer_structure
+from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
 
 _TAG_INIT = 101
 _TAG_DATA = 202
@@ -191,17 +186,13 @@ class TrainingObjective:
     probabilities, optionally with a single rotation occurrence displaced,
     and assembles the per-sample circuit jacobian from those displacements.
 
-    Both measure modes run one walk over the group templates
-    (network.group_plan) along layer_structure, and one cache keyed on the
-    parameters holds each group's undisplaced output.  End to end that is
-    its (B, 2, 2) state, which the parent's template takes in place of its
-    RY encoding gates (the root's is its readout), with the same bits as a
-    whole-plan run_plan_batch.  Measured after each layer it is the group's
-    exact readout; the hand-off stacks a layer's readouts, draws them in
-    sampled mode and re-encodes them as angles.  A group re-runs only when
-    it holds the displaced occurrence or an input moved: a child re-ran, or
-    the layer below was drawn.  Draws are each evaluation's own, so in
-    sampled intermediate mode only the first layer stays cached.
+    Each layer runs its group template as a tree of two-input channels
+    (runner.run_template) over all of its groups at once, with the walker's
+    bits.  End to end the readout is linear in the input state x of any one
+    rotation, so one backward sweep gives all displaced readouts from the
+    derivative g there: p + g . (R(delta) x R(delta)^dagger - x).  Measured
+    after each layer, a displaced evaluation runs its group again, then the
+    layers above on its own draws when sampled.
     """
 
     def __init__(self, config: TrainConfig, pixel_rows, labels, base_key: int = 0):
@@ -221,7 +212,6 @@ class TrainingObjective:
         self.base_key = int(base_key)
         self._eval_ordinal = 0
         self.evals = 0
-        self._cache = None  # (params bytes, each group's undisplaced output per layer)
 
     @property
     def batch_size(self) -> int:
@@ -231,61 +221,83 @@ class TrainingObjective:
         rng = _derived_rng(self.config.seed, _TAG_SHOTS, self.base_key, *key)
         return rng.binomial(self.config.shots, np.clip(probs, 0.0, 1.0)) / self.config.shots
 
-    def _site(self, shift_occ):
-        """(layer index, group, template shift): occurrence `occ` of angle
-        (layer, j) is group `occ` of that conv layer, at its RX gate for j."""
-        layer, j, occ, delta = shift_occ
+    def _draw(self, probs, ordinals, layer) -> np.ndarray:
+        """Sampled mode: each evaluation's rows of probs, drawn on its key."""
+        if self.config.eval_mode is EvalMode.EXACT:
+            return probs
+        return np.concatenate([self._sample(p, o, layer) for p, o in zip(np.split(probs, len(ordinals)), ordinals)])
+
+    def _site(self, layer, j, occ) -> int:
+        """Index of the conv layer whose group `occ` holds angle (layer, j)."""
         li = next((i for i, spec in enumerate(self.layers) if spec.param_layer == layer), None)
         if li is None or j not in range(4) or occ not in range(len(self.layers[li].groups)):
             raise ValueError(f"the {self.arch.value} network has no occurrence {occ} of angle {(layer, j)}")
-        return li, occ, {group_plan("conv", layer).param_occurrences(layer, j)[0]: delta}
+        return li
+
+    def _walk(self, params, ordinals, site=None, tapes=None) -> np.ndarray:
+        """States (rows, 1, 2, 2) of the root.  Measured after each layer,
+        rows are shared until the evaluations part, at the first draw or at
+        the displaced layer, where site = (layer index, angle, occs, deltas)
+        runs each evaluation's group again with the angle moved."""
+        b, e = self.batch_size, len(ordinals)
+        rho = self.angles
+        for li, spec in enumerate(self.layers):
+            values, tpl, groups = rho, group_plan(spec.kind, spec.param_layer), np.array(spec.groups)
+            if li and self.config.measure_mode is MeasureMode.INTERMEDIATE:
+                outs = runner.readout_probs(rho)
+                if self.config.eval_mode is EvalMode.SAMPLED:
+                    outs = np.tile(outs, (e * b // len(outs), 1))
+                values = prob_to_angle(self._draw(outs, ordinals, li))
+            given = {"inputs" if values.ndim == 4 else "data": values[:, groups]}
+            rho = runner.run_template(tpl, params, tape=None if tapes is None else tapes[li], **given)
+            if site is not None and site[0] == li:
+                copies = np.arange(e) % (len(values) // b)
+                x = np.take_along_axis(values.reshape(-1, b, values.shape[1])[copies], groups[site[2]][:, None], axis=2)
+                rho = rho.reshape((-1, b) + rho.shape[1:])[copies]
+                rho[np.arange(e), :, site[2]] = runner.run_template(tpl, params, data=x, shift={site[1]: site[3][:, None]})
+                rho = rho.reshape((e * b,) + rho.shape[2:])
+        return rho
+
+    def _sweep(self, params):
+        """End to end: the root readouts (B,) and, from one backward sweep,
+        each kernel rotation's (input state, derivative of the root readout
+        there, gate), the first two (B, G, 2, 2) over its layer's groups."""
+        tapes, rots = [[] for _ in self.layers], {}
+        rho = self._walk(params, range(1), tapes=tapes)
+        g = np.broadcast_to(runner.UNITS[3], rho.shape)
+        for li, spec in reversed(list(enumerate(self.layers))):
+            order = np.argsort(np.ravel(spec.groups))
+            found, grads = runner.sweep_template(group_plan(spec.kind, spec.param_layer), tapes[li], g)
+            rots.update(found)
+            if li:  # the inputs' derivatives, back in the order of the layer below
+                g = np.stack([grads[w] for w in range(len(spec.groups[0]))], 2).reshape(len(rho), -1, 2, 2)[:, order]
+        return runner.readout_probs(rho)[:, 0], rots
+
+    def _evaluate(self, params, slot=None, sites=((0, 0.0),), swept=None) -> np.ndarray:
+        """Readouts (E, B) of E evaluations: undisplaced (slot None), or with
+        kernel angle `slot` moved by delta in group occ for each (occ, delta)
+        of sites.  swept: _sweep(params), shared across a jacobian's slots."""
+        ordinals = range(self._eval_ordinal, self._eval_ordinal + len(sites))
+        self._eval_ordinal += len(sites)
+        self.evals += len(sites) * self.batch_size
+        measured = self.config.measure_mode is MeasureMode.INTERMEDIATE
+        occ, delta = (np.array(a) for a in zip(*sites))
+        site = None if slot is None else (max(self._site(*slot, o) for o in occ), Angle.param(*slot), occ, delta)
+        if site is None or measured:
+            p = runner.readout_probs(self._walk(params, ordinals, site))[:, 0]
+        else:
+            root, rots = swept or self._sweep(params)
+            x, g, gate = rots[site[1]]
+            rot = (np.swapaxes(x[:, occ], 0, 1), np.swapaxes(g[:, occ], 0, 1), gate)
+            p = np.clip(root + runner.moved(rot, delta[:, None]), 0.0, 1.0)
+        return self._draw(p.reshape(-1, 1), ordinals, len(self.layers) if measured else 0).reshape(len(sites), -1)
 
     def p1(self, params: ModelParams, shift_occ=None) -> np.ndarray:
         """Readout probability per sample.  shift_occ = (layer, index, occ,
         delta) displaces occurrence `occ` of one trainable angle."""
-        ordinal = self._eval_ordinal
-        self._eval_ordinal += 1
-        self.evals += self.batch_size
-        sampled = self.config.eval_mode is EvalMode.SAMPLED
-        measured = self.config.measure_mode is MeasureMode.INTERMEDIATE
-        site = None if shift_occ is None else self._site(shift_occ)
-        key = params.vector().tobytes()
-        if self._cache is None or self._cache[0] != key:
-            self._cache = (key, [[None] * len(spec.groups) for spec in self.layers])
-        outs, moved = self.angles, set()
-        for li, spec in enumerate(self.layers):
-            tpl = group_plan(spec.kind, spec.param_layer)
-            below = prob_to_angle(outs) if measured and li else outs
-            cache, outs, ran = self._cache[1][li], [], set()
-            for g, grp in enumerate(spec.groups):
-                shift = site[2] if site is not None and site[:2] == (li, g) else None
-                clean = shift is None and moved.isdisjoint(grp)
-                if clean and cache[g] is not None:
-                    outs.append(cache[g])
-                    continue
-                if measured:
-                    out = run_plan_batch(tpl, below[:, grp], params, shift=shift)
-                else:
-                    if li:
-                        states = {w: below[c] for w, c in enumerate(grp)}
-                        sim = walk_plan(tpl, self.batch_size, None, params, lo=len(grp), inputs=states, shift=shift)
-                    else:
-                        sim = walk_plan(tpl, self.batch_size, below[:, grp], params, shift=shift)
-                    out = sim.prob_one(0) if li == len(self.layers) - 1 else sim.density(0)
-                if clean:
-                    cache[g] = out
-                else:
-                    ran.add(g)
-                outs.append(out)
-            if measured:
-                outs = np.stack(outs, axis=1)
-                if sampled:
-                    # the layers above read this evaluation's own draws
-                    outs, ran = self._sample(outs, ordinal, li + 1), set(range(len(spec.groups)))
-            moved = ran
-        if measured:
-            return outs[:, 0]
-        return self._sample(outs[0], ordinal, 0) if sampled else outs[0].copy()
+        if shift_occ is None:
+            return self._evaluate(params)[0]
+        return self._evaluate(params, tuple(shift_occ[:2]), [tuple(shift_occ[2:])])[0]
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
@@ -293,13 +305,11 @@ class TrainingObjective:
         angles, layer-major)."""
         slots = list(slots) if slots is not None else self.plan.param_slots()
         cols = np.zeros((self.batch_size, len(slots)))
+        swept = self._sweep(params) if self.config.measure_mode is MeasureMode.END_TO_END else None
         for c, (layer, j) in enumerate(slots):
-            n_occ = len(self.plan.param_occurrences(layer, j))
-            if not n_occ:
-                raise ValueError(f"the {self.arch.value} plan has no trainable angle {(layer, j)}")
-            for occ in range(n_occ):
-                up = self.p1(params, shift_occ=(layer, j, occ, +np.pi / 2))
-                dn = self.p1(params, shift_occ=(layer, j, occ, -np.pi / 2))
+            n_occ = len(self.layers[self._site(layer, j, 0)].groups)
+            p = self._evaluate(params, (layer, j), [(o, d) for o in range(n_occ) for d in (np.pi / 2, -np.pi / 2)], swept)
+            for up, dn in zip(p[0::2], p[1::2]):
                 cols[:, c] += 0.5 * (up - dn)
         return cols
 
@@ -368,10 +378,8 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
     curve = LossCurve()
     simultaneous = config.update_strategy is UpdateStrategy.SIMULTANEOUS
     slots = build_plan(config.arch)[0].param_slots()
-    if simultaneous:
-        slot_groups = [slots]
-    else:
-        slot_groups = [[s for s in slots if s[0] == layer] for layer in range(config.arch.conv_layer_count)]
+    by_layer = [[s for s in slots if s[0] == layer] for layer in range(config.arch.conv_layer_count)]
+    slot_groups = [slots] if simultaneous else by_layer
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -395,13 +403,14 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
 
 
 def evaluate(params: ModelParams, samples, config: TrainConfig, threshold: float = 0.5):
-    """MSE and accuracy of a parameter set over a sample list, exact mode;
-    an activated readout above `threshold` predicts label 1."""
+    """MSE and accuracy of a parameter set over a sample list from exact
+    readouts, whatever config.eval_mode says; an activated readout above
+    `threshold` predicts label 1."""
     _require_threshold(threshold)
     if not samples:
         raise ValueError("cannot evaluate an empty dataset")
     pixels, labels = _pixels_and_labels(samples)
-    obj = TrainingObjective(config, pixels, labels)
+    obj = TrainingObjective(replace(config, eval_mode=EvalMode.EXACT), pixels, labels)
     acts = activate(obj.p1(params))
     preds = (acts > threshold).astype(np.float64)
     return mse(acts, labels), float(np.mean(preds == labels))

@@ -120,12 +120,14 @@ def test_benchmark_tracer_installs_and_uninstalls():
     try:
         assert all(bindings()[key] is not fn for key, fn in before.items())
         # one sampled epoch measured after each layer reaches every traced
-        # training and engine function through the rebound names
+        # training function through the rebound names; training runs on
+        # compiled channels, so a direct run of the engine reaches the rest
         from qcnn.training import TrainConfig, train
 
         config = TrainConfig(arch="conv-pool-pool", epochs=1, batch_size=2, measure_mode="intermediate",
                              eval_mode="sampled", seed=3)
         train(config, initial=qcnn.ModelParams.from_flat(np.full(4, 0.3)))
+        modules["qcnn.runner"].run_plan_batch(qcnn.group_plan("pool"), np.full((2, 2), 0.3))
     finally:
         t.uninstall()
     assert bindings() == before

@@ -316,6 +316,20 @@ def test_featmap_halves_even_images(tmp_path, capsys):
     assert np.all((result >= 0) & (result <= 255))
 
 
+def test_featmap_bytes_match_recorded_digest(tmp_path):
+    # a seeded 64x48 image and kernel: the bytes `featmap` writes stay the
+    # same from version to version (every value lies at least 3.5e-4 of a
+    # grey level away from a rounding boundary)
+    rng = np.random.default_rng(48)
+    src, params, out = tmp_path / "in.pgm", tmp_path / "k.txt", tmp_path / "out.pgm"
+    write_pgm(src, rng.integers(0, 256, size=(48, 64)))
+    _write_params(params, rng.uniform(-np.pi, np.pi, 4))
+    assert entry(["featmap", "--in", str(src), "--params", str(params), "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1e72f24d65965f6ca90b514a95420abdcdd5da5428280d597a8432f51c314142"
+    )
+
+
 def test_featmap_constant_image_is_flat(tmp_path):
     src = tmp_path / "flat.pgm"
     write_pgm(src, np.full((4, 4), 170))
