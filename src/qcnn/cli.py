@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import VALID_SIDES, gen_dataset, load_dataset, save_dataset
 from .network import Architecture, ModelParams, conv_feature_map, load_params, save_params
 from .pgm import read_pgm, write_pgm
-from .training import TrainConfig, evaluate, save_curve, train
+from .training import EvalMode, GradMethod, MeasureMode, TrainConfig, UpdateStrategy, evaluate, save_curve, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,7 +60,7 @@ def _resolve_seed(flag_value, file_value):
 def _load_config_file(path) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
@@ -185,6 +185,10 @@ def cmd_featmap(args) -> int:
     return EXIT_OK
 
 
+def _values(enum_cls) -> list:
+    return [m.value for m in enum_cls]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcnn",
@@ -201,15 +205,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write params + loss curve")
     p.add_argument("--config", default=None, help="flat JSON config file; flags override it")
-    p.add_argument("--arch", choices=[a.value for a in Architecture], default=None)
+    p.add_argument("--arch", choices=_values(Architecture), default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch", type=int, default=None, help="samples per epoch")
     p.add_argument("--lr", type=float, default=None, help="learning rate")
     p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--grad", choices=["sigmoid", "shift", "combined"], default=None)
-    p.add_argument("--measure", choices=["end-to-end", "intermediate"], default=None)
-    p.add_argument("--update", choices=["simultaneous", "layer-wise"], default=None)
-    p.add_argument("--eval-mode", choices=["exact", "sampled"], default=None)
+    p.add_argument("--grad", choices=_values(GradMethod), default=None)
+    p.add_argument("--measure", choices=_values(MeasureMode), default=None)
+    p.add_argument("--update", choices=_values(UpdateStrategy), default=None)
+    p.add_argument("--eval-mode", choices=_values(EvalMode), default=None)
     p.add_argument("--init", choices=["uniform", "zeros"], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--data", default=None, help="fixed dataset CSV reused every epoch")
@@ -221,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="report MSE and accuracy of saved params on a dataset")
     p.add_argument("--params", required=True, help="params file, one angle per line")
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--measure", choices=["end-to-end", "intermediate"], default="end-to-end",
+    p.add_argument("--measure", choices=_values(MeasureMode), default=MeasureMode.END_TO_END.value,
                    help="circuit to score with; match the one the params were trained with")
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(fn=cmd_eval)

@@ -5,8 +5,8 @@ Every convolution layer applies one shared 2x2 kernel: four trainable RX
 angles (a00, a01, a10, a11 in window row-major order) followed by a fixed
 entangler, after which the window's first wire carries the window summary.
 Pooling merges summary pairs with a CFLIP_X and keeps the even-positioned
-wire.  Plans emit gates window by window so the batched engine can retire
-wires early; the readout always ends on wire 0.
+wire.  Plans compose the group templates window by window so the batched
+engine can retire wires early; the readout always ends on wire 0.
 """
 from __future__ import annotations
 
@@ -115,16 +115,29 @@ def layer_structure(arch: Architecture) -> tuple:
     return tuple(layers)
 
 
-def _emit_conv_block(gates, wires, param_layer):
-    a, b, c, d = wires
-    for k, w in enumerate(wires):
-        gates.append(GateOp(GateKind.RX, (w,), Angle.param(param_layer, k)))
-    for tgt, ctl in ((a, b), (c, d)):
-        gates.append(GateOp(GateKind.CFLIP_Z, (tgt, ctl)))
-        gates.append(GateOp(GateKind.CFLIP_Y, (tgt, ctl)))
-    gates.append(GateOp(GateKind.CFLIP_Z, (a, c)))
-    gates.append(GateOp(GateKind.CFLIP_Y, (a, c)))
-    return a
+_GROUP_PLAN_CACHE = {}
+
+
+def group_plan(kind: str, param_layer: int = None) -> CircuitPlan:
+    """Template plan for one group evaluated in isolation: data slots hold
+    the group's input angles, the group summary is read on wire 0.  The
+    only place that spells out a group's gates: build_plan composes these
+    templates, and the channel tree compiles them."""
+    key = (kind, param_layer)
+    if key in _GROUP_PLAN_CACHE:
+        return _GROUP_PLAN_CACHE[key]
+    n = {"conv": 4, "pool": 2}.get(kind)
+    if n is None:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    gates = [GateOp(GateKind.RY, (w,), Angle.data(w)) for w in range(n)]
+    if kind == "conv":
+        gates += [GateOp(GateKind.RX, (w,), Angle.param(param_layer, w)) for w in range(n)]
+        for pair in ((0, 1), (2, 3), (0, 2)):
+            gates += [GateOp(GateKind.CFLIP_Z, pair), GateOp(GateKind.CFLIP_Y, pair)]
+    else:
+        gates.append(GateOp(GateKind.CFLIP_X, (0, 1)))
+    _GROUP_PLAN_CACHE[key] = CircuitPlan(n, tuple(gates), 0)
+    return _GROUP_PLAN_CACHE[key]
 
 
 _PLAN_CACHE = {}
@@ -134,9 +147,11 @@ def build_plan(arch: Architecture):
     """The end-to-end circuit plan of an architecture and its group nodes
     (PlanNode tuple, post-order).
 
-    The plan is symbolic: pixel angles fill data slots (slot = wire = pixel
-    index) and kernel angles fill parameter slots, both resolved at run
-    time.
+    Each group is its group_plan template with the template's wires renamed
+    to the group's inputs.  A first-layer window keeps the template's RY
+    gates, reading the pixel wire's data slot (slot = wire = pixel index);
+    a group above drops them and takes its children's output wires.  Kernel
+    angles fill parameter slots, resolved at run time.
     """
     if arch in _PLAN_CACHE:
         return _PLAN_CACHE[arch]
@@ -147,51 +162,25 @@ def build_plan(arch: Architecture):
 
     def emit(level: int, group: int) -> int:
         spec = layers[level]
-        idxs = spec.groups[group]
-        if level == 0:
-            children = ()
-            wires = list(idxs)
-            lo = len(gates)
-            for w in wires:
-                gates.append(GateOp(GateKind.RY, (w,), Angle.data(w)))
-        else:
-            children = tuple(emit(level - 1, i) for i in idxs)
+        if level:
+            children = tuple(emit(level - 1, i) for i in spec.groups[group])
             wires = [nodes[c].wire for c in children]
-            lo = len(gates)
-        if spec.kind == "conv":
-            out = _emit_conv_block(gates, wires, spec.param_layer)
         else:
-            tgt, ctl = wires
-            gates.append(GateOp(GateKind.CFLIP_X, (tgt, ctl)))
-            out = tgt
-        nodes.append(PlanNode(level, lo, len(gates), children, out))
+            children, wires = (), list(spec.groups[group])
+        lo = len(gates)
+        tpl = group_plan(spec.kind, spec.param_layer)
+        for g in tpl.gates:
+            data = g.angle is not None and g.angle.source == "data"
+            if not (data and level):
+                angle = Angle.data(wires[g.angle.index]) if data else g.angle
+                gates.append(GateOp(g.kind, tuple(wires[w] for w in g.wires), angle))
+        nodes.append(PlanNode(level, lo, len(gates), children, wires[tpl.readout_wire]))
         return len(nodes) - 1
 
     root = emit(len(layers) - 1, 0)
     plan = CircuitPlan(arch.image_side ** 2, tuple(gates), nodes[root].wire)
     _PLAN_CACHE[arch] = (plan, tuple(nodes))
     return _PLAN_CACHE[arch]
-
-
-_GROUP_PLAN_CACHE = {}
-
-
-def group_plan(kind: str, param_layer: int = None) -> CircuitPlan:
-    """Template plan for one group evaluated in isolation: data slots hold
-    the group's input angles, the group summary is read on wire 0."""
-    key = (kind, param_layer)
-    if key in _GROUP_PLAN_CACHE:
-        return _GROUP_PLAN_CACHE[key]
-    n = {"conv": 4, "pool": 2}.get(kind)
-    if n is None:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    gates = [GateOp(GateKind.RY, (w,), Angle.data(w)) for w in range(n)]
-    if kind == "conv":
-        _emit_conv_block(gates, [0, 1, 2, 3], param_layer)
-    else:
-        gates.append(GateOp(GateKind.CFLIP_X, (0, 1)))
-    _GROUP_PLAN_CACHE[key] = CircuitPlan(n, tuple(gates), 0)
-    return _GROUP_PLAN_CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -253,11 +242,16 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    lines = [ln for ln in Path(path).read_text(encoding="ascii").splitlines() if ln.strip()]
     try:
-        vec = np.array([float(ln) for ln in lines])
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+        vec = np.array([float(ln) for ln in lines if ln.strip()])
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: parameter file must be ASCII text, byte {exc.start} is not") from None
     except ValueError:
         raise ValueError(f"{path}: parameter file must hold one angle per line") from None
+    for n, ln in enumerate(lines, 1):
+        if ln.strip() and not np.isfinite(float(ln)):
+            raise ValueError(f"{path}, line {n}: angle {ln.strip()} is not finite")
     if vec.size == 0 or vec.size % 4:
         raise ValueError(f"{path}: expected a multiple of 4 angles, got {vec.size}")
     return ModelParams.from_flat(vec)

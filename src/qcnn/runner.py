@@ -11,7 +11,7 @@ whole sample batch in single numpy calls.
 Group templates also run as trees of two-input channels: in a template,
 the gates on a wire pair end where its second wire retires, a (16, 4)
 transfer from products of the pair's matrix entries to the first wire's,
-computed once by walk_plan on wires seeded with matrix units.  Controlled
+compiled once from the product of the run's gate matrices.  Controlled
 flips are Clifford, so a transfer only moves, signs and pairwise adds
 products; with rotations as (U rho) U^dagger, a template gives the
 walker's bits.  A readout is linear in each wire's state, so one backward
@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from ._contract import apply_to_density, density_prob_one, trace_out
-from .gates import GateOp, gate_matrix
+from .gates import gate_matrix
 from .plans import CircuitPlan
 
 DEFAULT_WIDTH_CAP = 12
@@ -50,9 +50,10 @@ class _Factor:
 
 
 class FactorSim:
-    """Batched frontier state held as a product of independent factors.
-    Live width is the plan's business: walk_plan checks
-    CircuitPlan.peak_active_width() against the cap before the walk."""
+    """Batched frontier state held as a product of independent factors, the
+    state run_plan_batch walks a plan on.  Live width is the plan's
+    business: run_plan_batch checks CircuitPlan.peak_active_width() against
+    the cap before the walk."""
 
     def __init__(self, batch_size: int):
         self.batch = batch_size
@@ -60,13 +61,10 @@ class FactorSim:
         self._where: dict = {}  # wire -> factor
 
     def allocate(self, wire: int) -> None:
-        self.seed(wire, np.broadcast_to(UNITS[0], (self.batch, 2, 2)))
-
-    def seed(self, wire: int, rho) -> None:
-        """Make a wire live in a given (B, 2, 2) state, its own factor."""
+        """Make a wire live in |0>, its own factor."""
         if wire in self._where:
             raise ValueError(f"wire {wire} is already active")
-        f = _Factor([wire], rho)
+        f = _Factor([wire], np.broadcast_to(UNITS[0], (self.batch, 2, 2)))
         self._factors.append(f)
         self._where[wire] = f
 
@@ -115,43 +113,6 @@ class FactorSim:
         return density_prob_one(f.rho, pos, len(f.wires))
 
 
-def walk_plan(
-    plan: CircuitPlan,
-    batch: int,
-    data=None,
-    params=None,
-    *,
-    inputs: dict = None,
-    shift: dict = None,
-    width_cap: int = DEFAULT_WIDTH_CAP,
-) -> FactorSim:
-    """Apply the gates of a plan to a batch of `batch` rows and return the
-    resulting state.  inputs maps wires to their (B, 2, 2) states before
-    the first gate; every other wire enters in |0> at its first gate.
-    Wires retire at their last gate, so only the readout wire stays live.
-    shift maps gate positions to angle offsets.  A plan whose peak live
-    width exceeds width_cap raises FrontierWidthError before any gate runs.
-    """
-    if plan.peak_active_width() > width_cap:
-        raise FrontierWidthError(plan.peak_active_width(), width_cap)
-    sim = FactorSim(batch)
-    for w, rho in (inputs or {}).items():
-        sim.seed(w, rho)
-    for i, gate in enumerate(plan.gates):
-        for w in gate.wires:
-            if w not in sim._where:
-                sim.allocate(w)
-        angle = None
-        if gate.angle is not None:
-            angle = gate.angle.resolve(data, params)
-            if shift and i in shift:
-                angle = angle + shift[i]
-        sim.apply(gate, angle)
-        for w in plan.retire_schedule[i]:
-            sim.retire(w)
-    return sim
-
-
 def run_plan_batch(
     plan: CircuitPlan,
     data=None,
@@ -162,11 +123,14 @@ def run_plan_batch(
     width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> np.ndarray:
     """Readout-wire probability of 1 for a batch of data rows at shared
-    parameters, shape (B,): walk_plan over the whole plan.  data: (B,
-    n_data_slots) angle matrix, or None for plans without data slots (then
-    batch_size sets B, default 1).  shift maps gate positions to angle
-    offsets, which displaces one rotation occurrence without touching the
-    other occurrences of the same trainable angle."""
+    parameters, shape (B,).  data: (B, n_data_slots) angle matrix, or None
+    for plans without data slots (then batch_size sets B, default 1).
+    shift maps gate positions to angle offsets, which displaces one
+    rotation occurrence without touching the other occurrences of the same
+    trainable angle.  Each wire enters in |0> at its first gate and retires
+    at its last, so only the readout wire stays live; a plan whose peak
+    live width exceeds width_cap raises FrontierWidthError before any gate
+    runs."""
     if data is not None:
         data = np.asarray(data, dtype=np.float64)
         if data.ndim == 1:
@@ -180,7 +144,21 @@ def run_plan_batch(
         if plan.n_data_slots:
             raise ValueError("plan has data slots but no data was given")
         b = batch_size or 1
-    sim = walk_plan(plan, b, data, params, shift=shift, width_cap=width_cap)
+    if plan.peak_active_width() > width_cap:
+        raise FrontierWidthError(plan.peak_active_width(), width_cap)
+    sim = FactorSim(b)
+    for i, gate in enumerate(plan.gates):
+        for w in gate.wires:
+            if w not in sim._where:
+                sim.allocate(w)
+        angle = None
+        if gate.angle is not None:
+            angle = gate.angle.resolve(data, params)
+            if shift and i in shift:
+                angle = angle + shift[i]
+        sim.apply(gate, angle)
+        for w in plan.retire_schedule[i]:
+            sim.retire(w)
     return sim.prob_one(plan.readout_wire)
 
 
@@ -196,7 +174,8 @@ UNITS = np.eye(4, dtype=np.complex128).reshape(4, 2, 2)  # |a><b| at 2a + b; P(1
 @functools.lru_cache(maxsize=None)
 def template_steps(tpl: CircuitPlan) -> tuple:
     """A template as steps (wires, op): op is a rotation gate, or the (16, 4)
-    transfer of a wire pair (row 4m + n: input units m, n)."""
+    transfer of a wire pair (row 4m + n: input units m, n; column: the first
+    wire's output entry), from u, the product of the run's gate matrices."""
     steps, run = [], []
     for i, gate in enumerate(tpl.gates):
         if gate.kind.is_rotation:
@@ -206,9 +185,8 @@ def template_steps(tpl: CircuitPlan) -> tuple:
             raise ValueError("template does not factor into two-input channels")
         run.append(gate)
         if gate.wires[1] in tpl.retire_schedule[i]:
-            plan = CircuitPlan(2, tuple(GateOp(g.kind, (0, 1)) for g in run), 0)
-            sim = walk_plan(plan, 16, inputs={0: np.repeat(UNITS, 4, axis=0), 1: np.tile(UNITS, (4, 1, 1))})
-            steps.append((gate.wires, sim._where[0].rho.reshape(16, 4)))
+            u = functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)]).reshape(2, 2, 2, 2)
+            steps.append((gate.wires, np.einsum("pxac,qxbd->abcdpq", u, np.conj(u), order="C").reshape(16, 4)))
             run = []
     return tuple(steps)
 

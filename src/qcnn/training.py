@@ -227,6 +227,11 @@ class TrainingObjective:
             return probs
         return np.concatenate([self._sample(p, o, layer) for p, o in zip(np.split(probs, len(ordinals)), ordinals)])
 
+    def _check_params(self, params: ModelParams) -> None:
+        n = params.vector().size
+        if n != self.arch.n_params:
+            raise ValueError(f"{self.arch.value} takes {self.arch.n_params} angles, got {n}")
+
     def _site(self, layer, j, occ) -> int:
         """Index of the conv layer whose group `occ` holds angle (layer, j)."""
         li = next((i for i, spec in enumerate(self.layers) if spec.param_layer == layer), None)
@@ -295,6 +300,7 @@ class TrainingObjective:
     def p1(self, params: ModelParams, shift_occ=None) -> np.ndarray:
         """Readout probability per sample.  shift_occ = (layer, index, occ,
         delta) displaces occurrence `occ` of one trainable angle."""
+        self._check_params(params)
         if shift_occ is None:
             return self._evaluate(params)[0]
         return self._evaluate(params, tuple(shift_occ[:2]), [tuple(shift_occ[2:])])[0]
@@ -303,6 +309,7 @@ class TrainingObjective:
         """d p1 / d angle per sample, from two-point displacements summed
         over each angle's occurrences.  Columns follow `slots` (default: all
         angles, layer-major)."""
+        self._check_params(params)
         slots = list(slots) if slots is not None else self.plan.param_slots()
         cols = np.zeros((self.batch_size, len(slots)))
         swept = self._sweep(params) if self.config.measure_mode is MeasureMode.END_TO_END else None

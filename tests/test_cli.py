@@ -290,6 +290,27 @@ def test_eval_refuses_lenient_integers_and_non_ascii_data(tmp_path, capsys):
     assert f"{data}: line 2: non-ASCII byte 0xd9" in err and "codec" not in err
 
 
+def test_bad_params_and_config_files_name_the_path(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    entry(["gen", "--side", "2", "--count", "4", "--seed", "0", "--out", str(data)])
+    params = tmp_path / "p.txt"
+    for content, want in (
+        (b"0.1\nnan\n0.2\n0.3\n", f"{params}, line 2: angle nan is not finite"),
+        (b"0.1\n0.2\n0.3\n1e400\n", f"{params}, line 4: angle 1e400 is not finite"),
+        (b"0.1\n0.2\xff\n0.3\n0.4\n", f"{params}: parameter file must be ASCII text"),
+    ):
+        params.write_bytes(content)
+        capsys.readouterr()
+        assert entry(["eval", "--params", str(params), "--data", str(data)]) == EXIT_USAGE
+        assert want in capsys.readouterr().err
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b'{"arch": "conv"\xff}')
+    rc = entry(["train", "--config", str(cfg), "--params-out", str(tmp_path / "o.txt"),
+                "--curve-out", str(tmp_path / "c.csv")])
+    assert rc == EXIT_USAGE
+    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+
+
 def test_eval_rejects_param_count_mismatch(tmp_path, capsys):
     data = tmp_path / "d.csv"
     entry(["gen", "--side", "2", "--count", "4", "--seed", "0", "--out", str(data)])

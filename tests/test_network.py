@@ -1,6 +1,8 @@
 """Architecture plans: layer geometry, the frozen convolution gate sequence,
 parameter bookkeeping, closed-form readout oracles, and the feature map."""
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,13 @@ def test_conv_plan_gate_sequence_frozen():
     ]
     assert plan.readout_wire == 0
     assert nodes == (PlanNode(layer=0, lo=0, hi=14, children=(), wire=0),)
+    # the deeper plans and their nodes, whole: a changed gate, wire, angle
+    # slot or node span changes the digest
+    for arch, digest in (
+        (CPP, "c82ab368b4abb0f22cc198a0a162aa63a5dfb26a9d8161cf3de52e434a30f88f"),
+        (CPCP, "674d6ee40924f9b33ac0520c91b2af7979c153bf5b7ebccfb9d7c1a2a97e456b"),
+    ):
+        assert hashlib.sha256(repr(build_plan(arch)).encode()).hexdigest() == digest, arch
 
 
 def test_plan_sizes_and_peak_widths():
@@ -277,6 +286,14 @@ def test_params_file_rejections(tmp_path):
         load_params(path)
     path.write_text("\n")
     with pytest.raises(ValueError, match="multiple of 4"):
+        load_params(path)
+    # a non-finite angle names the file and its line; a non-ASCII byte the file
+    for text, line in (("1.0\nnan\n2.0\n3.0\n", 2), ("1.0\n2.0\n\n1e400\n3.0\n", 4)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: angle ") + ".* is not finite"):
+            load_params(path)
+    path.write_bytes(b"1.0\n2.0\xff\n3.0\n4.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: parameter file must be ASCII text")):
         load_params(path)
 
 

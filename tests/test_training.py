@@ -235,11 +235,11 @@ def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode
     ("intermediate", (27, 37, 96)),
 ])
 def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, counts):
-    # once the channels are compiled, a readout plus a full jacobian applies
-    # no gate through the engine, and it applies a fixed number of two-input
-    # channels, each to all rows of a layer at once, whatever the batch
-    # size.  End to end that is two forward passes: the readout's and the
-    # one the backward sweep reads.  Measured after each layer, each angle
+    # compiling the channels from gate-matrix products and then a readout
+    # plus a full jacobian apply no gate through the engine, and a fixed
+    # number of two-input channels, each to all rows of a layer at once,
+    # whatever the batch size.  End to end that is two forward passes: the
+    # readout's and the one the backward sweep reads.  Measured after each layer, each angle
     # runs every layer once more for all of its displaced evaluations, plus
     # the displaced groups themselves
     import qcnn.runner
@@ -253,10 +253,10 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
             for n in (1, 3):
                 obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode, eval_mode=eval_mode)
                 params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
-                obj.p1(params)  # compiles the channels on first use
+                qcnn.runner.template_steps.cache_clear()
                 gates.clear()
                 pairs.clear()
-                obj.p1(params)
+                obj.p1(params)  # compiles the channels on first use
                 obj.jacobian(params)
                 assert (len(gates), len(pairs)) == (0, want), (eval_mode, arch, n)
 
@@ -620,6 +620,32 @@ def test_evaluate_outputs():
     assert 0.0 <= m <= 1.0 and 0.0 <= acc <= 1.0
     with pytest.raises(ValueError):
         evaluate(ModelParams((np.zeros(4),)), [], config)
+
+
+def test_train_refuses_initial_params_of_another_architecture():
+    # too few angles for the deep network, too many for the single window
+    cases = (("conv-pool-conv-pool", 4, "conv-pool-conv-pool takes 8 angles, got 4"),
+             ("conv", 8, "conv takes 4 angles, got 8"))
+    for arch, n, message in cases:
+        config = TrainConfig(arch=arch, epochs=1, batch_size=3)
+        with pytest.raises(ValueError, match=message):
+            train(config, initial=ModelParams.from_flat(np.full(n, 0.3)))
+
+
+def test_objective_refuses_params_of_another_architecture():
+    obj, _ = _objective("conv", n=3)
+    params = ModelParams.from_flat(np.full(8, 0.3))
+    for call in (obj.p1, obj.jacobian):
+        with pytest.raises(ValueError, match="conv takes 4 angles, got 8"):
+            call(params)
+    assert obj.evals == 0
+
+
+def test_evaluate_refuses_params_of_another_architecture():
+    # eight angles are not scored with the first four
+    samples = gen_dataset(5, 2, seed=37)
+    with pytest.raises(ValueError, match="conv takes 4 angles, got 8"):
+        evaluate(ModelParams.from_flat(np.full(8, 0.3)), samples, TrainConfig(arch="conv"))
 
 
 def test_evaluate_scores_exact_readouts_whatever_the_eval_mode():
