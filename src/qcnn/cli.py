@@ -15,26 +15,24 @@ import numbers
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import VALID_SIDES, gen_dataset, load_dataset, save_dataset
-from .network import Architecture, ModelParams, conv_feature_map, load_params, save_params
+from .network import Architecture, InitScheme, ModelParams, conv_feature_map, load_params, save_params
 from .pgm import read_pgm, write_pgm
 from .training import EvalMode, GradMethod, MeasureMode, TrainConfig, UpdateStrategy, evaluate, save_curve, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 
-_ARCH_BY_SIDE = {2: Architecture.CONV, 4: Architecture.CONV_POOL_POOL, 8: Architecture.CONV_POOL_CONV_POOL}
+_ARCH_BY_SIDE = {arch.image_side: arch for arch in Architecture}
 
-# TrainConfig fields a config file may set, plus run plumbing.
-_CONFIG_KEYS = (
-    "arch", "epochs", "batch_size", "learning_rate", "shots", "grad_method",
-    "measure_mode", "update_strategy", "eval_mode", "init_scheme", "seed",
-    "data", "params_out", "curve_out",
-)
+# run plumbing a config file may set beside the TrainConfig fields, and its defaults
+_PATH_DEFAULTS = {"data": None, "params_out": "params.txt", "curve_out": "curve.csv"}
+_CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig)) + tuple(_PATH_DEFAULTS)
 
 
 class CliError(Exception):
@@ -88,36 +86,27 @@ def cmd_gen(args) -> int:
 
 
 def _merged_train_settings(args) -> tuple:
+    """(TrainConfig, data path, params path, curve path): flags that were
+    given override config-file values, which override the defaults."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-    flags = dict(arch=args.arch, epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr, shots=args.shots,
-                 grad_method=args.grad, measure_mode=args.measure, update_strategy=args.update,
-                 eval_mode=args.eval_mode, init_scheme=args.init)
-    merged = {}
-    for key, value in file_cfg.items():
-        if key in ("data", "params_out", "curve_out"):
-            if not isinstance(value, str):
-                raise CliError(f"config key '{key}' must be a path string, got {value!r}")
-            continue
-        if key != "seed":
-            merged[key] = value
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
+    for key in _PATH_DEFAULTS:
+        if key in file_cfg and not isinstance(file_cfg[key], str):
+            raise CliError(f"config key '{key}' must be a path string, got {file_cfg[key]!r}")
+    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS and value is not None}
+    merged = {**_PATH_DEFAULTS, **file_cfg, **flags}
     merged["seed"] = _resolve_seed(args.seed, file_cfg.get("seed"))
-    if "arch" not in merged or merged["arch"] is None:
+    paths = [merged.pop(key) for key in _PATH_DEFAULTS]
+    if merged.get("arch") is None:
         raise CliError("an architecture is required (--arch or config file)")
     lr = merged.get("learning_rate")
     if isinstance(lr, numbers.Real) and not isinstance(lr, bool) and lr <= 0:
-        raise CliError(f"--lr must be positive, got {lr}")
-
-    data_path = args.data if args.data is not None else file_cfg.get("data")
-    params_out = args.params_out if args.params_out is not None else file_cfg.get("params_out", "params.txt")
-    curve_out = args.curve_out if args.curve_out is not None else file_cfg.get("curve_out", "curve.csv")
+        source = "--lr" if "learning_rate" in flags else "config key 'learning_rate'"
+        raise CliError(f"{source} must be positive, got {lr}")
     try:
         config = TrainConfig(**merged)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc)) from exc
-    return config, data_path, params_out, curve_out
+    return (config, *paths)
 
 
 def cmd_train(args) -> int:
@@ -128,8 +117,6 @@ def cmd_train(args) -> int:
     dataset = None
     if data_path is not None:
         dataset = load_dataset(data_path)
-        if not dataset:
-            raise CliError(f"{data_path}: dataset is empty")
         if dataset[0].side != config.arch.image_side:
             raise CliError(
                 f"{data_path} holds {dataset[0].side}x{dataset[0].side} images but "
@@ -152,8 +139,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     samples = load_dataset(args.data)
-    if not samples:
-        raise CliError(f"{args.data}: dataset is empty")
     side = samples[0].side
     arch = _ARCH_BY_SIDE[side]
     vector = load_params(args.params).vector()
@@ -204,21 +189,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a model and write params + loss curve")
-    p.add_argument("--config", default=None, help="flat JSON config file; flags override it")
-    p.add_argument("--arch", choices=_values(Architecture), default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None, help="samples per epoch")
-    p.add_argument("--lr", type=float, default=None, help="learning rate")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--grad", choices=_values(GradMethod), default=None)
-    p.add_argument("--measure", choices=_values(MeasureMode), default=None)
-    p.add_argument("--update", choices=_values(UpdateStrategy), default=None)
-    p.add_argument("--eval-mode", choices=_values(EvalMode), default=None)
-    p.add_argument("--init", choices=["uniform", "zeros"], default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--data", default=None, help="fixed dataset CSV reused every epoch")
-    p.add_argument("--params-out", default=None)
-    p.add_argument("--curve-out", default=None)
+    p.add_argument("--config", help="flat JSON config file; flags override it")
+    # each dest is the TrainConfig field or config key the flag sets
+    p.add_argument("--arch", choices=_values(Architecture))
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", dest="batch_size", type=int, help="samples per epoch")
+    p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
+    p.add_argument("--shots", type=int)
+    p.add_argument("--grad", dest="grad_method", choices=_values(GradMethod))
+    p.add_argument("--measure", dest="measure_mode", choices=_values(MeasureMode))
+    p.add_argument("--update", dest="update_strategy", choices=_values(UpdateStrategy))
+    p.add_argument("--eval-mode", choices=_values(EvalMode))
+    p.add_argument("--init", dest="init_scheme", choices=_values(InitScheme))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--data", help="fixed dataset CSV reused every epoch")
+    p.add_argument("--params-out")
+    p.add_argument("--curve-out")
     p.add_argument("--progress", action="store_true", help="log one line per epoch to stderr")
     p.set_defaults(fn=cmd_train)
 

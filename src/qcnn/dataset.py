@@ -90,7 +90,8 @@ def save_dataset(samples, path) -> None:
 
 def load_dataset(path) -> list:
     """Read a dataset CSV back, validating shape, ranges and the header.
-    Values are plain decimal integers in an ASCII file."""
+    Values are plain decimal integers in an ASCII file, and at least one
+    row follows the header."""
     raw = Path(path).read_bytes()
     try:
         lines = raw.decode("ascii").splitlines()
@@ -123,4 +124,6 @@ def load_dataset(path) -> list:
         if min(pixels) < 0 or max(pixels) > 255:
             raise DatasetFormatError(f"{path}: line {ln}: pixel out of range 0..255")
         samples.append(LabeledImage(side, np.array(pixels, dtype=np.int64), label))
+    if not samples:
+        raise DatasetFormatError(f"{path}: dataset is empty")
     return samples

@@ -24,6 +24,18 @@ from .runner import readout_probs, run_template
 from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
 
 
+def _enum_from(enum_cls, value, what):
+    """The member of enum_cls that is or has `value`; the one parser of a
+    named choice, whether it comes from the API, a flag or a config file."""
+    if isinstance(value, enum_cls):
+        return value
+    for member in enum_cls:
+        if member.value == value:
+            return member
+    valid = ", ".join(m.value for m in enum_cls)
+    raise ValueError(f"unknown {what} {value!r}; choose one of: {valid}")
+
+
 class Architecture(Enum):
     CONV = "conv"
     CONV_POOL_POOL = "conv-pool-pool"
@@ -31,11 +43,7 @@ class Architecture(Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "Architecture":
-        for arch in cls:
-            if arch.value == name:
-                return arch
-        valid = ", ".join(a.value for a in cls)
-        raise ValueError(f"unknown architecture {name!r}; choose one of: {valid}")
+        return _enum_from(cls, name, "architecture")
 
     @property
     def image_side(self) -> int:
@@ -53,6 +61,11 @@ class Architecture(Enum):
     @property
     def n_params(self) -> int:
         return 4 * self.conv_layer_count
+
+
+class InitScheme(Enum):
+    UNIFORM = "uniform"
+    ZEROS = "zeros"
 
 
 @dataclass(frozen=True)
@@ -83,35 +96,19 @@ class PlanNode:
 def layer_structure(arch: Architecture) -> tuple:
     side = arch.image_side
     layers = []
-    conv_ordinal = 0
     n_values = side * side
     for kind in arch.layer_kinds:
-        if kind == "conv":
-            if conv_ordinal == 0:
-                # spatial 2x2 windows, stride 2, over the row-major pixel grid
-                groups = []
-                for wr in range(side // 2):
-                    for wc in range(side // 2):
-                        r, c = 2 * wr, 2 * wc
-                        groups.append(
-                            (r * side + c, r * side + c + 1, (r + 1) * side + c, (r + 1) * side + c + 1)
-                        )
-            else:
-                if n_values % 4:
-                    raise ValueError(f"cannot group {n_values} values into 2x2 kernels")
-                groups = [tuple(range(i, i + 4)) for i in range(0, n_values, 4)]
-            layers.append(LayerSpec("conv", tuple(groups), conv_ordinal))
-            conv_ordinal += 1
-        elif kind == "pool":
-            if n_values % 2:
-                raise ValueError(f"cannot pair {n_values} values for pooling")
-            groups = [(i, i + 1) for i in range(0, n_values, 2)]
-            layers.append(LayerSpec("pool", tuple(groups)))
+        if kind == "pool":
+            groups, param_layer = tuple((i, i + 1) for i in range(0, n_values, 2)), None
+        elif not layers:
+            # spatial 2x2 windows, stride 2, over the row-major pixel grid
+            corners = [2 * wr * side + 2 * wc for wr in range(side // 2) for wc in range(side // 2)]
+            groups, param_layer = tuple((c, c + 1, c + side, c + side + 1) for c in corners), 0
         else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        n_values = len(layers[-1].groups)
-    if n_values != 1:
-        raise ValueError(f"{arch.value} does not reduce to a single readout value")
+            groups = tuple(tuple(range(i, i + 4)) for i in range(0, n_values, 4))
+            param_layer = sum(layer.kind == "conv" for layer in layers)
+        layers.append(LayerSpec(kind, groups, param_layer))
+        n_values = len(groups)
     return tuple(layers)
 
 
@@ -224,15 +221,13 @@ class ModelParams:
         return cls(tuple(vec[i : i + 4] for i in range(0, vec.size, 4)))
 
 
-def init_params(arch: Architecture, seed: int, scheme: str = "uniform") -> ModelParams:
-    """Fresh kernel angles: 'uniform' draws each from [0, pi), 'zeros'
-    starts every angle at 0."""
-    if scheme == "zeros":
+def init_params(arch: Architecture, seed: int, scheme=InitScheme.UNIFORM) -> ModelParams:
+    """Fresh kernel angles; scheme is an InitScheme or its value.  'uniform'
+    draws each angle from [0, pi), 'zeros' starts every angle at 0."""
+    if _enum_from(InitScheme, scheme, "init scheme") is InitScheme.ZEROS:
         return ModelParams(tuple(np.zeros(4) for _ in range(arch.conv_layer_count)))
-    if scheme == "uniform":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        return ModelParams(tuple(rng.uniform(0.0, np.pi, 4) for _ in range(arch.conv_layer_count)))
-    raise ValueError(f"unknown init scheme {scheme!r}; choose 'uniform' or 'zeros'")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return ModelParams(tuple(rng.uniform(0.0, np.pi, 4) for _ in range(arch.conv_layer_count)))
 
 
 def save_params(params: ModelParams, path) -> None:

@@ -21,6 +21,7 @@ import numbers
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from ._io import write_text_atomic
 from .dataset import gen_dataset
 from .encoding import pixel_to_angle, prob_to_angle
 from .gates import Angle
-from .network import Architecture, ModelParams, build_plan, group_plan, init_params, layer_structure
+from .network import (
+    Architecture, InitScheme, ModelParams, _enum_from, build_plan, group_plan, init_params, layer_structure,
+)
 from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
 
 _TAG_INIT = 101
@@ -58,16 +61,6 @@ class EvalMode(Enum):
     SAMPLED = "sampled"
 
 
-def _enum_from(enum_cls, value, what):
-    if isinstance(value, enum_cls):
-        return value
-    for member in enum_cls:
-        if member.value == value:
-            return member
-    valid = ", ".join(m.value for m in enum_cls)
-    raise ValueError(f"unknown {what} {value!r}; choose one of: {valid}")
-
-
 @dataclass
 class TrainConfig:
     arch: Architecture
@@ -79,15 +72,12 @@ class TrainConfig:
     measure_mode: MeasureMode = MeasureMode.END_TO_END
     update_strategy: UpdateStrategy = UpdateStrategy.SIMULTANEOUS
     eval_mode: EvalMode = EvalMode.EXACT
-    init_scheme: str = "uniform"
+    init_scheme: InitScheme = InitScheme.UNIFORM
     seed: int = 0
 
     def __post_init__(self):
-        self.arch = _enum_from(Architecture, self.arch, "arch")
-        self.grad_method = _enum_from(GradMethod, self.grad_method, "gradient method")
-        self.measure_mode = _enum_from(MeasureMode, self.measure_mode, "measure mode")
-        self.update_strategy = _enum_from(UpdateStrategy, self.update_strategy, "update strategy")
-        self.eval_mode = _enum_from(EvalMode, self.eval_mode, "eval mode")
+        for name, enum_cls in _CHOICES.items():
+            setattr(self, name, _enum_from(enum_cls, getattr(self, name), name))
         for name in ("epochs", "batch_size", "shots", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -103,11 +93,13 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative and finite")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.init_scheme not in ("uniform", "zeros"):
-            raise ValueError(f"unknown init scheme {self.init_scheme!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.seed = int(self.seed)
+
+
+# the TrainConfig fields that name a choice, and the enum of each
+_CHOICES = {name: kind for name, kind in get_type_hints(TrainConfig).items() if issubclass(kind, Enum)}
 
 
 @dataclass

@@ -1,12 +1,16 @@
 """End-to-end command-line checks: exit codes, output files, seed
 precedence, and byte-level reproducibility."""
+import argparse
+import dataclasses
+import enum
 import hashlib
 import json
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from qcnn.cli import EXIT_OK, EXIT_USAGE, entry
+from qcnn.cli import EXIT_OK, EXIT_USAGE, _build_parser, entry
 from qcnn.dataset import load_dataset
 from qcnn.network import Architecture, ModelParams
 from qcnn.pgm import read_pgm, write_pgm
@@ -435,7 +439,33 @@ def test_train_config_rejects_wrongly_typed_values(tmp_path, capsys):
         assert f"{key}" in err and "Traceback" not in err, err
     cfg.write_text(json.dumps({"arch": "conv", "learning_rate": 0}))
     assert entry(["train", "--config", str(cfg)]) == EXIT_USAGE
-    assert "--lr must be positive" in capsys.readouterr().err
+    assert "config key 'learning_rate' must be positive, got 0" in capsys.readouterr().err
+
+
+def test_every_train_setting_has_one_flag_and_one_config_key(tmp_path, capsys):
+    # a train flag sets a TrainConfig field or a path; every field has a
+    # flag and a config key; and a bad choice lists the valid values
+    settings = {f.name for f in dataclasses.fields(TrainConfig)}
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices["train"]._actions} - {"help"}
+    assert dests <= settings | {"data", "params_out", "curve_out", "config", "progress"}
+    assert settings <= dests
+
+    outs = {"params_out": str(tmp_path / "p.txt"), "curve_out": str(tmp_path / "c.csv")}
+    doc = {f: getattr(v, "value", v) for f, v in vars(TrainConfig(arch="conv", epochs=1, batch_size=2)).items()}
+    assert doc.keys() == settings
+    cfg = tmp_path / "all.json"
+    cfg.write_text(json.dumps({**doc, **outs}))
+    assert entry(["train", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+
+    choices = {f: t for f, t in get_type_hints(TrainConfig).items() if issubclass(t, enum.Enum)}
+    assert len(choices) == 6
+    for key, enum_cls in choices.items():
+        cfg.write_text(json.dumps({**doc, **outs, key: 3}))
+        assert entry(["train", "--config", str(cfg)]) == EXIT_USAGE, key
+        err = capsys.readouterr().err
+        assert "choose one of: " + ", ".join(m.value for m in enum_cls) in err, err
 
 
 def test_train_refuses_data_shorter_than_batch(tmp_path, capsys):

@@ -119,6 +119,10 @@ def test_load_rejects_bad_rows(tmp_path):
     p = _write(tmp_path, head + "0,0,0,256,0\n")
     with pytest.raises(DatasetFormatError, match="0..255"):
         load_dataset(p)
+    for text in (head, head + "\n\n"):
+        p = _write(tmp_path, text)
+        with pytest.raises(DatasetFormatError, match=r"bad\.csv: dataset is empty"):
+            load_dataset(p)
 
 
 def test_load_reads_plain_decimal_integers_only(tmp_path):
