@@ -10,6 +10,7 @@ engine can retire wires early; the readout always ends on wire 0.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -112,17 +113,12 @@ def layer_structure(arch: Architecture) -> tuple:
     return tuple(layers)
 
 
-_GROUP_PLAN_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def group_plan(kind: str, param_layer: int = None) -> CircuitPlan:
     """Template plan for one group evaluated in isolation: data slots hold
     the group's input angles, the group summary is read on wire 0.  The
     only place that spells out a group's gates: build_plan composes these
     templates, and the channel tree compiles them."""
-    key = (kind, param_layer)
-    if key in _GROUP_PLAN_CACHE:
-        return _GROUP_PLAN_CACHE[key]
     n = {"conv": 4, "pool": 2}.get(kind)
     if n is None:
         raise ValueError(f"unknown layer kind {kind!r}")
@@ -133,13 +129,10 @@ def group_plan(kind: str, param_layer: int = None) -> CircuitPlan:
             gates += [GateOp(GateKind.CFLIP_Z, pair), GateOp(GateKind.CFLIP_Y, pair)]
     else:
         gates.append(GateOp(GateKind.CFLIP_X, (0, 1)))
-    _GROUP_PLAN_CACHE[key] = CircuitPlan(n, tuple(gates), 0)
-    return _GROUP_PLAN_CACHE[key]
+    return CircuitPlan(n, tuple(gates), 0)
 
 
-_PLAN_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def build_plan(arch: Architecture):
     """The end-to-end circuit plan of an architecture and its group nodes
     (PlanNode tuple, post-order).
@@ -150,9 +143,6 @@ def build_plan(arch: Architecture):
     a group above drops them and takes its children's output wires.  Kernel
     angles fill parameter slots, resolved at run time.
     """
-    if arch in _PLAN_CACHE:
-        return _PLAN_CACHE[arch]
-
     layers = layer_structure(arch)
     gates = []
     nodes = []
@@ -176,8 +166,7 @@ def build_plan(arch: Architecture):
 
     root = emit(len(layers) - 1, 0)
     plan = CircuitPlan(arch.image_side ** 2, tuple(gates), nodes[root].wire)
-    _PLAN_CACHE[arch] = (plan, tuple(nodes))
-    return _PLAN_CACHE[arch]
+    return plan, tuple(nodes)
 
 
 @dataclass(frozen=True)

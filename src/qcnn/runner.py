@@ -8,14 +8,13 @@ merge only when a two-wire gate spans groups, which for the convolution
 plans keeps every factor at kernel size.  A leading batch axis evaluates a
 whole sample batch in single numpy calls.
 
-Group templates also run as trees of two-input channels: in a template,
-the gates on a wire pair end where its second wire retires, a (16, 4)
-transfer from products of the pair's matrix entries to the first wire's,
-compiled once from the product of the run's gate matrices.  Controlled
-flips are Clifford, so a transfer only moves, signs and pairwise adds
-products; with rotations as (U rho) U^dagger, a template gives the
-walker's bits.  A readout is linear in each wire's state, so one backward
-sweep gives its derivative with respect to all of them.
+Group templates also run as trees of two-input channels on Bloch vectors
+(x, y, z), the state (I + x X + y Y + z Z) / 2 of one wire.  A rotation
+turns two components.  The controlled flips on a wire pair are Clifford,
+so each output component is one signed product of input components, a
+table compiled once from the run's gate matrices.  A readout is linear in
+each wire's state, so one backward sweep gives its derivative with
+respect to all of them.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ import functools
 import numpy as np
 
 from ._contract import apply_to_density, density_prob_one, trace_out
-from .gates import gate_matrix
+from .gates import GateKind, gate_matrix
 from .plans import CircuitPlan
 
 DEFAULT_WIDTH_CAP = 12
@@ -64,7 +63,7 @@ class FactorSim:
         """Make a wire live in |0>, its own factor."""
         if wire in self._where:
             raise ValueError(f"wire {wire} is already active")
-        f = _Factor([wire], np.broadcast_to(UNITS[0], (self.batch, 2, 2)))
+        f = _Factor([wire], np.broadcast_to(np.diag([1.0 + 0j, 0.0]), (self.batch, 2, 2)))
         self._factors.append(f)
         self._where[wire] = f
 
@@ -168,14 +167,25 @@ def run_plan(plan: CircuitPlan, data=None, params=None, **kw) -> float:
     return float(run_plan_batch(plan, data, params, batch_size=1, **kw)[0])
 
 
-UNITS = np.eye(4, dtype=np.complex128).reshape(4, 2, 2)  # |a><b| at 2a + b; P(1) = Re <UNITS[3], rho>
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # I, X, Y, Z
+_PRODUCTS = np.einsum("iab,jcd->ijacbd", _PAULIS, _PAULIS).reshape(4, 4, 4, 4)  # [i, j] = P_i x P_j
+
+
+def _pair_table(u) -> tuple:
+    """Rows (sign, i, j) of the first wire's x, y, z after a pair run u:
+    u^dagger (P_k x I) u = sign P_i x P_j exactly, so on independent wires
+    a, b component k is sign a_i b_j, where P_0 = I and a_0 = b_0 = 1."""
+    h = np.conj(u.T) @ _PRODUCTS[1:, 0] @ u  # k = 1, 2, 3
+    found = np.argwhere((h[:, None, None, None] == np.stack([_PRODUCTS, -_PRODUCTS])).all(axis=(-2, -1)))
+    if list(found[:, 0]) != [0, 1, 2]:  # rows (k - 1, sign index, i, j)
+        raise ValueError("pair run does not map each of X, Y and Z to one signed Pauli product")
+    return tuple(((1, -1)[s], int(i), int(j)) for _, s, i, j in found)
 
 
 @functools.lru_cache(maxsize=None)
 def template_steps(tpl: CircuitPlan) -> tuple:
-    """A template as steps (wires, op): op is a rotation gate, or the (16, 4)
-    transfer of a wire pair (row 4m + n: input units m, n; column: the first
-    wire's output entry), from u, the product of the run's gate matrices."""
+    """A template as steps (wires, op): op is a rotation gate, or the table
+    (_pair_table) of a wire pair's run, from the product of its gate matrices."""
     steps, run = [], []
     for i, gate in enumerate(tpl.gates):
         if gate.kind.is_rotation:
@@ -185,82 +195,76 @@ def template_steps(tpl: CircuitPlan) -> tuple:
             raise ValueError("template does not factor into two-input channels")
         run.append(gate)
         if gate.wires[1] in tpl.retire_schedule[i]:
-            u = functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)]).reshape(2, 2, 2, 2)
-            steps.append((gate.wires, np.einsum("pxac,qxbd->abcdpq", u, np.conj(u), order="C").reshape(16, 4)))
+            steps.append((gate.wires, _pair_table(functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)]))))
             run = []
     return tuple(steps)
 
 
-def _dot(a, b) -> np.ndarray:
-    """Sum of a * b over the last axis, left to right, so that a row's bits
-    do not depend on how many rows there are."""
-    return sum((a[..., i] * b[..., i] for i in range(1, a.shape[-1])), a[..., 0] * b[..., 0])
+def rotate(v, kind, theta) -> np.ndarray:
+    """Bloch vectors v (..., 3) turned by theta (broadcast against v's rows)
+    as an RX or RY gate turns them; v None is |0>, (0, 0, 1)."""
+    c, s = np.cos(theta), np.sin(theta)
+    if v is None:
+        return np.stack([s, np.zeros_like(c), c] if kind is GateKind.RY else [np.zeros_like(c), -s, c], axis=-1)
+    x, y, z = np.moveaxis(v, -1, 0)
+    if kind is GateKind.RY:
+        return np.stack([c * x + s * z, y, c * z - s * x], axis=-1)
+    return np.stack([x, c * y - s * z, c * z + s * y], axis=-1)
 
 
-def _mm(a, b) -> np.ndarray:
-    """2x2 matrix products over leading axes, each entry a two-term sum."""
-    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+def _part(v, i):
+    """Component i of (1, x, y, z) for Bloch vectors v (..., 3)."""
+    return v[..., i - 1] if i else 1.0
 
 
-def rotate(rho, u) -> np.ndarray:
-    """u rho u^dagger as (u rho) u^dagger; rho None is |0><0|."""
-    if rho is None:
-        return u[..., :, :1] * np.conj(u[..., None, :, 0])
-    return _mm(_mm(u, rho), np.conj(np.swapaxes(u, -1, -2)))
-
-
-def pair_channel(t, a, b) -> np.ndarray:
-    """Transfer t on density matrices a, b (..., 2, 2).  Each output entry
-    adds at most two products a_i b_j, each times +-1 or +-i: no rounding
-    but the one addition, and no BLAS buffers."""
-    a, b = a.reshape(a.shape[:-2] + (4,)), b.reshape(b.shape[:-2] + (4,))
-    rows = np.argsort(t == 0, axis=0, kind="stable")[:2]  # each column's nonzero rows first
-    out = [sum(t[m, k] * (a[..., m // 4] * b[..., m % 4]) for m in rows[:, k]) for k in range(4)]
-    return np.stack(out, axis=-1).reshape(out[0].shape + (2, 2))
+def pair_channel(table, a, b) -> np.ndarray:
+    """A pair run's table on Bloch vectors a, b (..., 3), one product a row."""
+    return np.stack([sign * _part(a, i) * _part(b, j) for sign, i, j in table], axis=-1)
 
 
 def run_template(tpl: CircuitPlan, params, data=None, inputs=None, shift=None, tape=None) -> np.ndarray:
-    """Readout-wire density matrices (..., 2, 2) of a template.  Wires start
-    in |0> and data slots read `data` (..., n_data); or `inputs` (..., k, 2,
-    2) holds the states of wires 0..k-1 in place of the data rotations.
+    """Readout-wire Bloch vectors (..., 3) of a template.  Wires start in
+    |0> and data slots read `data` (..., n_data); or `inputs` (..., k, 3)
+    holds the states of wires 0..k-1 in place of the data rotations.
     shift maps parameter angles to offsets that broadcast against the
     rows; `tape` collects what sweep_template() reads."""
-    rho = {} if inputs is None else dict(enumerate(np.moveaxis(inputs, -3, 0)))
+    state = {} if inputs is None else dict(enumerate(np.moveaxis(inputs, -2, 0)))
     for wires, op in template_steps(tpl):
         w = wires[0]
-        if isinstance(op, np.ndarray):
-            saved = (rho[w], rho.pop(wires[1]))
-            rho[w] = pair_channel(op, *saved)
+        if isinstance(op, tuple):
+            saved = (state[w], state.pop(wires[1]))
+            state[w] = pair_channel(op, *saved)
         elif op.angle.source == "data":
             if inputs is None:
-                rho[w] = rotate(rho.get(w), gate_matrix(op, op.angle.resolve(data, params)))
+                state[w] = rotate(state.get(w), op.kind, op.angle.resolve(data, params))
             continue
         else:
-            saved = (rho.get(w), gate_matrix(op, op.angle.resolve(data, params) + (shift or {}).get(op.angle, 0.0)))
-            rho[w] = rotate(*saved)
+            saved = (state.get(w), op.angle.resolve(data, params) + (shift or {}).get(op.angle, 0.0))
+            state[w] = rotate(saved[0], op.kind, saved[1])
         if tape is not None:
             tape.append((wires, op, saved))
-    return rho[tpl.readout_wire]
+    return state[tpl.readout_wire]
 
 
 def sweep_template(tpl: CircuitPlan, tape, g) -> tuple:
     """Backward pass that consumes the tape of run_template(tpl, ...), from
-    g (..., 2, 2), the derivative Re <g, d rho> of a scalar at the readout
-    wire.  Returns the rotations' {angle source: (input state, derivative
-    there, gate)} and the inputs' {wire: derivative}."""
+    g (..., 3), the derivative of a scalar with respect to the readout
+    wire's Bloch vector.  Returns the rotations' {angle source: (input
+    state, derivative there, gate)} and the inputs' {wire: derivative}."""
     grads, rots = {tpl.readout_wire: g}, {}
     while tape:  # consumed, so each step's states are freed once used
         wires, op, saved = tape.pop()
         w = wires[0]
-        if isinstance(op, np.ndarray):
-            a, b = (s.reshape(s.shape[:-2] + (4,)) for s in saved)
-            gout, ga, gb = grads[w].reshape(a.shape), np.zeros(a.shape, np.complex128), np.zeros(b.shape, np.complex128)
-            for n, k in zip(*np.nonzero(op)):  # input product a_i b_j, n = 4i + j, feeds output k
-                ga[..., n // 4] += op[n, k] * gout[..., k] * b[..., n % 4]
-                gb[..., n % 4] += op[n, k] * gout[..., k] * a[..., n // 4]
-            grads[w], grads[wires[1]] = ga.reshape(saved[0].shape), gb.reshape(saved[1].shape)
+        if isinstance(op, tuple):
+            (a, b), gout = saved, grads[w]
+            grads[w], grads[wires[1]] = ga, gb = np.zeros(a.shape), np.zeros(b.shape)
+            for k, (sign, i, j) in enumerate(op):
+                if i:
+                    ga[..., i - 1] += sign * gout[..., k] * _part(b, j)
+                if j:
+                    gb[..., j - 1] += sign * gout[..., k] * _part(a, i)
         else:
-            grads[w] = _mm(np.swapaxes(saved[1], -1, -2), _mm(grads[w], np.conj(saved[1])))
+            grads[w] = rotate(grads[w], op.kind, -saved[1])  # the transpose of a rotation
             rots[op.angle] = (saved[0], grads[w], op)
     return rots, grads
 
@@ -268,11 +272,13 @@ def sweep_template(tpl: CircuitPlan, tape, g) -> tuple:
 def moved(rot, delta) -> np.ndarray:
     """Change of the swept scalar when a rotation rot = (x, g, gate) of
     sweep_template() turns by delta (broadcast against x's rows) more:
-    R(t + delta) = R(t) R(delta) makes it Re <g, R(delta) x R(delta)^+ - x>."""
+    R(t + delta) = R(t) R(delta) makes it g . (R(delta) x - x), summed left
+    to right so that a row's bits do not depend on how many rows there are."""
     x, g, gate = rot
-    d = rotate(x, gate_matrix(gate, delta)) - x
-    return _dot(g.reshape(g.shape[:-2] + (4,)), d.reshape(d.shape[:-2] + (4,))).real
+    d = rotate(x, gate.kind, delta) - x
+    return g[..., 0] * d[..., 0] + g[..., 1] * d[..., 1] + g[..., 2] * d[..., 2]
 
 
-def readout_probs(rho) -> np.ndarray:
-    return np.clip(rho[..., 1, 1].real, 0.0, 1.0)
+def readout_probs(v) -> np.ndarray:
+    """P(1) of Bloch vectors (..., 3): (1 - z) / 2."""
+    return np.clip((1.0 - v[..., 2]) / 2.0, 0.0, 1.0)

@@ -178,13 +178,13 @@ class TrainingObjective:
     probabilities, optionally with a single rotation occurrence displaced,
     and assembles the per-sample circuit jacobian from those displacements.
 
-    Each layer runs its group template as a tree of two-input channels
-    (runner.run_template) over all of its groups at once, with the walker's
-    bits.  End to end the readout is linear in the input state x of any one
+    Each layer runs its group template as a tree of two-input channels on
+    Bloch vectors (runner.run_template) over all of its groups at once.
+    End to end the readout is linear in the input state x of any one
     rotation, so one backward sweep gives all displaced readouts from the
-    derivative g there: p + g . (R(delta) x R(delta)^dagger - x).  Measured
-    after each layer, a displaced evaluation runs its group again, then the
-    layers above on its own draws when sampled.
+    derivative g there: p + g . (R(delta) x - x).  Measured after each
+    layer, a displaced evaluation runs its group again, then the layers
+    above on its own draws when sampled.
     """
 
     def __init__(self, config: TrainConfig, pixel_rows, labels, base_key: int = 0):
@@ -211,7 +211,9 @@ class TrainingObjective:
 
     def _sample(self, probs, *key) -> np.ndarray:
         rng = _derived_rng(self.config.seed, _TAG_SHOTS, self.base_key, *key)
-        return rng.binomial(self.config.shots, np.clip(probs, 0.0, 1.0)) / self.config.shots
+        # on the 2^-32 grid, 1/2 + 1 ulp draws as 1/2 does, not as shots - X(1/2 - 1 ulp)
+        p = np.rint(np.clip(probs, 0.0, 1.0) * 2.0**32) / 2.0**32
+        return rng.binomial(self.config.shots, p) / self.config.shots
 
     def _draw(self, probs, ordinals, layer) -> np.ndarray:
         """Sampled mode: each evaluation's rows of probs, drawn on its key."""
@@ -232,43 +234,43 @@ class TrainingObjective:
         return li
 
     def _walk(self, params, ordinals, site=None, tapes=None) -> np.ndarray:
-        """States (rows, 1, 2, 2) of the root.  Measured after each layer,
+        """Bloch vectors (rows, 1, 3) of the root.  Measured after each layer,
         rows are shared until the evaluations part, at the first draw or at
         the displaced layer, where site = (layer index, angle, occs, deltas)
         runs each evaluation's group again with the angle moved."""
         b, e = self.batch_size, len(ordinals)
-        rho = self.angles
+        state = self.angles
         for li, spec in enumerate(self.layers):
-            values, tpl, groups = rho, group_plan(spec.kind, spec.param_layer), np.array(spec.groups)
+            values, tpl, groups = state, group_plan(spec.kind, spec.param_layer), np.array(spec.groups)
             if li and self.config.measure_mode is MeasureMode.INTERMEDIATE:
-                outs = runner.readout_probs(rho)
+                outs = runner.readout_probs(state)
                 if self.config.eval_mode is EvalMode.SAMPLED:
                     outs = np.tile(outs, (e * b // len(outs), 1))
                 values = prob_to_angle(self._draw(outs, ordinals, li))
-            given = {"inputs" if values.ndim == 4 else "data": values[:, groups]}
-            rho = runner.run_template(tpl, params, tape=None if tapes is None else tapes[li], **given)
+            given = {"inputs" if values.ndim == 3 else "data": values[:, groups]}
+            state = runner.run_template(tpl, params, tape=None if tapes is None else tapes[li], **given)
             if site is not None and site[0] == li:
                 copies = np.arange(e) % (len(values) // b)
                 x = np.take_along_axis(values.reshape(-1, b, values.shape[1])[copies], groups[site[2]][:, None], axis=2)
-                rho = rho.reshape((-1, b) + rho.shape[1:])[copies]
-                rho[np.arange(e), :, site[2]] = runner.run_template(tpl, params, data=x, shift={site[1]: site[3][:, None]})
-                rho = rho.reshape((e * b,) + rho.shape[2:])
-        return rho
+                state = state.reshape((-1, b) + state.shape[1:])[copies]
+                state[np.arange(e), :, site[2]] = runner.run_template(tpl, params, data=x, shift={site[1]: site[3][:, None]})
+                state = state.reshape((e * b,) + state.shape[2:])
+        return state
 
     def _sweep(self, params):
         """End to end: the root readouts (B,) and, from one backward sweep,
         each kernel rotation's (input state, derivative of the root readout
-        there, gate), the first two (B, G, 2, 2) over its layer's groups."""
+        there, gate), the first two (B, G, 3) over its layer's groups."""
         tapes, rots = [[] for _ in self.layers], {}
-        rho = self._walk(params, range(1), tapes=tapes)
-        g = np.broadcast_to(runner.UNITS[3], rho.shape)
+        state = self._walk(params, range(1), tapes=tapes)
+        g = np.broadcast_to([0.0, 0.0, -0.5], state.shape)  # d (1 - z) / 2
         for li, spec in reversed(list(enumerate(self.layers))):
             order = np.argsort(np.ravel(spec.groups))
             found, grads = runner.sweep_template(group_plan(spec.kind, spec.param_layer), tapes[li], g)
             rots.update(found)
             if li:  # the inputs' derivatives, back in the order of the layer below
-                g = np.stack([grads[w] for w in range(len(spec.groups[0]))], 2).reshape(len(rho), -1, 2, 2)[:, order]
-        return runner.readout_probs(rho)[:, 0], rots
+                g = np.stack([grads[w] for w in range(len(spec.groups[0]))], 2).reshape(len(state), -1, 3)[:, order]
+        return runner.readout_probs(state)[:, 0], rots
 
     def _evaluate(self, params, slot=None, sites=((0, 0.0),), swept=None) -> np.ndarray:
         """Readouts (E, B) of E evaluations: undisplaced (slot None), or with

@@ -1,52 +1,87 @@
 """The channel evaluator against the engines it replaces in training: its
-compiled two-input channels against dense matrices built element by
-element, its readouts against the dense state vector, its displaced
-readouts against shifted whole-plan and per-group engine runs, and the
-feature map against a batched engine run."""
+compiled two-input channels and rotations against dense matrices built
+element by element, its readouts against the dense state vector, its
+displaced readouts against shifted whole-plan and per-group engine runs,
+and the feature map against a batched engine run."""
 import numpy as np
 import pytest
 
 from conftest import embed_gate
 from qcnn.dataset import gen_dataset
-from qcnn.gates import gate_matrix
+from qcnn.gates import gate_matrix, rx_matrix
 from qcnn.network import ModelParams, build_plan, conv_feature_map, group_plan, layer_structure
-from qcnn.runner import rotate, run_plan_batch, template_steps
+from qcnn.runner import _pair_table, pair_channel, rotate, run_plan_batch, template_steps
 from qcnn.statevec import run_pure
 from qcnn.training import TrainConfig, TrainingObjective
 
 ARCHS = ("conv", "conv-pool-pool", "conv-pool-conv-pool")
-UNITS = np.eye(4).reshape(4, 2, 2)
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # I, X, Y, Z
 
 
-def _dense_pair_transfer(gates):
-    """(16, 4) map from products of matrix units on a wire pair to the first
-    wire's entries after the gates, by explicit 4x4 matrices."""
+def _pauli_pair(i, j):
+    """P_i x P_j on a wire pair, by explicit 4x4 matrices."""
+    return embed_gate(PAULIS[i], (0,), 2) @ embed_gate(PAULIS[j], (1,), 2)
+
+
+def _dense_pair(gates):
+    """The pair's unitary and its Pauli transfer matrix R[k, l, i, j] =
+    Tr((P_k x P_l) u (P_i x P_j) u^dagger) / 4, by explicit 4x4 matrices."""
     u = np.eye(4, dtype=complex)
     for g in gates:
         u = embed_gate(gate_matrix(g), (0, 1), 2) @ u
-    rows = []
-    for m in range(4):
-        for n in range(4):
-            out = (u @ np.kron(UNITS[m], UNITS[n]) @ u.conj().T).reshape(2, 2, 2, 2)
-            rows.append(np.trace(out, axis1=1, axis2=3).reshape(4))
-    return np.array(rows)
+    ptm = np.zeros((4, 4, 4, 4))
+    for k, l, i, j in np.ndindex(ptm.shape):
+        ptm[k, l, i, j] = np.trace(_pauli_pair(k, l) @ u @ _pauli_pair(i, j) @ u.conj().T).real / 4
+    return u, ptm
+
+
+def _density(v):
+    """(I + x X + y Y + z Z) / 2 of Bloch vectors v (..., 3)."""
+    return (PAULIS[0] + np.einsum("...k,kab->...ab", v, PAULIS[1:])) / 2
+
+
+def _bloch(rho):
+    return np.stack([np.einsum("...ab,ba->...", rho, p).real for p in PAULIS[1:]], axis=-1)
+
+
+def _random_bloch(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True) * rng.uniform(0, 1, (n, 1))
 
 
 @pytest.mark.parametrize("kind, param_layer", [("conv", 0), ("conv", 1), ("pool", None)])
 def test_compiled_channels_match_dense_matrices(kind, param_layer):
     tpl = group_plan(kind, param_layer)
-    pairs = [(wires, op) for wires, op in template_steps(tpl) if isinstance(op, np.ndarray)]
+    pairs = [(wires, op) for wires, op in template_steps(tpl) if isinstance(op, tuple)]
     assert len(pairs) == (3 if kind == "conv" else 1)
-    for wires, transfer in pairs:
-        gates = [g for g in tpl.gates if g.wires == wires]
-        assert transfer.shape == (16, 4)
-        np.testing.assert_array_equal(transfer, _dense_pair_transfer(gates))
-    # a rotation acts as u rho u^dagger
     rng = np.random.default_rng(3)
-    rho = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    for wires, table in pairs:
+        # every run compiles to x' = a_x, y' = a_y b_z, z' = a_z b_z
+        assert table == ((1, 1, 0), (1, 2, 3), (1, 3, 3))
+        u, ptm = _dense_pair([g for g in tpl.gates if g.wires == wires])
+        for k, (sign, i, j) in enumerate(table, 1):
+            want = np.zeros((4, 4))
+            want[i, j] = sign
+            np.testing.assert_array_equal(ptm[k, 0], want)
+        # and acts on Bloch vectors as u (rho_a x rho_b) u^dagger traced over b
+        a, b = _random_bloch(rng, 5), _random_bloch(rng, 5)
+        rho = np.einsum("nab,ncd->nacbd", _density(a), _density(b)).reshape(5, 4, 4)
+        out = np.trace((u @ rho @ u.conj().T).reshape(5, 2, 2, 2, 2), axis1=2, axis2=4)
+        np.testing.assert_allclose(pair_channel(table, a, b), _bloch(out), rtol=0, atol=1e-15)
+    # a rotation turns the Bloch vector of rho into that of u rho u^dagger,
+    # and from |0> gives the closed form, (sin t, 0, cos t) for an RY
     for gate in (g for g in tpl.gates if g.kind.is_rotation):
-        u = gate_matrix(gate, rng.uniform(-np.pi, np.pi))
-        np.testing.assert_allclose(rotate(rho, u), u @ rho @ u.conj().T, rtol=0, atol=1e-15)
+        theta = rng.uniform(-np.pi, np.pi, 5)
+        u = gate_matrix(gate, theta)
+        v = _random_bloch(rng, 5)
+        np.testing.assert_allclose(rotate(v, gate.kind, theta), _bloch(u @ _density(v) @ u.conj().swapaxes(-1, -2)),
+                                   rtol=0, atol=1e-15)
+        zero = _density(np.array([0.0, 0.0, 1.0]))
+        np.testing.assert_allclose(rotate(None, gate.kind, theta), _bloch(u @ zero @ u.conj().swapaxes(-1, -2)),
+                                   rtol=0, atol=1e-15)
+    # a run whose output is a sum of Pauli products does not compile
+    with pytest.raises(ValueError, match="one signed Pauli product"):
+        _pair_table(np.kron(rx_matrix(0.3), np.eye(2)))
 
 
 def _rows(arch, n, seed):

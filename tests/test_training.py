@@ -167,21 +167,21 @@ def _whole_plan_runs(arch):
 @pytest.mark.parametrize("eval_mode", ["exact", "sampled"])
 @pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
 def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode):
-    # the channel tree gives the bits of walking the whole plan, and its
-    # backward sweep gives, to rounding, the readouts of walking it with one
-    # rotation occurrence displaced; sampled mode draws the same shots
+    # the channel tree gives, to rounding, the readouts of walking the whole
+    # plan, and its backward sweep those of walking it with one rotation
+    # occurrence displaced; sampled mode draws the same shots
     params, runs = _whole_plan_runs(arch)
     obj, _ = _objective(arch, n=5, seed=21, eval_mode=eval_mode, shots=100)
     want = iter(obj._sample(p, k, 0) if eval_mode == "sampled" else p for k, p in enumerate(runs))
-    np.testing.assert_array_equal(obj.p1(params), next(want))
+    near = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
+    same = np.testing.assert_array_equal if eval_mode == "sampled" else near
+    same(obj.p1(params), next(want))
     slots = obj.plan.param_slots()
     jac = np.zeros((5, len(slots)))
     for c, (layer, j) in enumerate(slots):
         for _ in obj.plan.param_occurrences(layer, j):
             up, dn = next(want), next(want)
             jac[:, c] += 0.5 * (up - dn)
-    near = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
-    same = np.testing.assert_array_equal if eval_mode == "sampled" else near
     same(obj.jacobian(params), jac)
     assert obj.evals == 5 * len(runs)
 
@@ -210,8 +210,8 @@ def _per_group_readout(obj, params, site, ordinal):
 @pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
 def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode):
     # measured after each layer, a readout and every displaced readout of
-    # the jacobian give the same bits as running every group of every layer
-    # again; sampled mode draws the same shots between the layers
+    # the jacobian agree to rounding with running every group of every
+    # layer again; sampled mode draws the same shots between the layers
     obj, config = _objective(arch, n=5, seed=21, measure_mode="intermediate", eval_mode=eval_mode, shots=100)
     params = ModelParams.from_vector(config.arch, np.random.default_rng(22).uniform(-0.6, 0.6, config.arch.n_params))
     slots = obj.plan.param_slots()
@@ -222,11 +222,13 @@ def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode
         for d in (np.pi / 2, -np.pi / 2)
     ]
     want = [_per_group_readout(obj, params, site, k) for k, site in enumerate(sites)]
-    np.testing.assert_array_equal(obj.p1(params), want[0])
+    near = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
+    same = np.testing.assert_array_equal if eval_mode == "sampled" else near
+    same(obj.p1(params), want[0])
     jac = np.zeros((5, len(slots)))
     for (layer, j, _, _), up, dn in zip(sites[1::2], want[1::2], want[2::2]):
         jac[:, slots.index((layer, j))] += 0.5 * (up - dn)
-    np.testing.assert_array_equal(obj.jacobian(params), jac)
+    same(obj.jacobian(params), jac)
     assert obj.evals == 5 * len(sites)
 
 
@@ -239,15 +241,17 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
     # plus a full jacobian apply no gate through the engine, and a fixed
     # number of two-input channels, each to all rows of a layer at once,
     # whatever the batch size.  End to end that is two forward passes: the
-    # readout's and the one the backward sweep reads.  Measured after each layer, each angle
-    # runs every layer once more for all of its displaced evaluations, plus
-    # the displaced groups themselves
+    # readout's and the one the backward sweep reads.  Measured after each
+    # layer, each angle runs every layer once more for all of its displaced
+    # evaluations, plus the displaced groups themselves.  Once the tables
+    # are compiled, no gate matrix is built: rotations act on Bloch vectors
     import qcnn.runner
 
-    gates, pairs = [], []
-    apply, pair = qcnn.runner.apply_to_density, qcnn.runner.pair_channel
+    gates, pairs, matrices = [], [], []
+    apply, pair, matrix = qcnn.runner.apply_to_density, qcnn.runner.pair_channel, qcnn.runner.gate_matrix
     monkeypatch.setattr(qcnn.runner, "apply_to_density", lambda *a: gates.append(1) or apply(*a))
     monkeypatch.setattr(qcnn.runner, "pair_channel", lambda *a: pairs.append(1) or pair(*a))
+    monkeypatch.setattr(qcnn.runner, "gate_matrix", lambda *a: matrices.append(1) or matrix(*a))
     for eval_mode in ("exact", "sampled"):
         for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), counts):
             for n in (1, 3):
@@ -255,10 +259,13 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
                 params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
                 qcnn.runner.template_steps.cache_clear()
                 gates.clear()
-                pairs.clear()
                 obj.p1(params)  # compiles the channels on first use
+                assert matrices, (eval_mode, arch, n)
+                pairs.clear()
+                matrices.clear()
+                obj.p1(params)
                 obj.jacobian(params)
-                assert (len(gates), len(pairs)) == (0, want), (eval_mode, arch, n)
+                assert (len(gates), len(pairs), len(matrices)) == (0, want, 0), (eval_mode, arch, n)
 
 
 def test_evals_count_the_protocol_whatever_the_call_order():
@@ -451,6 +458,17 @@ def test_readout_extremes_and_predicted_labels():
     assert evaluate(hot, black, config, threshold=0.5) == pytest.approx((activate(1.0) ** 2, 0.0))
     # the decision threshold moves the predicted labels, not the mse
     assert evaluate(hot, black, config, threshold=0.99) == pytest.approx((activate(1.0) ** 2, 1.0))
+
+
+def test_draws_do_not_depend_on_a_readouts_last_bit():
+    # numpy draws p > 1/2 as shots - X(1 - p), so the readouts one ulp on
+    # either side of 1/2 would draw far apart; rounded to the 2^-32 grid
+    # they draw the counts of 1/2 itself
+    obj, _ = _objective("conv", n=3, seed=42, eval_mode="sampled", shots=100)
+    for key in range(6):
+        half = obj._sample(np.full(5, 0.5), key, 1)
+        for p in (np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)):
+            np.testing.assert_array_equal(obj._sample(np.full(5, p), key, 1), half, err_msg=str((key, p)))
 
 
 def test_shot_sampling_deterministic_and_bounded():
