@@ -1,6 +1,7 @@
-"""Variational image classifiers on pixel lattices, with dense and
-frontier-limited batched circuit simulation, shot sampling, and a
-reproducible training protocol.
+"""Variational image classifiers on pixel lattices, with a dense state
+vector oracle, a frontier walker for any circuit plan, a channel tree on
+Bloch vectors for the group templates training runs, shot sampling, and
+one reproducible training protocol for the circuit and classical models.
 
 The package namespace re-exports the names the README, the demos and the
 benchmark read; everything else is imported from its submodule.

@@ -9,15 +9,11 @@ reachable mean squared error near 0.25.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .training import (
-    _TAG_INIT, LossCurve, TrainConfig, _derived_rng, _epoch_batch,
-    _pixels_and_labels, _require_full_batch, _require_threshold, mse, sigmoid,
-)
+from .training import TrainConfig, mse, run_epochs, score, sigmoid
 
 
 @dataclass(frozen=True)
@@ -80,34 +76,18 @@ def classical_update(kernel: ClassicalKernel, pixel_rows, labels, learning_rate:
 
 
 def classical_train(config: TrainConfig, dataset=None, log_fn=None):
-    """Train the reference neuron; returns (kernel, loss curve).  Uses the
-    same per-epoch batch stream as the lattice trainer at equal seed."""
-    _require_full_batch(config, dataset)
-    init_seed = int(_derived_rng(config.seed, _TAG_INIT).integers(0, 2**63 - 1))
-    kernel = init_classical(config.arch.image_side, init_seed)
-    curve = LossCurve()
+    """Train the reference neuron; returns (kernel, loss curve).  Runs the
+    lattice trainer's protocol (training.run_epochs), so it sees the same
+    batches at equal seed."""
 
-    for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
-        batch = _epoch_batch(config, dataset, epoch)
-        rows, labels = _pixels_and_labels(batch)
-        acts = classical_forward(kernel, rows)
-        epoch_mse = mse(acts, labels)
-        kernel = classical_update(kernel, rows, labels, config.learning_rate)
-        ms = (time.perf_counter() - t0) * 1000.0
-        curve.record(epoch, epoch_mse, ms, labels.size)
-        if log_fn is not None:
-            log_fn(f"epoch={epoch} mse={epoch_mse:.6f} wall_ms={ms:.1f} evals={labels.size}")
-    return kernel, curve
+    def step(kernel, epoch, rows, labels):
+        epoch_mse = mse(classical_forward(kernel, rows), labels)
+        return classical_update(kernel, rows, labels, config.learning_rate), epoch_mse, labels.size
+
+    return run_epochs(config, dataset, log_fn, lambda seed: init_classical(config.arch.image_side, seed), step)
 
 
 def classical_evaluate(kernel: ClassicalKernel, samples, threshold: float = 0.5):
     """MSE and accuracy over a sample list; an activated output above
     `threshold` predicts label 1."""
-    _require_threshold(threshold)
-    if not samples:
-        raise ValueError("cannot evaluate an empty dataset")
-    rows, labels = _pixels_and_labels(samples)
-    acts = classical_forward(kernel, rows)
-    preds = (acts > threshold).astype(np.float64)
-    return mse(acts, labels), float(np.mean(preds == labels))
+    return score(samples, threshold, lambda rows, labels: classical_forward(kernel, rows))

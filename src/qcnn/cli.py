@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import decimal_ints
 from .dataset import VALID_SIDES, gen_dataset, load_dataset, save_dataset
 from .network import Architecture, InitScheme, ModelParams, conv_feature_map, load_params, save_params
 from .pgm import read_pgm, write_pgm
@@ -46,8 +47,10 @@ def _resolve_seed(flag_value, file_value):
         value, source = file_value, "config key 'seed'"
     elif "QCNN_SEED" in os.environ:
         value, source = os.environ["QCNN_SEED"], "QCNN_SEED"
-        if value.strip().isdigit():
-            value = int(value)
+        try:
+            value = decimal_ints([value.strip()])[0]
+        except ValueError:
+            raise CliError(f"QCNN_SEED must be a non-negative integer, got {value!r}") from None
     else:
         return 0
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -111,9 +114,13 @@ def _merged_train_settings(args) -> tuple:
 
 def cmd_train(args) -> int:
     config, data_path, params_out, curve_out = _merged_train_settings(args)
-    for out in map(Path, (params_out, curve_out)):
+    for flag, out in (("--params-out", Path(params_out)), ("--curve-out", Path(curve_out))):
+        if out.is_dir():
+            raise CliError(f"{flag} {out} is a directory")
         if not out.parent.is_dir():
             raise CliError(f"cannot write {out}: directory {out.parent} does not exist")
+    if os.path.realpath(params_out) == os.path.realpath(curve_out):
+        raise CliError(f"--params-out and --curve-out both name {params_out}")
     dataset = None
     if data_path is not None:
         dataset = load_dataset(data_path)

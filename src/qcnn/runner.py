@@ -56,16 +56,13 @@ class FactorSim:
 
     def __init__(self, batch_size: int):
         self.batch = batch_size
-        self._factors: list = []
         self._where: dict = {}  # wire -> factor
 
     def allocate(self, wire: int) -> None:
         """Make a wire live in |0>, its own factor."""
         if wire in self._where:
             raise ValueError(f"wire {wire} is already active")
-        f = _Factor([wire], np.broadcast_to(np.diag([1.0 + 0j, 0.0]), (self.batch, 2, 2)))
-        self._factors.append(f)
-        self._where[wire] = f
+        self._where[wire] = _Factor([wire], np.broadcast_to(np.diag([1.0 + 0j, 0.0]), (self.batch, 2, 2)))
 
     def _merge(self, fa: _Factor, fb: _Factor) -> _Factor:
         da = fa.rho.shape[-1]
@@ -74,9 +71,6 @@ class FactorSim:
             self.batch, da * db, da * db
         )
         merged = _Factor(fa.wires + fb.wires, rho)
-        self._factors.remove(fa)
-        self._factors.remove(fb)
-        self._factors.append(merged)
         for w in merged.wires:
             self._where[w] = merged
         return merged
@@ -96,12 +90,9 @@ class FactorSim:
 
     def retire(self, wire: int) -> None:
         f = self._where.pop(wire)
-        pos = f.wires.index(wire)
-        if len(f.wires) == 1:
-            self._factors.remove(f)
-            return
-        f.rho = trace_out(f.rho, pos, len(f.wires))
-        f.wires.pop(pos)
+        if len(f.wires) > 1:
+            f.rho = trace_out(f.rho, f.wires.index(wire), len(f.wires))
+            f.wires.remove(wire)
 
     def prob_one(self, wire: int) -> np.ndarray:
         f = self._where.get(wire)

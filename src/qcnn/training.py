@@ -14,6 +14,8 @@ amounts.  Mathematically the circuit-derivative direction is an exact
 gradient: summing the two-point displacements over every occurrence of a
 shared angle differentiates p1 itself, and the chained variants inherit
 that exactness (verified against finite differences in the tests).
+run_epochs is the one epoch loop, and score the one scorer, of both these
+networks and the classical reference in baseline.py.
 """
 from __future__ import annotations
 
@@ -347,21 +349,46 @@ def loss_gradient(objective: TrainingObjective, params: ModelParams) -> np.ndarr
     return (w[:, None] * jac).sum(axis=0)
 
 
-def _require_full_batch(config: TrainConfig, dataset) -> None:
-    if dataset is not None and len(dataset) < config.batch_size:
-        raise ValueError(f"dataset holds {len(dataset)} rows, fewer than the batch size {config.batch_size}")
+def run_epochs(config: TrainConfig, dataset, log_fn, init, step):
+    """The training protocol shared by every model; returns (final state,
+    loss curve).  init(seed) gives the model's initial state from the
+    run's init seed.  Each epoch, step(state, epoch, pixels, labels) returns
+    (state, mse, evaluations) for that epoch's batch: the first
+    batch_size rows of `dataset`, stacked once, or without it a fresh
+    seeded batch.  Epoch time, the loss curve and the log_fn line are kept
+    here."""
+    if dataset is not None:
+        if len(dataset) < config.batch_size:
+            raise ValueError(f"dataset holds {len(dataset)} rows, fewer than the batch size {config.batch_size}")
+        fixed = _pixels_and_labels(dataset[: config.batch_size])
+    state = init(int(_derived_rng(config.seed, _TAG_INIT).integers(0, 2**63 - 1)))
+    curve = LossCurve()
+    for epoch in range(1, config.epochs + 1):
+        t0 = time.perf_counter()
+        if dataset is None:
+            seed = _derived_rng(config.seed, _TAG_DATA, epoch).integers(0, 2**63 - 1)
+            pixels, labels = _pixels_and_labels(gen_dataset(config.batch_size, config.arch.image_side, int(seed)))
+        else:
+            pixels, labels = fixed
+        state, epoch_mse, evals = step(state, epoch, pixels, labels)
+        ms = (time.perf_counter() - t0) * 1000.0
+        curve.record(epoch, epoch_mse, ms, evals)
+        if log_fn is not None:
+            log_fn(f"epoch={epoch} mse={epoch_mse:.6f} wall_ms={ms:.1f} evals={evals}")
+    return state, curve
 
 
-def _require_threshold(threshold) -> None:
+def score(samples, threshold, predict):
+    """(MSE, accuracy) of the activated outputs predict(pixels, labels)
+    over a sample list; an output above `threshold` predicts label 1."""
     if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be a real number strictly inside (0, 1), got {threshold!r}")
-
-
-def _epoch_batch(config: TrainConfig, dataset, epoch: int):
-    if dataset is not None:
-        return dataset[: config.batch_size]
-    seed = _derived_rng(config.seed, _TAG_DATA, epoch).integers(0, 2**63 - 1)
-    return gen_dataset(config.batch_size, config.arch.image_side, int(seed))
+    if not samples:
+        raise ValueError("cannot evaluate an empty dataset")
+    pixels, labels = _pixels_and_labels(samples)
+    acts = predict(pixels, labels)
+    preds = (acts > threshold).astype(np.float64)
+    return mse(acts, labels), float(np.mean(preds == labels))
 
 
 def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams = None):
@@ -373,45 +400,33 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
     angle from the epoch's readouts; layer-wise updates move one layer at a
     time, each from fresh readouts at the params the previous layer left.
     """
-    _require_full_batch(config, dataset)
-    init_seed = int(_derived_rng(config.seed, _TAG_INIT).integers(0, 2**63 - 1))
-    params = initial if initial is not None else init_params(config.arch, init_seed, config.init_scheme)
-    curve = LossCurve()
     simultaneous = config.update_strategy is UpdateStrategy.SIMULTANEOUS
     slots = build_plan(config.arch)[0].param_slots()
     by_layer = [[s for s in slots if s[0] == layer] for layer in range(config.arch.conv_layer_count)]
     slot_groups = [slots] if simultaneous else by_layer
 
-    for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
-        batch = _epoch_batch(config, dataset, epoch)
-        pixels, labels = _pixels_and_labels(batch)
-        obj = TrainingObjective(config, pixels, labels, base_key=epoch)
+    def init(seed):
+        return initial if initial is not None else init_params(config.arch, seed, config.init_scheme)
 
+    def step(params, epoch, pixels, labels):
+        obj = TrainingObjective(config, pixels, labels, base_key=epoch)
         p1s = obj.p1(params)
         epoch_mse = mse(activate(p1s), labels)
-
         for group in slot_groups:
             readouts = p1s if simultaneous else obj.p1(params)
             params = params.with_update(config.learning_rate * update_direction(obj, params, readouts, group))
+        return params, epoch_mse, obj.evals
 
-        ms = (time.perf_counter() - t0) * 1000.0
-        curve.record(epoch, epoch_mse, ms, obj.evals)
-        if log_fn is not None:
-            log_fn(f"epoch={epoch} mse={epoch_mse:.6f} wall_ms={ms:.1f} evals={obj.evals}")
-
-    return params, curve
+    return run_epochs(config, dataset, log_fn, init, step)
 
 
 def evaluate(params: ModelParams, samples, config: TrainConfig, threshold: float = 0.5):
     """MSE and accuracy of a parameter set over a sample list from exact
     readouts, whatever config.eval_mode says; an activated readout above
     `threshold` predicts label 1."""
-    _require_threshold(threshold)
-    if not samples:
-        raise ValueError("cannot evaluate an empty dataset")
-    pixels, labels = _pixels_and_labels(samples)
-    obj = TrainingObjective(replace(config, eval_mode=EvalMode.EXACT), pixels, labels)
-    acts = activate(obj.p1(params))
-    preds = (acts > threshold).astype(np.float64)
-    return mse(acts, labels), float(np.mean(preds == labels))
+    exact = replace(config, eval_mode=EvalMode.EXACT)
+
+    def predict(pixels, labels):
+        return activate(TrainingObjective(exact, pixels, labels).p1(params))
+
+    return score(samples, threshold, predict)

@@ -1,7 +1,11 @@
-"""Shared test helpers: an independent dense-matrix oracle and a seeded
-random circuit-plan generator used by the engine-equivalence suites."""
+"""Shared test helpers: an independent dense-matrix oracle, a seeded
+random circuit-plan generator used by the engine-equivalence suites, and
+a record of the batches each trainer receives."""
 import numpy as np
+import pytest
 
+import qcnn.baseline
+import qcnn.training
 from qcnn import Angle, CircuitPlan, GateKind, GateOp, ModelParams
 
 GATE_KINDS = (GateKind.RX, GateKind.RY, GateKind.CFLIP_X, GateKind.CFLIP_Y, GateKind.CFLIP_Z)
@@ -71,3 +75,25 @@ def random_plan(rng, max_wires=10, mean_gates=12, max_gates=40):
     data = rng.uniform(0.0, np.pi, n_wires)
     params = ModelParams(tuple(rng.uniform(0.0, np.pi, 4) for _ in range(n_layers)))
     return plan, data, params
+
+
+def batches_seen(config, dataset=None):
+    """Per epoch, the (pixels, labels) that `train` builds its objective on
+    and that `classical_train` updates on, each model trained at config."""
+    quantum, classical = [], []
+    objective, update = qcnn.training.TrainingObjective, qcnn.baseline.classical_update
+
+    def record_objective(cfg, pixels, labels, base_key=0):
+        quantum.append((np.array(pixels), np.array(labels)))
+        return objective(cfg, pixels, labels, base_key)
+
+    def record_update(kernel, rows, labels, learning_rate):
+        classical.append((np.array(rows), np.array(labels)))
+        return update(kernel, rows, labels, learning_rate)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcnn.training, "TrainingObjective", record_objective)
+        mp.setattr(qcnn.baseline, "classical_update", record_update)
+        qcnn.training.train(config, dataset=dataset)
+        qcnn.baseline.classical_train(config, dataset=dataset)
+    return quantum, classical

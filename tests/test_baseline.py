@@ -2,6 +2,7 @@
 and the shared batch stream."""
 import numpy as np
 import pytest
+from conftest import batches_seen
 
 from qcnn.baseline import (
     ClassicalKernel,
@@ -113,3 +114,17 @@ def test_classical_evaluate():
     for bad in (1.0, 0.0, 1.5, float("nan"), "0.5", False):
         with pytest.raises(ValueError, match="threshold"):
             classical_evaluate(kernel, samples, threshold=bad)
+
+
+def test_train_and_classical_train_see_the_same_batches():
+    # one protocol: at equal seed both models receive byte-identical rows
+    # and labels in every epoch, fresh batches and a fixed dataset alike
+    for update in ("simultaneous", "layer-wise"):
+        config = TrainConfig(arch="conv-pool-pool", epochs=3, batch_size=10, seed=65, update_strategy=update)
+        for dataset in (None, gen_dataset(12, 4, seed=66)):
+            quantum, classical = batches_seen(config, dataset)
+            assert len(quantum) == len(classical) == 3
+            for (qp, ql), (cp, cl) in zip(quantum, classical):
+                assert qp.shape == cp.shape == (10, 16) and ql.shape == cl.shape == (10,)
+                for q, c in ((qp, cp), (ql, cl)):
+                    assert q.dtype == c.dtype == np.float64 and q.tobytes() == c.tobytes()

@@ -414,6 +414,34 @@ def test_train_checks_output_directories_before_training(tmp_path, capsys):
         assert out in err and "epoch=" not in err  # refused before epoch 1
 
 
+def test_train_checks_output_paths_before_training(tmp_path, capsys):
+    # an output path that is a directory, or one file named by both
+    # outputs, is refused before epoch 1 and names the flags
+    base = ["train", "--arch", "conv", "--epochs", "1", "--batch", "2", "--progress"]
+    params, curve = str(tmp_path / "p.txt"), str(tmp_path / "c.csv")
+    for flag, outs in (("--params-out", [str(tmp_path), curve]), ("--curve-out", [params, str(tmp_path)])):
+        assert entry(base + ["--params-out", outs[0], "--curve-out", outs[1]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag} {tmp_path} is a directory" in err and "epoch=" not in err
+    same = tmp_path / "same.txt"
+    for other in (str(same), f"{tmp_path}/./same.txt"):
+        assert entry(base + ["--params-out", str(same), "--curve-out", other]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--params-out and --curve-out both name" in err and "epoch=" not in err
+    assert not same.exists()
+
+
+def test_env_seed_takes_plain_ascii_decimal_only(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "d.csv"
+    for value in ("\u0663", "\u00b2", "1_0", "+3", ""):
+        monkeypatch.setenv("QCNN_SEED", value)
+        assert entry(["gen", "--side", "2", "--count", "2", "--out", str(out)]) == EXIT_USAGE, value
+        assert f"QCNN_SEED must be a non-negative integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setenv("QCNN_SEED", " 7 ")
+    assert entry(["gen", "--side", "2", "--count", "2", "--out", str(out)]) == EXIT_OK
+
+
 def test_train_config_rejects_non_integer_fields(tmp_path, capsys):
     for key, value in (("epochs", 2.5), ("epochs", True), ("batch_size", "4")):
         cfg = tmp_path / "typed.json"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import batches_seen
 
 from qcnn.baseline import classical_train
 from qcnn.dataset import LabeledImage, gen_dataset
@@ -579,16 +580,13 @@ def test_train_uses_fixed_dataset_when_given():
 
 
 def test_train_fresh_batches_differ_across_epochs():
-    from qcnn.training import _epoch_batch
-
     config = TrainConfig(arch="conv", epochs=2, batch_size=10, seed=32)
-    b1 = _epoch_batch(config, None, 1)
-    b2 = _epoch_batch(config, None, 2)
-    m1 = np.stack([s.pixels for s in b1])
-    m2 = np.stack([s.pixels for s in b2])
+    (m1, _), (m2, _) = batches_seen(config)[0]
     assert not np.array_equal(m1, m2)
     fixed = gen_dataset(15, 2, seed=1)
-    assert _epoch_batch(config, fixed, 1) == fixed[:10]
+    for pixels, labels in batches_seen(config, fixed)[0]:
+        np.testing.assert_array_equal(pixels, np.stack([s.pixels for s in fixed[:10]]))
+        np.testing.assert_array_equal(labels, [s.label for s in fixed[:10]])
 
 
 def test_train_refuses_dataset_shorter_than_batch():
