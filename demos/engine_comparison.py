@@ -18,7 +18,6 @@ import numpy as np
 
 from qcnn import (
     Architecture,
-    FrontierWidthError,
     ModelParams,
     TrainConfig,
     TrainingObjective,
@@ -74,9 +73,3 @@ deep_tree = TrainingObjective(deep_config, np.full((1, 64), 10), np.zeros(1)).p1
 print(f"same, channel tree:      {deep_tree:.12f}  ({(time.perf_counter() - t0) * 1000:.1f} ms)")
 print(f"channel tree - batched engine: {abs(deep_tree - value):.1e}")
 assert abs(deep_tree - value) <= 1e-12
-
-# the width cap is a guard rail, not a suggestion
-try:
-    run_plan(deep, deep_encode, deep_params, width_cap=4)
-except FrontierWidthError as exc:
-    print("cap of 4 refused as expected:", exc)

@@ -1,6 +1,6 @@
-"""Variational image classifiers on pixel lattices, with a dense state
-vector oracle, a frontier walker for any circuit plan, a channel tree on
-Bloch vectors for the group templates training runs, shot sampling, and
+"""Variational image classifiers on pixel lattices, with a dense state vector
+oracle, a frontier walker for plans of up to 12 live wires, a channel tree
+on Bloch vectors for the group templates training runs, shot sampling, and
 one reproducible training protocol for the circuit and classical models.
 
 The package namespace re-exports the names the README, the demos and the

@@ -1,9 +1,10 @@
 """File helpers: output files are written whole or not at all, and the
-integers of input files are read in plain decimal only."""
+numbers of input files and flags are read in plain decimal only."""
 from __future__ import annotations
 
 import contextlib
 import os
+import re
 import secrets
 import shutil
 from pathlib import Path
@@ -36,3 +37,20 @@ def decimal_ints(tokens) -> list:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError("not a plain decimal integer")
     return [int(t) for t in tokens]
+
+
+def decimal_int(token: str) -> int:
+    """The one integer of decimal_ints([token]); also a flag type."""
+    return decimal_ints([token])[0]
+
+
+_DECIMAL_FLOAT = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan", re.ASCII)
+
+
+def decimal_float(token: str) -> float:
+    """Float of a token in ASCII decimal, or the inf, -inf or nan '%g' writes;
+    ValueError on whatever else float() takes (`+0.5`, `1_0`, spaces).
+    Also a flag type: argparse names the flag when it refuses a value."""
+    if not _DECIMAL_FLOAT.fullmatch(token):
+        raise ValueError("not a plain decimal number")
+    return float(token)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import decimal_ints
+from ._io import decimal_float, decimal_int
 from .dataset import VALID_SIDES, gen_dataset, load_dataset, save_dataset
 from .network import Architecture, InitScheme, ModelParams, conv_feature_map, load_params, save_params
 from .pgm import read_pgm, write_pgm
@@ -48,7 +48,7 @@ def _resolve_seed(flag_value, file_value):
     elif "QCNN_SEED" in os.environ:
         value, source = os.environ["QCNN_SEED"], "QCNN_SEED"
         try:
-            value = decimal_ints([value.strip()])[0]
+            value = decimal_int(value.strip())
         except ValueError:
             raise CliError(f"QCNN_SEED must be a non-negative integer, got {value!r}") from None
     else:
@@ -189,9 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a labeled dataset CSV")
-    p.add_argument("--side", type=int, required=True, help="image side length (2, 4 or 8)")
-    p.add_argument("--count", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--side", type=decimal_int, required=True, help="image side length (2, 4 or 8)")
+    p.add_argument("--count", type=decimal_int, required=True, help="number of samples")
+    p.add_argument("--seed", type=decimal_int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(fn=cmd_gen)
 
@@ -199,16 +199,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat JSON config file; flags override it")
     # each dest is the TrainConfig field or config key the flag sets
     p.add_argument("--arch", choices=_values(Architecture))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", dest="batch_size", type=int, help="samples per epoch")
-    p.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
-    p.add_argument("--shots", type=int)
+    p.add_argument("--epochs", type=decimal_int)
+    p.add_argument("--batch", dest="batch_size", type=decimal_int, help="samples per epoch")
+    p.add_argument("--lr", dest="learning_rate", type=decimal_float, help="learning rate")
+    p.add_argument("--shots", type=decimal_int)
     p.add_argument("--grad", dest="grad_method", choices=_values(GradMethod))
     p.add_argument("--measure", dest="measure_mode", choices=_values(MeasureMode))
     p.add_argument("--update", dest="update_strategy", choices=_values(UpdateStrategy))
     p.add_argument("--eval-mode", choices=_values(EvalMode))
     p.add_argument("--init", dest="init_scheme", choices=_values(InitScheme))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=decimal_int)
     p.add_argument("--data", help="fixed dataset CSV reused every epoch")
     p.add_argument("--params-out")
     p.add_argument("--curve-out")
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--measure", choices=_values(MeasureMode), default=MeasureMode.END_TO_END.value,
                    help="circuit to score with; match the one the params were trained with")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=decimal_float, default=0.5)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("featmap", help="render a half-resolution window-summary image")

@@ -9,7 +9,7 @@ CFLIP_Z applies Z (the symmetric phase flip on the 11 component).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -72,44 +72,51 @@ def ry_matrix(theta) -> np.ndarray:
     return _rotation(theta, (-1, 1))
 
 
+class AngleSource(Enum):
+    CONST = "const"
+    DATA = "data"
+    PARAM = "param"
+
+
 @dataclass(frozen=True)
 class Angle:
     """Where a rotation angle comes from when a plan is evaluated.
 
-    source is one of 'const' (value holds the angle), 'data' (index selects
-    a slot of the per-image angle vector) or 'param' (layer/index select a
-    trainable angle).
+    source is an AngleSource or its value, checked here: CONST (value
+    holds the angle), DATA (index selects a slot of the per-image angle
+    vector) or PARAM (layer/index select a trainable angle).
     """
 
-    source: str
+    source: AngleSource
     value: float = 0.0
     index: int = 0
     layer: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "source", AngleSource(self.source))
+
     @classmethod
     def const(cls, value: float) -> "Angle":
-        return cls("const", value=float(value))
+        return cls(AngleSource.CONST, value=float(value))
 
     @classmethod
     def data(cls, index: int) -> "Angle":
-        return cls("data", index=int(index))
+        return cls(AngleSource.DATA, index=int(index))
 
     @classmethod
     def param(cls, layer: int, index: int) -> "Angle":
-        return cls("param", layer=int(layer), index=int(index))
+        return cls(AngleSource.PARAM, layer=int(layer), index=int(index))
 
     def resolve(self, data=None, params=None):
-        if self.source == "const":
+        if self.source is AngleSource.CONST:
             return self.value
-        if self.source == "data":
+        if self.source is AngleSource.DATA:
             if data is None:
                 raise ValueError("plan has data slots but no data was given")
             return np.asarray(data)[..., self.index]
-        if self.source == "param":
-            if params is None:
-                raise ValueError("plan has parameter slots but no parameters were given")
-            return params.layers[self.layer][self.index]
-        raise ValueError(f"unknown angle source {self.source!r}")
+        if params is None:
+            raise ValueError("plan has parameter slots but no parameters were given")
+        return params.layers[self.layer][self.index]
 
 
 @dataclass(frozen=True)

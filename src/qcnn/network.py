@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import write_text_atomic
+from ._io import decimal_float, write_text_atomic
 from .encoding import pixel_to_angle
-from .gates import Angle, GateKind, GateOp
+from .gates import Angle, AngleSource, GateKind, GateOp
 from .plans import CircuitPlan
 from .runner import readout_probs, run_template
 from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
@@ -79,21 +79,6 @@ class LayerSpec:
     param_layer: int = None
 
 
-@dataclass(frozen=True)
-class PlanNode:
-    """One group of the end-to-end plan.  gates[lo:hi] are the node's own
-    gates; its children's subtrees come right before lo, so the node list
-    is in post-order with the root last.  After gate hi - 1 every wire of
-    the subtree except `wire` is retired: the node's output is the reduced
-    state of that one wire."""
-
-    layer: int
-    lo: int
-    hi: int
-    children: tuple
-    wire: int
-
-
 def layer_structure(arch: Architecture) -> tuple:
     side = arch.image_side
     layers = []
@@ -134,8 +119,8 @@ def group_plan(kind: str, param_layer: int = None) -> CircuitPlan:
 
 @functools.lru_cache(maxsize=None)
 def build_plan(arch: Architecture):
-    """The end-to-end circuit plan of an architecture and its group nodes
-    (PlanNode tuple, post-order).
+    """The end-to-end circuit plan of an architecture and the group tree
+    (layer_structure) it composes.
 
     Each group is its group_plan template with the template's wires renamed
     to the group's inputs.  A first-layer window keeps the template's RY
@@ -145,28 +130,21 @@ def build_plan(arch: Architecture):
     """
     layers = layer_structure(arch)
     gates = []
-    nodes = []
 
     def emit(level: int, group: int) -> int:
+        """Append a group's gates after its children's; return its summary wire."""
         spec = layers[level]
-        if level:
-            children = tuple(emit(level - 1, i) for i in spec.groups[group])
-            wires = [nodes[c].wire for c in children]
-        else:
-            children, wires = (), list(spec.groups[group])
-        lo = len(gates)
+        wires = [emit(level - 1, i) for i in spec.groups[group]] if level else list(spec.groups[group])
         tpl = group_plan(spec.kind, spec.param_layer)
         for g in tpl.gates:
-            data = g.angle is not None and g.angle.source == "data"
+            data = g.angle is not None and g.angle.source is AngleSource.DATA
             if not (data and level):
                 angle = Angle.data(wires[g.angle.index]) if data else g.angle
                 gates.append(GateOp(g.kind, tuple(wires[w] for w in g.wires), angle))
-        nodes.append(PlanNode(level, lo, len(gates), children, wires[tpl.readout_wire]))
-        return len(nodes) - 1
+        return wires[tpl.readout_wire]
 
-    root = emit(len(layers) - 1, 0)
-    plan = CircuitPlan(arch.image_side ** 2, tuple(gates), nodes[root].wire)
-    return plan, tuple(nodes)
+    readout = emit(len(layers) - 1, 0)
+    return CircuitPlan(arch.image_side ** 2, tuple(gates), readout), layers
 
 
 @dataclass(frozen=True)
@@ -226,19 +204,23 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
+    """Angles of a save_params file: one finite plain decimal per line."""
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
-        vec = np.array([float(ln) for ln in lines if ln.strip()])
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: parameter file must be ASCII text, byte {exc.start} is not") from None
-    except ValueError:
-        raise ValueError(f"{path}: parameter file must hold one angle per line") from None
+    angles = []
     for n, ln in enumerate(lines, 1):
-        if ln.strip() and not np.isfinite(float(ln)):
-            raise ValueError(f"{path}, line {n}: angle {ln.strip()} is not finite")
-    if vec.size == 0 or vec.size % 4:
-        raise ValueError(f"{path}: expected a multiple of 4 angles, got {vec.size}")
-    return ModelParams.from_flat(vec)
+        if ln.strip():
+            try:
+                angles.append(decimal_float(ln))
+            except ValueError:
+                raise ValueError(f"{path}, line {n}: parameter file must hold one angle per line, got {ln!r}") from None
+            if not np.isfinite(angles[-1]):
+                raise ValueError(f"{path}, line {n}: angle {ln} is not finite")
+    if not angles or len(angles) % 4:
+        raise ValueError(f"{path}: expected a multiple of 4 angles, got {len(angles)}")
+    return ModelParams.from_flat(angles)
 
 
 def conv_feature_map(pixels, kernel_angles) -> np.ndarray:

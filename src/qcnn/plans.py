@@ -1,10 +1,10 @@
-"""Circuit plans: ordered gate lists plus the bookkeeping the batched
-engine needs to know when a wire can be traced out."""
+"""Circuit plans: ordered gate lists plus when each wire is last used, where
+the batched engine traces it out and a template's pair channel ends."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gates import GateOp
+from .gates import AngleSource, GateOp
 
 
 @dataclass(frozen=True)
@@ -14,8 +14,8 @@ class CircuitPlan:
     retire_schedule[i] is the set of wires whose last gate is gates[i]; the
     readout wire is never scheduled for retirement, so it stays measurable
     after the final gate.  The peak live width under that schedule is
-    computed once, here, and is what the engine's width cap is checked
-    against.
+    computed once, here, and is what run_plan_batch checks against its
+    width cap.
     """
 
     n_wires: int
@@ -61,7 +61,7 @@ class CircuitPlan:
 
     @property
     def n_data_slots(self) -> int:
-        slots = [g.angle.index for g in self.gates if g.angle is not None and g.angle.source == "data"]
+        slots = [g.angle.index for g in self.gates if g.angle is not None and g.angle.source is AngleSource.DATA]
         return max(slots) + 1 if slots else 0
 
     def param_occurrences(self, layer: int, index: int) -> tuple:
@@ -70,7 +70,7 @@ class CircuitPlan:
             i
             for i, g in enumerate(self.gates)
             if g.angle is not None
-            and g.angle.source == "param"
+            and g.angle.source is AngleSource.PARAM
             and g.angle.layer == layer
             and g.angle.index == index
         )
@@ -80,7 +80,7 @@ class CircuitPlan:
         slots = {
             (g.angle.layer, g.angle.index)
             for g in self.gates
-            if g.angle is not None and g.angle.source == "param"
+            if g.angle is not None and g.angle.source is AngleSource.PARAM
         }
         return tuple(sorted(slots))
 

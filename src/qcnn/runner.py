@@ -23,21 +23,19 @@ import functools
 import numpy as np
 
 from ._contract import apply_to_density, density_prob_one, trace_out
-from .gates import GateKind, gate_matrix
+from .gates import AngleSource, GateKind, gate_matrix
 from .plans import CircuitPlan
 
-DEFAULT_WIDTH_CAP = 12
+# the most live wires run_plan_batch holds; the deepest architecture's plan peaks at 9
+WIDTH_CAP = 12
 
 
 class FrontierWidthError(RuntimeError):
-    """Raised when a plan needs more simultaneously live wires than the cap."""
+    """Raised when a plan needs more simultaneously live wires than WIDTH_CAP."""
 
-    def __init__(self, peak_width: int, cap: int):
+    def __init__(self, peak_width: int):
         self.peak_width = peak_width
-        self.cap = cap
-        super().__init__(
-            f"plan needs {peak_width} simultaneously live wires, exceeding the cap of {cap}"
-        )
+        super().__init__(f"plan needs {peak_width} simultaneously live wires, exceeding the cap of {WIDTH_CAP}")
 
 
 class _Factor:
@@ -52,7 +50,7 @@ class FactorSim:
     """Batched frontier state held as a product of independent factors, the
     state run_plan_batch walks a plan on.  Live width is the plan's
     business: run_plan_batch checks CircuitPlan.peak_active_width() against
-    the cap before the walk."""
+    WIDTH_CAP before the walk."""
 
     def __init__(self, batch_size: int):
         self.batch = batch_size
@@ -103,15 +101,8 @@ class FactorSim:
         return density_prob_one(f.rho, pos, len(f.wires))
 
 
-def run_plan_batch(
-    plan: CircuitPlan,
-    data=None,
-    params=None,
-    *,
-    batch_size: int = None,
-    shift: dict = None,
-    width_cap: int = DEFAULT_WIDTH_CAP,
-) -> np.ndarray:
+def run_plan_batch(plan: CircuitPlan, data=None, params=None, *, batch_size: int = None,
+                   shift: dict = None) -> np.ndarray:
     """Readout-wire probability of 1 for a batch of data rows at shared
     parameters, shape (B,).  data: (B, n_data_slots) angle matrix, or None
     for plans without data slots (then batch_size sets B, default 1).
@@ -119,7 +110,7 @@ def run_plan_batch(
     rotation occurrence without touching the other occurrences of the same
     trainable angle.  Each wire enters in |0> at its first gate and retires
     at its last, so only the readout wire stays live; a plan whose peak
-    live width exceeds width_cap raises FrontierWidthError before any gate
+    live width exceeds WIDTH_CAP raises FrontierWidthError before any gate
     runs."""
     if data is not None:
         data = np.asarray(data, dtype=np.float64)
@@ -134,8 +125,8 @@ def run_plan_batch(
         if plan.n_data_slots:
             raise ValueError("plan has data slots but no data was given")
         b = batch_size or 1
-    if plan.peak_active_width() > width_cap:
-        raise FrontierWidthError(plan.peak_active_width(), width_cap)
+    if plan.peak_active_width() > WIDTH_CAP:
+        raise FrontierWidthError(plan.peak_active_width())
     sim = FactorSim(b)
     for i, gate in enumerate(plan.gates):
         for w in gate.wires:
@@ -152,10 +143,10 @@ def run_plan_batch(
     return sim.prob_one(plan.readout_wire)
 
 
-def run_plan(plan: CircuitPlan, data=None, params=None, **kw) -> float:
+def run_plan(plan: CircuitPlan, data=None, params=None, shift: dict = None) -> float:
     """Readout probability of one sample: run_plan_batch on a batch of one.
     Equals the dense state-vector result for any plan."""
-    return float(run_plan_batch(plan, data, params, batch_size=1, **kw)[0])
+    return float(run_plan_batch(plan, data, params, batch_size=1, shift=shift)[0])
 
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # I, X, Y, Z
@@ -225,7 +216,7 @@ def run_template(tpl: CircuitPlan, params, data=None, inputs=None, shift=None, t
         if isinstance(op, tuple):
             saved = (state[w], state.pop(wires[1]))
             state[w] = pair_channel(op, *saved)
-        elif op.angle.source == "data":
+        elif op.angle.source is AngleSource.DATA:
             if inputs is None:
                 state[w] = rotate(state.get(w), op.kind, op.angle.resolve(data, params))
             continue

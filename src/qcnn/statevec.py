@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._contract import apply_to_vector, vector_prob_one
-from .gates import GateOp, gate_matrix
+from .gates import AngleSource, GateOp, gate_matrix
 
 _NORM_TOL = 1e-10
 
@@ -53,7 +53,7 @@ def apply_gate(state: PureState, gate: GateOp, angle=None) -> PureState:
         if w >= state.n_wires:
             raise ValueError(f"wire {w} out of range for {state.n_wires}-wire state")
     if gate.kind.is_rotation and angle is None:
-        if gate.angle is None or gate.angle.source != "const":
+        if gate.angle is None or gate.angle.source is not AngleSource.CONST:
             raise ValueError("rotation angle is unresolved; pass angle= explicitly")
         angle = gate.angle.value
     mat = gate_matrix(gate, angle)

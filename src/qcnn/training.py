@@ -32,9 +32,7 @@ from ._io import write_text_atomic
 from .dataset import gen_dataset
 from .encoding import pixel_to_angle, prob_to_angle
 from .gates import Angle
-from .network import (
-    Architecture, InitScheme, ModelParams, _enum_from, build_plan, group_plan, init_params, layer_structure,
-)
+from .network import Architecture, InitScheme, ModelParams, _enum_from, build_plan, group_plan, init_params
 from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
 
 _TAG_INIT = 101
@@ -201,8 +199,7 @@ class TrainingObjective:
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.shape != (pixel_rows.shape[0],):
             raise ValueError("one label per pixel row is required")
-        self.plan = build_plan(self.arch)[0]
-        self.layers = layer_structure(self.arch)
+        self.plan, self.layers = build_plan(self.arch)
         self.base_key = int(base_key)
         self._eval_ordinal = 0
         self.evals = 0

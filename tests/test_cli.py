@@ -222,6 +222,30 @@ def test_train_seed_precedence_file_over_env(tmp_path, monkeypatch):
     assert bare_params.read_bytes() == zero_params.read_bytes()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("gen", "--count", "1_0"), ("gen", "--seed", "\u0663"), ("gen", "--side", "+2"),
+    ("train", "--epochs", "\u0662"), ("train", "--batch", " 4"), ("train", "--shots", "1_000"),
+    ("train", "--seed", "\u00b2"), ("train", "--lr", "1_0e-8"), ("train", "--lr", "+1e-7"),
+    ("eval", "--threshold", "\u0660.\u0665"), ("eval", "--threshold", "0.5 "),
+])
+def test_number_flags_take_plain_ascii_decimal_only(tmp_path, capsys, command, flag, value):
+    data, params, out = tmp_path / "d.csv", tmp_path / "p.txt", tmp_path / "out"
+    entry(["gen", "--side", "2", "--count", "4", "--seed", "0", "--out", str(data)])
+    _write_params(params, [0.1] * 4)
+    argv = {
+        "gen": ["gen", "--side", "2", "--count", "4", "--seed", "1", "--out", str(out)],
+        "train": ["train", "--arch", "conv", "--epochs", "1", "--batch", "4", "--params-out", str(out),
+                  "--curve-out", str(tmp_path / "c.csv")],
+        "eval": ["eval", "--params", str(params), "--data", str(data)],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        entry(argv + [flag, value])
+    assert info.value.code == EXIT_USAGE
+    assert f"argument {flag}: invalid " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_nonpositive_lr(tmp_path, capsys):
     for bad in ("-1", "0"):
         rc, _, _ = _train(tmp_path, f"lr{bad}", ["--lr", bad])

@@ -10,8 +10,19 @@ from conftest import random_plan
 from qcnn.gates import Angle, GateKind, GateOp
 from qcnn.network import ModelParams
 from qcnn.plans import CircuitPlan
-from qcnn.runner import FactorSim, FrontierWidthError, run_plan, run_plan_batch
+from qcnn.runner import WIDTH_CAP, FactorSim, FrontierWidthError, run_plan, run_plan_batch
 from qcnn.statevec import run_pure
+
+
+def _all_live(n_wires):
+    # every wire is rotated before the first pair gate, so all n_wires are
+    # live at once; each pair gate then retires its control, so no factor
+    # grows past two wires and a walk at the cap stays cheap
+    gates = [GateOp(GateKind.RY, (w,), Angle.const(0.1 * (w + 1))) for w in range(n_wires)]
+    gates += [GateOp(GateKind.CFLIP_X, (0, w)) for w in range(1, n_wires)]
+    plan = CircuitPlan(n_wires, tuple(gates), 0)
+    assert plan.peak_active_width() == n_wires
+    return plan
 
 
 def test_frontier_matches_pure_on_random_plans():
@@ -47,30 +58,19 @@ def test_frontier_state_errors():
     with pytest.raises(ValueError):
         sim.apply(GateOp(GateKind.RY, (3,), Angle.const(0.1)), angle=0.1)
     with pytest.raises(FrontierWidthError):
-        run_plan(CircuitPlan(1, (GateOp(GateKind.RY, (0,), Angle.const(0.1)),), 0), width_cap=0)
+        run_plan(_all_live(WIDTH_CAP + 1))
 
 
 def test_width_cap_enforced(monkeypatch):
-    # four wires live at once, refused under a cap of 2 before the first
-    # gate is realized; the error reports the plan's peak (4), not the width
-    # at which a gate-by-gate walk would first overflow (3)
-    gates = (
-        GateOp(GateKind.RY, (0,), Angle.const(0.3)),
-        GateOp(GateKind.RY, (1,), Angle.const(0.4)),
-        GateOp(GateKind.RY, (2,), Angle.const(0.5)),
-        GateOp(GateKind.RY, (3,), Angle.const(0.6)),
-        GateOp(GateKind.CFLIP_X, (0, 1)),
-        GateOp(GateKind.CFLIP_X, (0, 2)),
-        GateOp(GateKind.CFLIP_X, (0, 3)),
-    )
-    plan = CircuitPlan(4, gates, 0)
-    assert plan.peak_active_width() == 4
+    # two wires over the cap, refused before the first gate is realized; the
+    # error reports the plan's peak, not the width at which a gate-by-gate
+    # walk would first overflow (one over the cap)
     realized = []
     monkeypatch.setattr(qcnn.runner, "gate_matrix", lambda *a: realized.append(a))
     with pytest.raises(FrontierWidthError) as err:
-        run_plan_batch(plan, None, batch_size=2, width_cap=2)
-    assert err.value.peak_width == 4 and err.value.cap == 2
-    assert "4" in str(err.value) and "2" in str(err.value)
+        run_plan_batch(_all_live(WIDTH_CAP + 2), None, batch_size=2)
+    assert err.value.peak_width == WIDTH_CAP + 2 and WIDTH_CAP == 12
+    assert str(err.value) == "plan needs 14 simultaneously live wires, exceeding the cap of 12"
     assert realized == []
 
 
@@ -81,27 +81,22 @@ def test_frontier_run_untouched_readout_is_zero():
 
 
 def test_frontier_run_allocates_lazily():
-    # eight declared wires, but only two are ever live at once, so the walk
-    # fits under a cap of 2
-    gates = tuple(GateOp(GateKind.CFLIP_X, (w, w + 1)) for w in range(7))
-    plan = CircuitPlan(8, gates, 7)
+    # more declared wires than the cap, but only two are ever live at once,
+    # so the walk fits under it
+    n = WIDTH_CAP + 8
+    gates = tuple(GateOp(GateKind.CFLIP_X, (w, w + 1)) for w in range(n - 1))
+    plan = CircuitPlan(n, gates, n - 1)
     assert plan.peak_active_width() == 2
-    assert run_plan(plan, width_cap=2) == 0.0
+    assert run_plan(plan) == 0.0
 
 
 def test_frontier_run_width_cap_overflow():
-    # a triangle of pair gates keeps three wires live at once
-    gates = (
-        GateOp(GateKind.CFLIP_X, (0, 1)),
-        GateOp(GateKind.CFLIP_X, (0, 2)),
-        GateOp(GateKind.CFLIP_X, (1, 2)),
-    )
-    plan = CircuitPlan(3, gates, 0)
-    assert plan.peak_active_width() == 3
+    # one wire over the cap is refused; exactly at the cap runs
     with pytest.raises(FrontierWidthError) as err:
-        run_plan(plan, width_cap=2)
-    assert err.value.peak_width == 3 and err.value.cap == 2
-    run_plan(plan, width_cap=3)  # exactly at the cap is fine
+        run_plan(_all_live(WIDTH_CAP + 1))
+    assert err.value.peak_width == WIDTH_CAP + 1
+    plan = _all_live(WIDTH_CAP)
+    assert run_plan(plan) == pytest.approx(run_pure(plan), abs=1e-12)
 
 
 def _assert_physical(rho, where):
@@ -238,12 +233,8 @@ def test_factor_sim_merge_and_retire():
 
 
 def test_factor_sim_batch_width_cap():
-    gates = (
-        GateOp(GateKind.CFLIP_X, (0, 1)),
-        GateOp(GateKind.CFLIP_X, (0, 2)),
-        GateOp(GateKind.CFLIP_X, (1, 2)),
-    )
-    plan = CircuitPlan(3, gates, 0)
     with pytest.raises(FrontierWidthError) as err:
-        run_plan_batch(plan, None, batch_size=2, width_cap=2)
-    assert err.value.peak_width == 3 and err.value.cap == 2
+        run_plan_batch(_all_live(WIDTH_CAP + 1), None, batch_size=2)
+    assert err.value.peak_width == WIDTH_CAP + 1
+    plan = _all_live(WIDTH_CAP)
+    np.testing.assert_allclose(run_plan_batch(plan, None, batch_size=2), [run_pure(plan)] * 2, atol=1e-12)

@@ -3,7 +3,9 @@ unitarity, and the angle-source plumbing on gate descriptions."""
 import numpy as np
 import pytest
 
-from qcnn.gates import CFLIP_X, CFLIP_Y, CFLIP_Z, Angle, GateKind, GateOp, gate_matrix, rx_matrix, ry_matrix
+from qcnn.gates import (
+    CFLIP_X, CFLIP_Y, CFLIP_Z, Angle, AngleSource, GateKind, GateOp, gate_matrix, rx_matrix, ry_matrix,
+)
 from qcnn.network import ModelParams
 
 I2 = np.eye(2)
@@ -126,6 +128,16 @@ def test_angle_resolve_requires_inputs():
         Angle.data(0).resolve()
     with pytest.raises(ValueError):
         Angle.param(0, 0).resolve()
+
+
+def test_angle_source_is_checked_at_construction():
+    # a source given by its value becomes the enum member, so the two
+    # spellings are one angle; any other source is refused before use
+    assert Angle("param", layer=1, index=2) == Angle.param(1, 2)
+    assert Angle.data(3).source is AngleSource.DATA
+    for bad in ("bogus", "Data", None):
+        with pytest.raises(ValueError):
+            Angle(bad)
 
 
 def test_gateop_validation():

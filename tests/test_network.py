@@ -13,7 +13,6 @@ from qcnn.gates import GateKind
 from qcnn.network import (
     Architecture,
     ModelParams,
-    PlanNode,
     build_plan,
     conv_feature_map,
     group_plan,
@@ -68,7 +67,7 @@ def test_layer_structure_spatial_windows():
 
 
 def test_conv_plan_gate_sequence_frozen():
-    plan, nodes = build_plan(CONV)
+    plan, layers = build_plan(CONV)
     seq = [(g.kind, g.wires) for g in plan.gates]
     assert seq == [
         (GateKind.RY, (0,)),
@@ -91,14 +90,14 @@ def test_conv_plan_gate_sequence_frozen():
         (0, 0), (0, 1), (0, 2), (0, 3),
     ]
     assert plan.readout_wire == 0
-    assert nodes == (PlanNode(layer=0, lo=0, hi=14, children=(), wire=0),)
-    # the deeper plans and their nodes, whole: a changed gate, wire, angle
-    # slot or node span changes the digest
+    assert layers == layer_structure(CONV)
+    # the deeper plans, whole: a changed gate, wire, angle source or slot
+    # changes the digest
     for arch, digest in (
-        (CPP, "c82ab368b4abb0f22cc198a0a162aa63a5dfb26a9d8161cf3de52e434a30f88f"),
-        (CPCP, "674d6ee40924f9b33ac0520c91b2af7979c153bf5b7ebccfb9d7c1a2a97e456b"),
+        (CPP, "455fac8f12f7ac98864b12bd31b1ff0117f95f3e0fd34a389f3542ccae02de57"),
+        (CPCP, "e4e45795c6caa6eca92427f24078ed74157e187b310a44da685973ce6c849198"),
     ):
-        assert hashlib.sha256(repr(build_plan(arch)).encode()).hexdigest() == digest, arch
+        assert hashlib.sha256(repr(build_plan(arch)[0]).encode()).hexdigest() == digest, arch
 
 
 def test_plan_sizes_and_peak_widths():
@@ -118,40 +117,47 @@ def test_plan_sizes_and_peak_widths():
 
 
 def test_plan_boundaries_name_live_wires():
-    # the nodes' output wires, layer by layer, are the wires that carry each
-    # layer's outputs (the first wire of each group's leftmost window)
-    _, nodes = build_plan(CPP)
-    assert [n.layer for n in nodes] == [0, 0, 1, 0, 0, 1, 2]
-    assert tuple(n.wire for n in nodes if n.layer == 0) == (0, 2, 8, 10)
-    assert tuple(n.wire for n in nodes if n.layer == 1) == (0, 8)
-    assert tuple(n.wire for n in nodes if n.layer == 2) == (0,)
-    _, nodes = build_plan(CPCP)
-    assert tuple(n.wire for n in nodes if n.layer == 0) == (
-        0, 2, 4, 6, 16, 18, 20, 22, 32, 34, 36, 38, 48, 50, 52, 54,
-    )
-    assert tuple(n.wire for n in nodes if n.layer == 1) == (0, 4, 16, 20, 32, 36, 48, 52)
-    assert tuple(n.wire for n in nodes if n.layer == 2) == (0, 32)
-    assert tuple(n.wire for n in nodes if n.layer == 3) == (0,)
+    # a group above the first layer acts on the wires that carry its
+    # children's outputs (the first wire of each child's leftmost window):
+    # pools join two of them, the second window layer rotates four
+    plan, _ = build_plan(CPP)
+    assert [g.wires for g in plan.gates if g.kind is GateKind.CFLIP_X] == [(0, 2), (8, 10), (0, 8)]
+    plan, _ = build_plan(CPCP)
+    assert [g.wires for g in plan.gates if g.kind is GateKind.CFLIP_X] == [
+        (0, 2), (4, 6), (16, 18), (20, 22), (32, 34), (36, 38), (48, 50), (52, 54), (0, 32),
+    ]
+    assert [g.wires[0] for g in plan.gates if g.kind is GateKind.RX and g.angle.layer == 1] == [
+        0, 4, 16, 20, 32, 36, 48, 52,
+    ]
 
 
 def test_plan_nodes_tile_the_plan_in_post_order():
+    # the nodes of the group tree build_plan returns own consecutive spans
+    # of the gate list, children before their parent: a group's template
+    # gates, less its data rotations above the first layer
     for arch in (CONV, CPP, CPCP):
-        plan, nodes = build_plan(arch)
-        layers = layer_structure(arch)
-        # own spans tile the gate list; children come right before their parent
-        assert nodes[0].lo == 0 and nodes[-1].hi == len(plan.gates)
-        assert all(a.hi == b.lo for a, b in zip(nodes, nodes[1:]))
-        assert nodes[-1].wire == plan.readout_wire and nodes[-1].layer == len(layers) - 1
-        first = {}
-        for k, node in enumerate(nodes):
-            assert len(node.children) == (0 if node.layer == 0 else len(layers[node.layer].groups[0]))
-            assert all(c < k and nodes[c].layer == node.layer - 1 for c in node.children)
-            first[k] = first[node.children[0]] if node.children else node.lo
+        plan, layers = build_plan(arch)
+        assert layers == layer_structure(arch)
+        end = [0]
+
+        def visit(level, group):
+            """(first gate of the group's subtree, the group's output wire)"""
+            spec = layers[level]
+            firsts = [visit(level - 1, i)[0] for i in spec.groups[group]] if level else []
+            tpl = group_plan(spec.kind, spec.param_layer)
+            lo, end[0] = end[0], end[0] + len(tpl.gates) - (tpl.n_data_slots if level else 0)
+            own = plan.gates[lo : end[0]]
+            assert [g.kind for g in own] == [g.kind for g in tpl.gates[len(tpl.gates) - len(own) :]]
+            first, wire = (firsts or [lo])[0], own[0].wires[0]
             # the subtree's gates touch no wire after it ends, except its output
-            inside = {w for g in plan.gates[first[k] : node.hi] for w in g.wires}
-            later = {w for g in plan.gates[node.hi :] for w in g.wires}
-            assert inside & later <= {node.wire}
-            assert node.wire in inside
+            inside = {w for g in plan.gates[first : end[0]] for w in g.wires}
+            later = {w for g in plan.gates[end[0] :] for w in g.wires}
+            assert inside & later <= {wire}
+            assert wire in inside
+            return first, wire
+
+        assert visit(len(layers) - 1, 0) == (0, plan.readout_wire)
+        assert end[0] == len(plan.gates)
 
 
 def test_param_occurrence_index():
@@ -295,6 +301,19 @@ def test_params_file_rejections(tmp_path):
     path.write_bytes(b"1.0\n2.0\xff\n3.0\n4.0\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: parameter file must be ASCII text")):
         load_params(path)
+
+
+def test_params_file_takes_plain_decimal_only(tmp_path):
+    # every line save_params writes loads back bit for bit; a line float()
+    # would read some other way names the file and its line
+    path = tmp_path / "params.txt"
+    params = ModelParams.from_flat([5e-324, -0.0, 1.7976931348623157e308, 1e16, 1e17, -123.0, 0.1, 2.5e-5])
+    save_params(params, path)
+    np.testing.assert_array_equal(load_params(path).vector(), params.vector())
+    for bad in ("1_0", "+0.5", " 0.25", "0.1 ", "0x1p-2", "1e", ".", "Infinity"):
+        path.write_text(f"0.5\n\n1.0\n{bad}\n2.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ") + ".*" + re.escape(repr(bad))):
+            load_params(path)
 
 
 def test_feature_map_matches_per_window_runs():
