@@ -1,8 +1,10 @@
-"""File helpers: output files are written whole or not at all, and the
-numbers of input files and flags are read in plain decimal only."""
+"""File helpers: output files are written whole or not at all, input files
+are read as ASCII lines, and the numbers of input files and flags are read
+in plain decimal only."""
 from __future__ import annotations
 
 import contextlib
+import numbers
 import os
 import re
 import secrets
@@ -30,13 +32,34 @@ def write_text_atomic(path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
+def read_ascii_lines(path, error=ValueError) -> list:
+    """The lines of an ASCII text file.  A non-ASCII byte raises `error`
+    naming the path and its line; an unreadable file raises OSError."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
+
+
+def require_int(name: str, value, least: int) -> int:
+    """value as an int if it is an integer of at least `least`, not a bool;
+    otherwise a ValueError whose first word is `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        what = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 def decimal_ints(tokens) -> list:
     """Integers of tokens in ASCII decimal digits with an optional leading
     minus; ValueError on whatever else int() takes (`+3`, `1_0`, spaces)."""
     digits = "".join(tokens).replace("-", "")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("not a plain decimal integer")
-    return [int(t) for t in tokens]
+    if digits.isascii() and digits.isdigit():
+        with contextlib.suppress(ValueError):  # a misplaced minus, an empty token
+            return [int(t) for t in tokens]
+    raise ValueError("non-integer value")
 
 
 def decimal_int(token: str) -> int:
@@ -45,6 +68,9 @@ def decimal_int(token: str) -> int:
 
 
 _DECIMAL_FLOAT = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan", re.ASCII)
+# the negative numbers decimal_float reads (-1e-7, -.5, -inf); argparse takes
+# a value that its parser's _negative_number_matcher misses for an option
+NEGATIVE_NUMBER = re.compile(rf"(?=-)(?:{_DECIMAL_FLOAT.pattern})\Z", re.ASCII)
 
 
 def decimal_float(token: str) -> float:

@@ -5,13 +5,15 @@ Exit codes: 0 success, 2 usage or validation problem.  A training run may
 read a flat JSON config file; flags override file values, and unset values
 fall back to the standard defaults.  The environment variable QCNN_SEED
 supplies the seed of `gen` and `train` as a last resort; `eval` is exact
-and takes no seed.
+and takes no seed.  The library checks every value; this module only says
+where a refused value came from: its flag, its config key, QCNN_SEED or
+its file.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import numbers
 import os
 import sys
 import time
@@ -20,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import decimal_float, decimal_int
-from .dataset import VALID_SIDES, gen_dataset, load_dataset, save_dataset
+from ._io import NEGATIVE_NUMBER, decimal_float, decimal_int
+from .dataset import gen_dataset, load_dataset, save_dataset
 from .network import Architecture, InitScheme, ModelParams, conv_feature_map, load_params, save_params
 from .pgm import read_pgm, write_pgm
 from .training import EvalMode, GradMethod, MeasureMode, TrainConfig, UpdateStrategy, evaluate, save_curve, train
@@ -40,22 +42,34 @@ class CliError(Exception):
     """Validation failure destined for exit code 2."""
 
 
-def _resolve_seed(flag_value, file_value):
+@contextlib.contextmanager
+def _named(sources):
+    """Re-raise a library refusal whose first word names a value (a
+    TrainConfig field, a parameter) as a CliError that starts with where
+    the value came from instead; sources maps those names to sources."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if not sources.get(name):
+            raise
+        raise CliError(f"{sources[name]} {rest}") from None
+
+
+def _resolve_seed(flag_value, file_cfg) -> tuple:
+    """(seed, its source): the --seed flag, then the config file's seed,
+    then QCNN_SEED, then 0 from no source.  The library checks the value."""
     if flag_value is not None:
-        value, source = flag_value, "--seed"
-    elif file_value is not None:
-        value, source = file_value, "config key 'seed'"
-    elif "QCNN_SEED" in os.environ:
-        value, source = os.environ["QCNN_SEED"], "QCNN_SEED"
-        try:
-            value = decimal_int(value.strip())
-        except ValueError:
-            raise CliError(f"QCNN_SEED must be a non-negative integer, got {value!r}") from None
-    else:
-        return 0
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise CliError(f"{source} must be a non-negative integer, got {value!r}")
-    return value
+        return flag_value, "--seed"
+    if "seed" in file_cfg:
+        return file_cfg["seed"], "config key 'seed'"
+    value = os.environ.get("QCNN_SEED")
+    if value is None:
+        return 0, None
+    try:
+        return decimal_int(value.strip()), "QCNN_SEED"
+    except ValueError:
+        raise CliError(f"QCNN_SEED must be a non-negative integer, got {value!r}") from None
 
 
 def _load_config_file(path) -> dict:
@@ -76,12 +90,9 @@ def _load_config_file(path) -> dict:
 
 
 def cmd_gen(args) -> int:
-    if args.side not in VALID_SIDES:
-        raise CliError(f"--side must be one of {', '.join(map(str, VALID_SIDES))}, got {args.side}")
-    if args.count < 1:
-        raise CliError(f"--count must be at least 1, got {args.count}")
-    seed = _resolve_seed(args.seed, None)
-    samples = gen_dataset(args.count, args.side, seed)
+    seed, source = _resolve_seed(args.seed, {})
+    with _named({"n": "--count", "side": "--side", "seed": source}):
+        samples = gen_dataset(args.count, args.side, seed)
     save_dataset(samples, args.out)
     ones = sum(s.label for s in samples)
     print(f"wrote {len(samples)} samples to {args.out} (label 1: {ones}, label 0: {len(samples) - ones})")
@@ -90,25 +101,23 @@ def cmd_gen(args) -> int:
 
 def _merged_train_settings(args) -> tuple:
     """(TrainConfig, data path, params path, curve path): flags that were
-    given override config-file values, which override the defaults."""
+    given override config-file values, which override the defaults.  A
+    refused setting is named by its flag, its config key or QCNN_SEED."""
     file_cfg = _load_config_file(args.config) if args.config else {}
     for key in _PATH_DEFAULTS:
         if key in file_cfg and not isinstance(file_cfg[key], str):
             raise CliError(f"config key '{key}' must be a path string, got {file_cfg[key]!r}")
     flags = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS and value is not None}
-    merged = {**_PATH_DEFAULTS, **file_cfg, **flags}
-    merged["seed"] = _resolve_seed(args.seed, file_cfg.get("seed"))
+    seed, seed_source = _resolve_seed(args.seed, file_cfg)
+    merged = {**_PATH_DEFAULTS, **file_cfg, **flags, "seed": seed}
     paths = [merged.pop(key) for key in _PATH_DEFAULTS]
     if merged.get("arch") is None:
         raise CliError("an architecture is required (--arch or config file)")
-    lr = merged.get("learning_rate")
-    if isinstance(lr, numbers.Real) and not isinstance(lr, bool) and lr <= 0:
-        source = "--lr" if "learning_rate" in flags else "config key 'learning_rate'"
-        raise CliError(f"{source} must be positive, got {lr}")
-    try:
+    sources = {key: args.flag_names[key] if key in flags else f"config key '{key}'" for key in merged}
+    with _named({**sources, "seed": seed_source}):
         config = TrainConfig(**merged)
-    except (ValueError, TypeError) as exc:
-        raise CliError(str(exc)) from exc
+        if config.learning_rate == 0:  # the API keeps 0 for a frozen model; a run refuses it
+            raise ValueError(f"learning_rate must be positive, got {config.learning_rate}")
     return (config, *paths)
 
 
@@ -156,7 +165,8 @@ def cmd_eval(args) -> int:
         )
     config = TrainConfig(arch=arch, measure_mode=args.measure)
     params = ModelParams.from_vector(arch, vector)
-    m, acc = evaluate(params, samples, config, threshold=args.threshold)
+    with _named({"threshold": "--threshold"}):
+        m, acc = evaluate(params, samples, config, threshold=args.threshold)
     print(f"samples {len(samples)}")
     print(f"mse {m:.6f}")
     print(f"accuracy {acc:.6f}")
@@ -165,12 +175,9 @@ def cmd_eval(args) -> int:
 
 def cmd_featmap(args) -> int:
     grid = read_pgm(args.infile)
-    height, width = grid.shape
-    if height % 2 or width % 2:
-        raise CliError(f"{args.infile}: image dimensions must be even, got {height}x{width}")
-    vector = load_params(args.params).vector()
-    kernel = vector[:4]
-    probs = conv_feature_map(grid, kernel)
+    kernel = load_params(args.params).vector()[:4]
+    with _named({"pixels": args.infile}):
+        probs = conv_feature_map(grid, kernel)
     out = np.rint(np.clip(probs, 0.0, 1.0) * 255).astype(np.int64)
     write_pgm(args.out, out, comment="window summary probabilities, rescaled to 0..255")
     print(f"wrote {out.shape[0]}x{out.shape[1]} feature map to {args.out}")
@@ -213,7 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params-out")
     p.add_argument("--curve-out")
     p.add_argument("--progress", action="store_true", help="log one line per epoch to stderr")
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, flag_names={a.dest: a.option_strings[-1] for a in p._actions})
+    p._negative_number_matcher = NEGATIVE_NUMBER  # so --lr -1e-7 reaches the learning_rate rule
 
     p = sub.add_parser("eval", help="report MSE and accuracy of saved params on a dataset")
     p.add_argument("--params", required=True, help="params file, one angle per line")
@@ -222,6 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="circuit to score with; match the one the params were trained with")
     p.add_argument("--threshold", type=decimal_float, default=0.5)
     p.set_defaults(fn=cmd_eval)
+    p._negative_number_matcher = NEGATIVE_NUMBER
 
     p = sub.add_parser("featmap", help="render a half-resolution window-summary image")
     p.add_argument("--in", dest="infile", required=True, help="input PGM (P2), even dimensions")
@@ -237,11 +246,8 @@ def entry(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    except (CliError, ValueError, OSError) as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else exc
         print(f"error: {detail}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,12 +9,12 @@ byte content of a saved dataset.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._io import decimal_ints, write_text_atomic
+from ._io import decimal_ints, read_ascii_lines, require_int, write_text_atomic
 
 VALID_SIDES = (2, 4, 8)
 
@@ -23,21 +23,31 @@ class DatasetFormatError(ValueError):
     """A dataset file failed validation; the message names the line."""
 
 
+def _check_side(side) -> None:
+    if side not in VALID_SIDES or not isinstance(side, (int, np.integer)):  # concrete types: an ABC check costs ~1 us a row
+        raise ValueError(f"side must be one of {VALID_SIDES}, got {side!r}")
+
+
 @dataclass(frozen=True)
 class LabeledImage:
+    """One image and its label; the one check of a row's side, pixel range
+    and label, whether the row is drawn or read from a file."""
+
     side: int
     pixels: np.ndarray
     label: int
 
     def __post_init__(self):
-        pixels = np.asarray(self.pixels, dtype=np.int64).reshape(-1)
+        _check_side(self.side)
+        try:
+            pixels = np.asarray(self.pixels, dtype=np.int64).reshape(-1)
+        except OverflowError:  # beyond int64, so beyond 0..255
+            raise ValueError("pixel out of range 0..255") from None
         object.__setattr__(self, "pixels", pixels)
-        if self.side not in VALID_SIDES:
-            raise ValueError(f"side must be one of {VALID_SIDES}, got {self.side}")
         if pixels.shape != (self.side * self.side,):
             raise ValueError(f"expected {self.side * self.side} pixels, got {pixels.shape}")
         if pixels.min() < 0 or pixels.max() > 255:
-            raise ValueError("pixel values must lie in 0..255")
+            raise ValueError("pixel out of range 0..255")
         if self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
 
@@ -48,8 +58,6 @@ class LabeledImage:
 def gen_sample(side: int, rng: np.random.Generator) -> LabeledImage:
     """Draw one labeled image.  Noise samples that come out accidentally
     uniform are redrawn, so label 0 always shows at least two intensities."""
-    if side not in VALID_SIDES:
-        raise ValueError(f"side must be one of {VALID_SIDES}, got {side}")
     label = int(rng.integers(0, 2))
     k = side * side
     if label == 1:
@@ -63,10 +71,11 @@ def gen_sample(side: int, rng: np.random.Generator) -> LabeledImage:
 
 
 def gen_dataset(n: int, side: int, seed: int) -> list:
-    """n labeled images from a PCG64 stream seeded with `seed`."""
-    if n < 1:
-        raise ValueError(f"dataset size must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    """n labeled images from a PCG64 stream seeded with `seed`.  The side
+    is checked before any row is drawn, so a huge one allocates nothing."""
+    n = require_int("n", n, 1)
+    _check_side(side)
+    rng = np.random.Generator(np.random.PCG64(require_int("seed", seed, 0)))
     return [gen_sample(side, rng) for _ in range(n)]
 
 
@@ -89,24 +98,16 @@ def save_dataset(samples, path) -> None:
 
 
 def load_dataset(path) -> list:
-    """Read a dataset CSV back, validating shape, ranges and the header.
-    Values are plain decimal integers in an ASCII file, and at least one
-    row follows the header."""
-    raw = Path(path).read_bytes()
-    try:
-        lines = raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise DatasetFormatError(f"{path}: line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
+    """Read a dataset CSV back: an ASCII file whose header names a square
+    number of pixels, then at least one row of plain decimal integers.
+    LabeledImage refuses a bad row; the error names the file and line."""
+    lines = read_ascii_lines(path, DatasetFormatError)
     if not lines:
         raise DatasetFormatError(f"{path}: line 1: empty file")
-    cols = lines[0].split(",")
-    k = len(cols) - 1
-    side = int(round(np.sqrt(k))) if k > 0 else 0
-    if k <= 0 or side * side != k or side not in VALID_SIDES:
-        raise DatasetFormatError(f"{path}: line 1: header implies {k} pixels, not a valid image size")
-    if lines[0] != _header(k):
-        raise DatasetFormatError(f"{path}: line 1: bad header {lines[0]!r}")
+    k = lines[0].count(",")
+    side = math.isqrt(k)
+    if lines[0] != _header(k) or side * side != k:
+        raise DatasetFormatError(f"{path}: line 1: header {lines[0][:80]!r} is not label,p0,...,pN of a square image")
     samples = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
@@ -116,14 +117,9 @@ def load_dataset(path) -> list:
             raise DatasetFormatError(f"{path}: line {ln}: expected {k + 1} columns, got {len(parts)}")
         try:
             values = decimal_ints(parts)
-        except ValueError:
-            raise DatasetFormatError(f"{path}: line {ln}: non-integer value") from None
-        label, pixels = values[0], values[1:]
-        if label not in (0, 1):
-            raise DatasetFormatError(f"{path}: line {ln}: label must be 0 or 1, got {label}")
-        if min(pixels) < 0 or max(pixels) > 255:
-            raise DatasetFormatError(f"{path}: line {ln}: pixel out of range 0..255")
-        samples.append(LabeledImage(side, np.array(pixels, dtype=np.int64), label))
+            samples.append(LabeledImage(side, values[1:], values[0]))
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: line {ln}: {exc}") from None
     if not samples:
         raise DatasetFormatError(f"{path}: dataset is empty")
     return samples

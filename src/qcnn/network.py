@@ -13,11 +13,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from ._io import decimal_float, write_text_atomic
+from ._io import decimal_float, read_ascii_lines, write_text_atomic
 from .encoding import pixel_to_angle
 from .gates import Angle, AngleSource, GateKind, GateOp
 from .plans import CircuitPlan
@@ -27,14 +26,15 @@ from .runner import run_plan_batch  # noqa: F401  (timed through this name by pe
 
 def _enum_from(enum_cls, value, what):
     """The member of enum_cls that is or has `value`; the one parser of a
-    named choice, whether it comes from the API, a flag or a config file."""
+    named choice, whether it comes from the API, a flag or a config file.
+    A refusal starts with `what`."""
     if isinstance(value, enum_cls):
         return value
     for member in enum_cls:
         if member.value == value:
             return member
     valid = ", ".join(m.value for m in enum_cls)
-    raise ValueError(f"unknown {what} {value!r}; choose one of: {valid}")
+    raise ValueError(f"{what} cannot be {value!r}; choose one of: {valid}")
 
 
 class Architecture(Enum):
@@ -191,7 +191,7 @@ class ModelParams:
 def init_params(arch: Architecture, seed: int, scheme=InitScheme.UNIFORM) -> ModelParams:
     """Fresh kernel angles; scheme is an InitScheme or its value.  'uniform'
     draws each angle from [0, pi), 'zeros' starts every angle at 0."""
-    if _enum_from(InitScheme, scheme, "init scheme") is InitScheme.ZEROS:
+    if _enum_from(InitScheme, scheme, "scheme") is InitScheme.ZEROS:
         return ModelParams(tuple(np.zeros(4) for _ in range(arch.conv_layer_count)))
     rng = np.random.Generator(np.random.PCG64(seed))
     return ModelParams(tuple(rng.uniform(0.0, np.pi, 4) for _ in range(arch.conv_layer_count)))
@@ -204,20 +204,17 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    """Angles of a save_params file: one finite plain decimal per line."""
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: parameter file must be ASCII text, byte {exc.start} is not") from None
+    """Angles of a save_params file: one finite plain decimal per line of
+    an ASCII file.  An unreadable file raises OSError."""
     angles = []
-    for n, ln in enumerate(lines, 1):
+    for n, ln in enumerate(read_ascii_lines(path), 1):
         if ln.strip():
             try:
                 angles.append(decimal_float(ln))
             except ValueError:
-                raise ValueError(f"{path}, line {n}: parameter file must hold one angle per line, got {ln!r}") from None
+                raise ValueError(f"{path}: line {n}: parameter file must hold one angle per line, got {ln!r}") from None
             if not np.isfinite(angles[-1]):
-                raise ValueError(f"{path}, line {n}: angle {ln} is not finite")
+                raise ValueError(f"{path}: line {n}: angle {ln} is not finite")
     if not angles or len(angles) % 4:
         raise ValueError(f"{path}: expected a multiple of 4 angles, got {len(angles)}")
     return ModelParams.from_flat(angles)
@@ -225,13 +222,14 @@ def load_params(path) -> ModelParams:
 
 def conv_feature_map(pixels, kernel_angles) -> np.ndarray:
     """Slide the 2x2 kernel (stride 2) over a grayscale grid and return the
-    window summary probabilities as a half-resolution float grid."""
+    window summary probabilities as a half-resolution float grid.  A
+    refusal of the grid starts with `pixels`."""
     grid = np.asarray(pixels)
     if grid.ndim != 2:
-        raise ValueError(f"expected a 2-d pixel grid, got shape {grid.shape}")
+        raise ValueError(f"pixels must form a 2-d grid, got shape {grid.shape}")
     height, width = grid.shape
     if height < 2 or width < 2 or height % 2 or width % 2:
-        raise ValueError(f"feature map needs even dimensions of at least 2, got {height}x{width}")
+        raise ValueError(f"pixels must form a grid with even sides of at least 2, got {height}x{width}")
     kernel = np.asarray(kernel_angles, dtype=np.float64).reshape(-1)
     if kernel.shape != (4,):
         raise ValueError(f"kernel takes 4 angles, got {kernel.size}")

@@ -7,38 +7,22 @@ image row per text line.
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from ._io import decimal_ints, write_text_atomic
+from ._io import decimal_ints, read_ascii_lines, write_text_atomic
 
 
 class PgmFormatError(ValueError):
     pass
 
 
-def _tokens(text: str):
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        yield from body.split()
-
-
 def read_pgm(path) -> np.ndarray:
     """Read a P2 file into an int64 array of shape (height, width), values
-    rescaled to 0..255 when the file's maxval differs."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="ascii")
-    except OSError as exc:
-        raise PgmFormatError(f"{path}: cannot read: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise PgmFormatError(f"{path}: not a plain-text image (binary data?)") from exc
-
-    toks = list(_tokens(text))
-    if not toks or toks[0] != "P2":
-        got = toks[0] if toks else "nothing"
-        raise PgmFormatError(f"{path}: expected magic number P2, found {got}")
+    rescaled to 0..255 when the file's maxval differs.  An unreadable file
+    raises OSError."""
+    toks = [tok for line in read_ascii_lines(path, PgmFormatError) for tok in line.split("#", 1)[0].split()]
+    if toks[:1] != ["P2"]:
+        raise PgmFormatError(f"{path}: expected magic number P2, found {toks[0] if toks else 'nothing'}")
     if len(toks) < 4:
         raise PgmFormatError(f"{path}: truncated header")
     try:
@@ -57,8 +41,8 @@ def read_pgm(path) -> np.ndarray:
         )
     try:
         flat = np.array(decimal_ints(values), dtype=np.int64)
-    except ValueError:
-        raise PgmFormatError(f"{path}: pixel values must be integers") from None
+    except (ValueError, OverflowError):  # OverflowError: beyond int64
+        raise PgmFormatError(f"{path}: pixel values must be integers in 0..{maxval}") from None
     if flat.min() < 0 or flat.max() > maxval:
         raise PgmFormatError(f"{path}: pixel values must lie in 0..{maxval}")
 

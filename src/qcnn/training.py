@@ -28,7 +28,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import runner
-from ._io import write_text_atomic
+from ._io import require_int, write_text_atomic
 from .dataset import gen_dataset
 from .encoding import pixel_to_angle, prob_to_angle
 from .gates import Angle
@@ -76,26 +76,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """The one check of each setting; a refusal starts with the field's name."""
         for name, enum_cls in _CHOICES.items():
             setattr(self, name, _enum_from(enum_cls, getattr(self, name), name))
         for name in ("epochs", "batch_size", "shots", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, require_int(name, getattr(self, name), 0 if name == "seed" else 1))
         lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real):
-            raise ValueError(f"learning_rate must be a real number, got {lr!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.learning_rate < 0 or not np.isfinite(self.learning_rate):
-            raise ValueError("learning rate must be non-negative and finite")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        self.seed = int(self.seed)
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 <= lr < np.inf:
+            raise ValueError(f"learning_rate must be a finite real number >= 0, got {lr!r}")
 
 
 # the TrainConfig fields that name a choice, and the enum of each
@@ -264,11 +252,10 @@ class TrainingObjective:
         state = self._walk(params, range(1), tapes=tapes)
         g = np.broadcast_to([0.0, 0.0, -0.5], state.shape)  # d (1 - z) / 2
         for li, spec in reversed(list(enumerate(self.layers))):
-            order = np.argsort(np.ravel(spec.groups))
             found, grads = runner.sweep_template(group_plan(spec.kind, spec.param_layer), tapes[li], g)
             rots.update(found)
-            if li:  # the inputs' derivatives, back in the order of the layer below
-                g = np.stack([grads[w] for w in range(len(spec.groups[0]))], 2).reshape(len(state), -1, 3)[:, order]
+            if li:  # the inputs' derivatives; groups above layer 0 take consecutive inputs
+                g = np.stack([grads[w] for w in range(len(spec.groups[0]))], 2).reshape(len(state), -1, 3)
         return runner.readout_probs(state)[:, 0], rots
 
     def _evaluate(self, params, slot=None, sites=((0, 0.0),), swept=None) -> np.ndarray:

@@ -247,10 +247,26 @@ def test_number_flags_take_plain_ascii_decimal_only(tmp_path, capsys, command, f
 
 
 def test_train_rejects_nonpositive_lr(tmp_path, capsys):
-    for bad in ("-1", "0"):
+    for bad, want in (("-1", "a finite real number >= 0"), ("0", "positive")):
         rc, _, _ = _train(tmp_path, f"lr{bad}", ["--lr", bad])
         assert rc == EXIT_USAGE
-        assert "--lr must be positive" in capsys.readouterr().err
+        assert f"--lr must be {want}" in capsys.readouterr().err
+
+
+def test_negative_numbers_in_every_form_reach_their_rules(tmp_path, capsys):
+    # argparse takes only -digits[.digits] for a value; every negative form
+    # decimal_float reads reaches the library rule, named by its flag
+    data, params = tmp_path / "d.csv", tmp_path / "p.txt"
+    entry(["gen", "--side", "2", "--count", "4", "--seed", "0", "--out", str(data)])
+    _write_params(params, [0.1] * 4)
+    capsys.readouterr()
+    for value in ("-1e-7", "-.5", "-inf", "-2E+3"):
+        rc, out, _ = _train(tmp_path, "neg", ["--lr", value])
+        assert rc == EXIT_USAGE, value
+        assert "--lr must be a finite real number >= 0" in capsys.readouterr().err, value
+        assert not out.exists()
+        assert entry(["eval", "--params", str(params), "--data", str(data), "--threshold", value]) == EXIT_USAGE
+        assert "--threshold must be a real number strictly inside (0, 1)" in capsys.readouterr().err, value
 
 
 def test_train_rejects_mismatched_dataset(tmp_path, capsys):
@@ -323,9 +339,9 @@ def test_bad_params_and_config_files_name_the_path(tmp_path, capsys):
     entry(["gen", "--side", "2", "--count", "4", "--seed", "0", "--out", str(data)])
     params = tmp_path / "p.txt"
     for content, want in (
-        (b"0.1\nnan\n0.2\n0.3\n", f"{params}, line 2: angle nan is not finite"),
-        (b"0.1\n0.2\n0.3\n1e400\n", f"{params}, line 4: angle 1e400 is not finite"),
-        (b"0.1\n0.2\xff\n0.3\n0.4\n", f"{params}: parameter file must be ASCII text"),
+        (b"0.1\nnan\n0.2\n0.3\n", f"{params}: line 2: angle nan is not finite"),
+        (b"0.1\n0.2\n0.3\n1e400\n", f"{params}: line 4: angle 1e400 is not finite"),
+        (b"0.1\n0.2\xff\n0.3\n0.4\n", f"{params}: line 2: non-ASCII byte 0xff"),
     ):
         params.write_bytes(content)
         capsys.readouterr()
@@ -397,7 +413,7 @@ def test_featmap_rejects_odd_dimensions(tmp_path, capsys):
     _write_params(params, [0.0, 0.0, 0.0, 0.0])
     rc = entry(["featmap", "--in", str(src), "--params", str(params), "--out", str(tmp_path / "o.pgm")])
     assert rc == EXIT_USAGE
-    assert "must be even" in capsys.readouterr().err
+    assert f"{src} must form a grid with even sides" in capsys.readouterr().err
 
 
 def test_missing_arguments_exit_2(capsys):
@@ -473,7 +489,7 @@ def test_train_config_rejects_non_integer_fields(tmp_path, capsys):
         rc = entry(["train", "--config", str(cfg), "--params-out", str(tmp_path / "p.txt"),
                     "--curve-out", str(tmp_path / "c.csv")])
         assert rc == EXIT_USAGE
-        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert f"config key '{key}' must be an integer" in capsys.readouterr().err
 
 
 def test_train_config_rejects_wrongly_typed_values(tmp_path, capsys):

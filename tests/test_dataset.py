@@ -48,6 +48,15 @@ def test_gen_validation():
         gen_dataset(0, 2, seed=1)
 
 
+def test_gen_dataset_refusals_name_the_parameter():
+    # each refusal starts with the parameter's name, and a side is refused
+    # before any row is drawn
+    for args, name in (((0, 2, 1), "n"), ((2.0, 2, 1), "n"), ((1, 3, 1), "side"), ((1, 2.0, 1), "side"), ((1, 2**20, 1), "side"),
+                       ((1, 2, -1), "seed"), ((1, 2, 1.5), "seed"), ((1, 2, True), "seed")):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            gen_dataset(*args)
+
+
 def test_labeled_image_validation():
     img = LabeledImage(2, [0, 1, 2, 3], 1)
     np.testing.assert_array_equal(img.grid(), [[0, 1], [2, 3]])
@@ -123,6 +132,17 @@ def test_load_rejects_bad_rows(tmp_path):
         p = _write(tmp_path, text)
         with pytest.raises(DatasetFormatError, match=r"bad\.csv: dataset is empty"):
             load_dataset(p)
+
+
+def test_labeled_image_refuses_a_loaded_row(tmp_path):
+    # the loader parses; LabeledImage's rules refuse the row, and the
+    # error names the file and line
+    p = _write(tmp_path, "label,p0,p1,p2,p3\n1,0,0,0,0\n0,0,0,99999999999999999999,0\n")  # beyond int64
+    with pytest.raises(DatasetFormatError, match=r"bad\.csv: line 3: pixel out of range 0..255"):
+        load_dataset(p)
+    p = _write(tmp_path, "label," + ",".join(f"p{i}" for i in range(9)) + "\n" + ",".join("0" * 10) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"bad\.csv: line 2: side must be one of \(2, 4, 8\), got 3"):
+        load_dataset(p)
 
 
 def test_load_reads_plain_decimal_integers_only(tmp_path):

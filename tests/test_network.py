@@ -293,13 +293,13 @@ def test_params_file_rejections(tmp_path):
     path.write_text("\n")
     with pytest.raises(ValueError, match="multiple of 4"):
         load_params(path)
-    # a non-finite angle names the file and its line; a non-ASCII byte the file
+    # a non-finite angle or a non-ASCII byte names the file and its line
     for text, line in (("1.0\nnan\n2.0\n3.0\n", 2), ("1.0\n2.0\n\n1e400\n3.0\n", 4)):
         path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: angle ") + ".* is not finite"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}: angle ") + ".* is not finite"):
             load_params(path)
     path.write_bytes(b"1.0\n2.0\xff\n3.0\n4.0\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: parameter file must be ASCII text")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: non-ASCII byte 0xff")):
         load_params(path)
 
 
@@ -312,7 +312,7 @@ def test_params_file_takes_plain_decimal_only(tmp_path):
     np.testing.assert_array_equal(load_params(path).vector(), params.vector())
     for bad in ("1_0", "+0.5", " 0.25", "0.1 ", "0x1p-2", "1e", ".", "Infinity"):
         path.write_text(f"0.5\n\n1.0\n{bad}\n2.0\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: ") + ".*" + re.escape(repr(bad))):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: ") + ".*" + re.escape(repr(bad))):
             load_params(path)
 
 

@@ -54,10 +54,17 @@ def test_reader_rejections(tmp_path):
         path.write_text(text)
         with pytest.raises(PgmFormatError, match=key):
             read_pgm(path)
-    with pytest.raises(PgmFormatError, match="cannot read"):
+    with pytest.raises(OSError):
         read_pgm(tmp_path / "missing.pgm")
     path.write_bytes(b"P2\n1 1\n255\n\xff\n")
-    with pytest.raises(PgmFormatError, match="binary"):
+    with pytest.raises(PgmFormatError, match="line 4: non-ASCII byte 0xff"):
+        read_pgm(path)
+
+
+def test_reader_refuses_pixels_beyond_int64(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_text("P2\n2 1\n255\n0 99999999999999999999\n")
+    with pytest.raises(PgmFormatError, match="pixel values must be integers in 0..255"):
         read_pgm(path)
 
 

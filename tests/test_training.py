@@ -270,7 +270,7 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
 
 
 def test_evals_count_the_protocol_whatever_the_call_order():
-    # a jacobian without a preceding readout builds the node cache itself;
+    # a jacobian without a preceding readout runs its own forward sweep;
     # evals still counts batch x protocol evaluations, not engine work
     obj, config = _objective("conv-pool-conv-pool", n=3, seed=23)
     params = ModelParams.from_vector(config.arch, np.full(8, 0.3))
@@ -280,7 +280,7 @@ def test_evals_count_the_protocol_whatever_the_call_order():
     assert obj.evals == 3 * (1 + 2 * (4 * 16 + 4 * 2))
 
 
-def test_node_cache_follows_the_params():
+def test_readouts_and_jacobian_follow_the_params():
     # readouts and jacobian at new params never reuse subtrees of old ones
     arch = Architecture.CONV_POOL_CONV_POOL
     rng = np.random.default_rng(24)
@@ -292,15 +292,15 @@ def test_node_cache_follows_the_params():
     np.testing.assert_array_equal(obj.p1(b), fresh.p1(b))
     np.testing.assert_array_equal(obj.p1(a), pa)
     assert not np.array_equal(pa, fresh.p1(b))
-    # a returned readout is the caller's own: writing to it leaves the cache
+    # a returned readout is the caller's own: writing to it changes no later readout
     obj.p1(a)[:] = -1.0
     np.testing.assert_array_equal(obj.p1(a), pa)
 
 
 @pytest.mark.parametrize("measure_mode", ["end-to-end", "intermediate"])
 def test_objective_rows_do_not_depend_on_their_batch(measure_mode):
-    # one node cache serves the whole batch: objectives over row slices give
-    # the readouts and jacobian rows of one objective over all the rows
+    # each row is evaluated on its own: objectives over row slices give the
+    # readouts and jacobian rows of one objective over all the rows
     config = TrainConfig(arch="conv-pool-conv-pool", seed=26, measure_mode=measure_mode)
     samples = gen_dataset(12, config.arch.image_side, seed=66)
     rows = np.stack([s.pixels.astype(float) for s in samples])
@@ -486,6 +486,16 @@ def test_shot_sampling_deterministic_and_bounded():
     np.testing.assert_array_equal(obj._sample(np.array([-1e-12, 1.0 + 1e-12, 0.0]), 0, 0), [0.0, 1.0, 0.0])
     big, _ = _objective("conv", n=1, seed=7, eval_mode="sampled", shots=100000)
     assert abs(big._sample(np.array([0.3]), 0, 0)[0] - 0.3) < 0.01
+
+
+def test_setting_refusals_start_with_the_field_name():
+    # the command line puts the value's flag, config key or QCNN_SEED in
+    # place of this first word
+    for field in TrainConfig.__dataclass_fields__:
+        for bad in ("bogus", -1, None, True, float("inf")):
+            with pytest.raises(ValueError) as info:
+                TrainConfig(**{"arch": "conv", field: bad})
+            assert str(info.value).split()[0] == field, (field, bad, info.value)
 
 
 def test_train_config_validation():
