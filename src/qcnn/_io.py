@@ -32,15 +32,20 @@ def write_text_atomic(path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
-def read_ascii_lines(path, error=ValueError) -> list:
-    """The lines of an ASCII text file.  A non-ASCII byte raises `error`
+def read_ascii(path, error=ValueError) -> bytes:
+    """The bytes of an ASCII text file.  A non-ASCII byte raises `error`
     naming the path and its line; an unreadable file raises OSError."""
     raw = Path(path).read_bytes()
-    try:
-        return raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
+    if not raw.isascii():
+        at = next(i for i, byte in enumerate(raw) if byte > 127)
+        line = raw.count(b"\n", 0, at) + 1
+        raise error(f"{path}: line {line}: non-ASCII byte 0x{raw[at]:02x}")
+    return raw
+
+
+def read_ascii_lines(path, error=ValueError) -> list:
+    """The lines of an ASCII text file, as str.splitlines cuts them."""
+    return read_ascii(path, error).decode("ascii").splitlines()
 
 
 def require_int(name: str, value, least: int) -> int:

@@ -88,6 +88,6 @@ def classical_train(config: TrainConfig, dataset=None, log_fn=None):
 
 
 def classical_evaluate(kernel: ClassicalKernel, samples, threshold: float = 0.5):
-    """MSE and accuracy over a sample list; an activated output above
-    `threshold` predicts label 1."""
+    """MSE and accuracy over a Dataset or LabeledImage list; an activated
+    output above `threshold` predicts label 1."""
     return score(samples, threshold, lambda rows, labels: classical_forward(kernel, rows))

@@ -92,10 +92,10 @@ def _load_config_file(path) -> dict:
 def cmd_gen(args) -> int:
     seed, source = _resolve_seed(args.seed, {})
     with _named({"n": "--count", "side": "--side", "seed": source}):
-        samples = gen_dataset(args.count, args.side, seed)
-    save_dataset(samples, args.out)
-    ones = sum(s.label for s in samples)
-    print(f"wrote {len(samples)} samples to {args.out} (label 1: {ones}, label 0: {len(samples) - ones})")
+        data = gen_dataset(args.count, args.side, seed)
+    save_dataset(data, args.out)
+    ones = int(data.labels.sum())
+    print(f"wrote {len(data)} samples to {args.out} (label 1: {ones}, label 0: {len(data) - ones})")
     return EXIT_OK
 
 
@@ -133,9 +133,9 @@ def cmd_train(args) -> int:
     dataset = None
     if data_path is not None:
         dataset = load_dataset(data_path)
-        if dataset[0].side != config.arch.image_side:
+        if dataset.side != config.arch.image_side:
             raise CliError(
-                f"{data_path} holds {dataset[0].side}x{dataset[0].side} images but "
+                f"{data_path} holds {dataset.side}x{dataset.side} images but "
                 f"{config.arch.value} expects {config.arch.image_side}x{config.arch.image_side}"
             )
         if len(dataset) < config.batch_size:
@@ -155,7 +155,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     samples = load_dataset(args.data)
-    side = samples[0].side
+    side = samples.side
     arch = _ARCH_BY_SIDE[side]
     vector = load_params(args.params).vector()
     if vector.size != arch.n_params:

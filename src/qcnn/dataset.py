@@ -5,7 +5,8 @@ Label 1 means every pixel carries one intensity drawn uniformly from 0..255;
 label 0 means each pixel is drawn independently from the same range.  Both
 classes therefore share the same mean intensity and differ only in their
 internal structure.  Generation uses numpy's PCG64 so a seed pins the exact
-byte content of a saved dataset.
+byte content of a saved dataset.  A dataset is two arrays, labels and pixel
+rows (Dataset); its items are LabeledImage rows.
 """
 from __future__ import annotations
 
@@ -14,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import decimal_ints, read_ascii_lines, require_int, write_text_atomic
+from ._io import decimal_ints, read_ascii, require_int, write_text_atomic
 
 VALID_SIDES = (2, 4, 8)
+# the line breaks of str.splitlines besides \n; the byte pass splits at \n only
+_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
 class DatasetFormatError(ValueError):
@@ -55,28 +58,83 @@ class LabeledImage:
         return self.pixels.reshape(self.side, self.side)
 
 
-def gen_sample(side: int, rng: np.random.Generator) -> LabeledImage:
-    """Draw one labeled image.  Noise samples that come out accidentally
-    uniform are redrawn, so label 0 always shows at least two intensities."""
-    label = int(rng.integers(0, 2))
-    k = side * side
-    if label == 1:
-        value = int(rng.integers(0, 256))
-        pixels = np.full(k, value, dtype=np.int64)
-    else:
-        pixels = rng.integers(0, 256, size=k)
-        while np.all(pixels == pixels[0]):
-            pixels = rng.integers(0, 256, size=k)
-    return LabeledImage(side, pixels, label)
+@dataclass(frozen=True)
+class Dataset:
+    """Labeled images of one side as two uint8 arrays: labels (n,) and
+    pixels (n, side * side), holding only rows LabeledImage accepts.  Its
+    items are LabeledImage rows, and a slice of it is a Dataset."""
+
+    side: int
+    labels: np.ndarray
+    pixels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Dataset(self.side, self.labels[i], self.pixels[i])
+        return LabeledImage(self.side, self.pixels[i], int(self.labels[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
-def gen_dataset(n: int, side: int, seed: int) -> list:
-    """n labeled images from a PCG64 stream seeded with `seed`.  The side
-    is checked before any row is drawn, so a huge one allocates nothing."""
+def as_dataset(samples) -> Dataset:
+    """A Dataset as it is, or a sequence of LabeledImage of one side stacked
+    into one; either must hold at least one row."""
+    if not len(samples):
+        raise ValueError("a dataset must hold at least one row")
+    if isinstance(samples, Dataset):
+        return samples
+    side = samples[0].side
+    if any(s.side != side for s in samples):
+        raise ValueError("all samples in a dataset must share one side length")
+    labels = np.array([s.label for s in samples], np.uint8)
+    return Dataset(side, labels, np.array([s.pixels for s in samples], np.uint8))
+
+
+def _rows_from_words(n: int, k: int, draw) -> tuple:
+    """(labels, pixels) of n rows of k pixels, read in order from the uint32
+    words that draw(m) hands out m at a time.  A row is a label word, then
+    one value word for label 1 or k pixel words for label 0, drawn again
+    while all k are equal, so label 0 always shows at least two intensities.
+    numpy's bounded integers take a power-of-two range from the top bits of
+    one word and never reject it, so a label is a word's top bit and an
+    intensity its top byte: the rows are those that per-row
+    rng.integers(0, 2) and rng.integers(0, 256, size=k) calls would draw."""
+    words = draw(n * (k + 3) // 2 + 2 * k)  # a row takes (k + 3) / 2 words on average
+    while True:
+        m = len(words)
+        bits, top = words >> 31, (words >> 24).astype(np.uint8)
+        changes = np.concatenate(([0], np.cumsum(top[1:] != top[:-1])))
+        block = np.arange(m + 1)  # the first word of the pixel block kept when drawing from word q on
+        for q in np.flatnonzero(changes[k - 1:] == changes[: m - k + 1])[::-1]:  # k equal top bytes from q
+            block[q] = block[q + k]
+        after = np.where(bits, np.arange(2, m + 2), block[1:] + k).tolist()  # the next row's label word
+        heads, p = [], 0
+        for _ in range(n):
+            if p >= m:
+                break
+            heads.append(p)
+            p = after[p]
+        if len(heads) == n and p <= m:
+            break
+        words = np.concatenate((words, draw(m // 2 + 2 * k)))
+    heads = np.array(heads)
+    labels = bits[heads].astype(np.uint8)
+    firsts = np.where(labels, heads + 1, block[heads + 1])
+    return labels, top[firsts[:, None] + np.arange(k) * (1 - labels[:, None])]
+
+
+def gen_dataset(n: int, side: int, seed: int) -> Dataset:
+    """n labeled images from a PCG64 stream seeded with `seed`, drawn as one
+    block of words.  The side is checked before any row is drawn, so a huge
+    one allocates nothing."""
     n = require_int("n", n, 1)
     _check_side(side)
     rng = np.random.Generator(np.random.PCG64(require_int("seed", seed, 0)))
-    return [gen_sample(side, rng) for _ in range(n)]
+    return Dataset(side, *_rows_from_words(n, side * side, lambda m: rng.integers(0, 2**32, size=m, dtype=np.uint32)))
 
 
 def _header(k: int) -> str:
@@ -84,42 +142,72 @@ def _header(k: int) -> str:
 
 
 def save_dataset(samples, path) -> None:
-    """Write samples as CSV: header `label,p0,...`, one row per image."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("refusing to write an empty dataset")
-    k = samples[0].side ** 2
-    lines = [_header(k)]
-    for s in samples:
-        if s.side ** 2 != k:
-            raise ValueError("all samples in a dataset must share one side length")
-        lines.append(",".join([str(s.label)] + [str(int(p)) for p in s.pixels]))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """Write a Dataset, or LabeledImage rows of one side, as CSV: header
+    `label,p0,...`, one row per image."""
+    data = as_dataset(samples)
+    rows = np.column_stack((data.labels, data.pixels)).tolist()
+    write_text_atomic(path, "\n".join([_header(data.side ** 2)] + [",".join(map(str, r)) for r in rows]) + "\n")
 
 
-def load_dataset(path) -> list:
+def _vouched(body: bytes, k: int) -> tuple:
+    """One numpy pass over the newline-separated lines of body: whether each is
+    k + 1 comma-separated fields of one to three digits, a label of at most
+    1 and pixels of at most 255, and the values (vouched lines, k + 1) of
+    those that are."""
+    b = np.frombuffer(body + b"\n", np.uint8)
+    digit = b - 48  # a uint8 above 9 off the digits
+    sep = (b == 44) | (b == 10)
+    ends = np.flatnonzero(sep)  # the comma or newline after each field
+    width = np.diff(ends, prepend=-1) - 1
+    value = sum(digit.take(ends - i, mode="clip").astype(np.uint16) * 10 ** (i - 1) * (width >= i) for i in (1, 2, 3))
+    bad = (width < 1) | (width > 3) | (value > 255)
+    bad[np.searchsorted(ends, np.flatnonzero(~sep & (digit > 9)))] = True
+    lasts = np.flatnonzero(b[ends] == 10)  # each line's last field
+    label_fields = np.concatenate(([0], lasts[:-1] + 1))
+    bad[label_fields[value[label_fields] > 1]] = True
+    fields = np.diff(lasts, prepend=-1)
+    vouched = fields == k + 1
+    vouched[np.searchsorted(lasts, np.flatnonzero(bad))] = False
+    values = value if vouched.all() else value[np.repeat(vouched, fields)]
+    return vouched, values.reshape(-1, k + 1).astype(np.uint8)
+
+
+def load_dataset(path) -> Dataset:
     """Read a dataset CSV back: an ASCII file whose header names a square
     number of pixels, then at least one row of plain decimal integers.
-    LabeledImage refuses a bad row; the error names the file and line."""
-    lines = read_ascii_lines(path, DatasetFormatError)
-    if not lines:
+    One numpy pass over the bytes reads the lines it can vouch for; every
+    other line takes the row rule, decimal_ints and LabeledImage, which
+    accepts it (`007`, `-0`) or refuses it, naming the file and line.
+    Blank lines are skipped."""
+    raw = read_ascii(path, DatasetFormatError)
+    if not raw:
         raise DatasetFormatError(f"{path}: line 1: empty file")
-    k = lines[0].count(",")
+    plain = not any(c in raw for c in _OTHER_BREAKS)
+    head, *lines = raw.decode().split("\n") if plain else raw.decode().splitlines()
+    k = head.count(",")
     side = math.isqrt(k)
-    if lines[0] != _header(k) or side * side != k:
-        raise DatasetFormatError(f"{path}: line 1: header {lines[0][:80]!r} is not label,p0,...,pN of a square image")
-    samples = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line:
+    if head != _header(k) or side * side != k:
+        raise DatasetFormatError(f"{path}: line 1: header {head[:80]!r} is not label,p0,...,pN of a square image")
+    vouched = np.zeros(len(lines), bool)
+    rows = np.zeros((len(lines), k + 1), np.uint8)
+    if plain and lines and side in VALID_SIDES:
+        vouched, values = _vouched(raw[len(head) + 1:], k)
+        rows[vouched] = values
+    blank = []
+    for ln in np.flatnonzero(~vouched).tolist():
+        parts = lines[ln].split(",")
+        if not lines[ln]:
+            blank.append(ln)
             continue
-        parts = line.split(",")
         if len(parts) != k + 1:
-            raise DatasetFormatError(f"{path}: line {ln}: expected {k + 1} columns, got {len(parts)}")
+            raise DatasetFormatError(f"{path}: line {ln + 2}: expected {k + 1} columns, got {len(parts)}")
         try:
             values = decimal_ints(parts)
-            samples.append(LabeledImage(side, values[1:], values[0]))
+            image = LabeledImage(side, values[1:], values[0])
         except ValueError as exc:
-            raise DatasetFormatError(f"{path}: line {ln}: {exc}") from None
-    if not samples:
+            raise DatasetFormatError(f"{path}: line {ln + 2}: {exc}") from None
+        rows[ln, 0], rows[ln, 1:] = image.label, image.pixels
+    rows = np.delete(rows, blank, axis=0)
+    if not len(rows):
         raise DatasetFormatError(f"{path}: dataset is empty")
-    return samples
+    return Dataset(side, rows[:, 0], rows[:, 1:])

@@ -147,6 +147,14 @@ def build_plan(arch: Architecture):
     return CircuitPlan(arch.image_side ** 2, tuple(gates), readout), layers
 
 
+class NonFiniteAngleError(ValueError):
+    """A kernel angle is infinite or nan; `index` is its flat position."""
+
+    def __init__(self, index: int, value: float):
+        super().__init__(f"kernel angle {index} is not finite, got {value}")
+        self.index = index
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Trainable kernel angles, one block of four per convolution layer."""
@@ -154,13 +162,15 @@ class ModelParams:
     layers: tuple
 
     def __post_init__(self):
+        """The one check of the angles: blocks of four finite values."""
         blocks = tuple(np.array(b, dtype=np.float64) for b in self.layers)
         object.__setattr__(self, "layers", blocks)
         for b in blocks:
             if b.shape != (4,):
                 raise ValueError(f"each kernel block holds 4 angles, got shape {b.shape}")
-            if not np.all(np.isfinite(b)):
-                raise ValueError("kernel angles must be finite")
+        bad = np.flatnonzero(~np.isfinite(self.vector()))
+        if bad.size:
+            raise NonFiniteAngleError(int(bad[0]), self.vector()[bad[0]])
 
     @property
     def n_layers(self) -> int:
@@ -206,18 +216,21 @@ def save_params(params: ModelParams, path) -> None:
 def load_params(path) -> ModelParams:
     """Angles of a save_params file: one finite plain decimal per line of
     an ASCII file.  An unreadable file raises OSError."""
-    angles = []
+    angles, lines = [], []
     for n, ln in enumerate(read_ascii_lines(path), 1):
         if ln.strip():
             try:
                 angles.append(decimal_float(ln))
             except ValueError:
                 raise ValueError(f"{path}: line {n}: parameter file must hold one angle per line, got {ln!r}") from None
-            if not np.isfinite(angles[-1]):
-                raise ValueError(f"{path}: line {n}: angle {ln} is not finite")
+            lines.append((n, ln))
     if not angles or len(angles) % 4:
         raise ValueError(f"{path}: expected a multiple of 4 angles, got {len(angles)}")
-    return ModelParams.from_flat(angles)
+    try:
+        return ModelParams.from_flat(angles)
+    except NonFiniteAngleError as exc:
+        n, ln = lines[exc.index]
+        raise ValueError(f"{path}: line {n}: angle {ln} is not finite") from None
 
 
 def conv_feature_map(pixels, kernel_angles) -> np.ndarray:

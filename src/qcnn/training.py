@@ -29,7 +29,7 @@ import numpy as np
 
 from . import runner
 from ._io import require_int, write_text_atomic
-from .dataset import gen_dataset
+from .dataset import as_dataset, gen_dataset
 from .encoding import pixel_to_angle, prob_to_angle
 from .gates import Angle
 from .network import Architecture, InitScheme, ModelParams, _enum_from, build_plan, group_plan, init_params
@@ -81,6 +81,8 @@ class TrainConfig:
             setattr(self, name, _enum_from(enum_cls, getattr(self, name), name))
         for name in ("epochs", "batch_size", "shots", "seed"):
             setattr(self, name, require_int(name, getattr(self, name), 0 if name == "seed" else 1))
+        if self.shots > 2**63 - 1:  # the most Generator.binomial draws for sampled readouts
+            raise ValueError(f"shots must be at most 2**63 - 1, got {self.shots}")
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 <= lr < np.inf:
             raise ValueError(f"learning_rate must be a finite real number >= 0, got {lr!r}")
@@ -153,12 +155,6 @@ def mse(predictions, labels) -> float:
 
 def _derived_rng(*key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(int(k) for k in key))))
-
-
-def _pixels_and_labels(samples) -> tuple:
-    """(pixel rows, labels) of a sample list as float64 arrays."""
-    pixels = np.stack([np.asarray(s.pixels, dtype=np.float64) for s in samples])
-    return pixels, np.array([s.label for s in samples], dtype=np.float64)
 
 
 class TrainingObjective:
@@ -337,24 +333,23 @@ def run_epochs(config: TrainConfig, dataset, log_fn, init, step):
     """The training protocol shared by every model; returns (final state,
     loss curve).  init(seed) gives the model's initial state from the
     run's init seed.  Each epoch, step(state, epoch, pixels, labels) returns
-    (state, mse, evaluations) for that epoch's batch: the first
-    batch_size rows of `dataset`, stacked once, or without it a fresh
-    seeded batch.  Epoch time, the loss curve and the log_fn line are kept
-    here."""
+    (state, mse, evaluations) for that epoch's batch as float64 arrays: the
+    first batch_size rows of `dataset`, or without it a fresh seeded batch.
+    Epoch time, the loss curve and the log_fn line are kept here."""
     if dataset is not None:
         if len(dataset) < config.batch_size:
             raise ValueError(f"dataset holds {len(dataset)} rows, fewer than the batch size {config.batch_size}")
-        fixed = _pixels_and_labels(dataset[: config.batch_size])
+        fixed = as_dataset(dataset[: config.batch_size])
     state = init(int(_derived_rng(config.seed, _TAG_INIT).integers(0, 2**63 - 1)))
     curve = LossCurve()
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         if dataset is None:
             seed = _derived_rng(config.seed, _TAG_DATA, epoch).integers(0, 2**63 - 1)
-            pixels, labels = _pixels_and_labels(gen_dataset(config.batch_size, config.arch.image_side, int(seed)))
+            batch = gen_dataset(config.batch_size, config.arch.image_side, int(seed))
         else:
-            pixels, labels = fixed
-        state, epoch_mse, evals = step(state, epoch, pixels, labels)
+            batch = fixed
+        state, epoch_mse, evals = step(state, epoch, batch.pixels.astype(np.float64), batch.labels.astype(np.float64))
         ms = (time.perf_counter() - t0) * 1000.0
         curve.record(epoch, epoch_mse, ms, evals)
         if log_fn is not None:
@@ -364,13 +359,13 @@ def run_epochs(config: TrainConfig, dataset, log_fn, init, step):
 
 def score(samples, threshold, predict):
     """(MSE, accuracy) of the activated outputs predict(pixels, labels)
-    over a sample list; an output above `threshold` predicts label 1."""
+    over a Dataset or LabeledImage list; an output above `threshold`
+    predicts label 1."""
     if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be a real number strictly inside (0, 1), got {threshold!r}")
-    if not samples:
-        raise ValueError("cannot evaluate an empty dataset")
-    pixels, labels = _pixels_and_labels(samples)
-    acts = predict(pixels, labels)
+    data = as_dataset(samples)
+    labels = data.labels.astype(np.float64)
+    acts = predict(data.pixels.astype(np.float64), labels)
     preds = (acts > threshold).astype(np.float64)
     return mse(acts, labels), float(np.mean(preds == labels))
 
@@ -378,8 +373,8 @@ def score(samples, threshold, predict):
 def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams = None):
     """Run the training protocol and return (final params, loss curve).
 
-    dataset: optional list of LabeledImage reused every epoch (the first
-    batch_size samples, so it must hold at least that many); without it
+    dataset: optional Dataset or LabeledImage list reused every epoch (the
+    first batch_size rows, so it must hold at least that many); without it
     each epoch draws a fresh seeded batch.  Simultaneous updates move every
     angle from the epoch's readouts; layer-wise updates move one layer at a
     time, each from fresh readouts at the params the previous layer left.
@@ -405,9 +400,9 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
 
 
 def evaluate(params: ModelParams, samples, config: TrainConfig, threshold: float = 0.5):
-    """MSE and accuracy of a parameter set over a sample list from exact
-    readouts, whatever config.eval_mode says; an activated readout above
-    `threshold` predicts label 1."""
+    """MSE and accuracy of a parameter set over a Dataset or LabeledImage
+    list from exact readouts, whatever config.eval_mode says; an activated
+    readout above `threshold` predicts label 1."""
     exact = replace(config, eval_mode=EvalMode.EXACT)
 
     def predict(pixels, labels):

@@ -1,17 +1,116 @@
 """Synthetic dataset generation and the CSV round trip, including the line
-diagnostics of the loader."""
+diagnostics of the loader.  The block draw and the byte-level parse are
+checked against per-row references: numpy's own rng.integers calls, and
+the line-by-line loader."""
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from qcnn._io import decimal_ints, read_ascii_lines
 from qcnn.dataset import (
     VALID_SIDES,
+    Dataset,
     DatasetFormatError,
     LabeledImage,
+    _rows_from_words,
     gen_dataset,
-    gen_sample,
     load_dataset,
     save_dataset,
 )
+
+
+def gen_sample(side: int, rng) -> LabeledImage:
+    """Reference: one labeled image from per-row rng.integers calls.  Noise
+    samples that come out accidentally uniform are redrawn, so label 0
+    always shows at least two intensities."""
+    label = int(rng.integers(0, 2))
+    k = side * side
+    if label == 1:
+        value = int(rng.integers(0, 256))
+        pixels = np.full(k, value, dtype=np.int64)
+    else:
+        pixels = rng.integers(0, 256, size=k)
+        while np.all(pixels == pixels[0]):
+            pixels = rng.integers(0, 256, size=k)
+    return LabeledImage(side, pixels, label)
+
+
+class _Words:
+    """A scripted word stream read two ways: in blocks by draw(m), as
+    gen_dataset reads PCG64, and by integers(0, 2 or 256), as gen_sample
+    reads it (a power-of-two range is the top bits of one word)."""
+
+    def __init__(self, words):
+        self.words, self.at, self.draws = np.asarray(words, dtype=np.uint32), 0, 0
+
+    def _take(self, m):
+        self.at += m
+        assert self.at <= len(self.words), "the script ran out"
+        return self.words[self.at - m : self.at]
+
+    def draw(self, m):
+        self.draws += 1
+        return self._take(m) if self.at + m <= len(self.words) else np.zeros(m, dtype=np.uint32)
+
+    def integers(self, low, high, size=None):
+        words = self._take(1 if size is None else size) >> {2: 31, 256: 24}[high]
+        return int(words[0]) if size is None else words.astype(np.int64)
+
+
+def _assert_rows_match(side, n, words):
+    """_rows_from_words on `words` gives gen_sample's n rows on them; returns
+    how many blocks it drew."""
+    block, rows = _Words(words), _Words(words)
+    labels, pixels = _rows_from_words(n, side * side, block.draw)
+    want = [gen_sample(side, rows) for _ in range(n)]
+    np.testing.assert_array_equal(labels, [s.label for s in want])
+    np.testing.assert_array_equal(pixels, [s.pixels for s in want])
+    return block.draws
+
+
+@pytest.mark.parametrize("side", VALID_SIDES)
+def test_gen_dataset_matches_per_row_draws(side):
+    for seed in [*range(20), 2**62 + 5]:
+        got = gen_dataset(500, side, seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        want = [gen_sample(side, rng) for _ in range(500)]
+        assert got.side == side and got.labels.dtype == got.pixels.dtype == np.uint8
+        np.testing.assert_array_equal(got.labels, [s.label for s in want])
+        np.testing.assert_array_equal(got.pixels, [s.pixels for s in want])
+
+
+@pytest.mark.parametrize("side", VALID_SIDES)
+def test_block_draw_redraws_uniform_noise(side):
+    # no seed reaches a uniform noise draw (odds 256^-(k-1) a row), so the
+    # stream is scripted: label 0 rows whose first one and two blocks of k
+    # pixel words share one top byte under different low bits
+    k = side * side
+    rng = np.random.default_rng(side)
+    noise = rng.integers(0, 2**32, size=(6, k), dtype=np.uint32)
+    flat = (np.uint32(77 << 24) | rng.integers(0, 2**24, size=(3, k), dtype=np.uint32))
+    label0, label1 = np.uint32(5), np.uint32(2**31 + 5)
+    words = np.concatenate([[label0], flat[0], noise[0], [label1, 123 << 24], [label0], flat[1], flat[2], noise[1],
+                            [label0], noise[2], rng.integers(0, 2**32, size=40 * k, dtype=np.uint32)])
+    _assert_rows_match(side, 4, words)
+    labels, pixels = _rows_from_words(4, k, _Words(words).draw)
+    assert labels.tolist() == [0, 1, 0, 0]
+    np.testing.assert_array_equal(pixels[[0, 2, 3]], noise[:3] >> 24)
+    assert pixels[1].tolist() == [123] * k
+
+
+@pytest.mark.parametrize("side", VALID_SIDES)
+def test_block_draw_extends_its_block(side):
+    # all label 0 rows take k + 1 words each, more than the first block's
+    # (k + 3) / 2 a row; a uniform block straddles where the first block ends
+    k, n = side * side, 40
+    rng = np.random.default_rng(10 + side)
+    words = rng.integers(0, 2**31, size=3 * n * (k + 1), dtype=np.uint32)  # top bit 0: label 0
+    first = n * (k + 3) // 2 + 2 * k
+    at = first - first % (k + 1) + 1  # a row's first pixel word before the first block's end
+    words[at : at + k] = (words[at : at + k] & 0xFFFFFF) | (200 << 24)
+    assert _assert_rows_match(side, n, words) >= 2
 
 
 def test_gen_dataset_deterministic():
@@ -25,13 +124,12 @@ def test_gen_dataset_deterministic():
 
 
 def test_gen_sample_class_semantics():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        s = gen_sample(2, rng)
-        if s.label == 1:
-            assert np.all(s.pixels == s.pixels[0])
-        else:
-            assert not np.all(s.pixels == s.pixels[0])
+    for side in VALID_SIDES:
+        for s in gen_dataset(200, side, seed=3):
+            if s.label == 1:
+                assert np.all(s.pixels == s.pixels[0])
+            else:
+                assert not np.all(s.pixels == s.pixels[0])
 
 
 def test_gen_dataset_rough_class_balance():
@@ -41,11 +139,24 @@ def test_gen_dataset_rough_class_balance():
 
 
 def test_gen_validation():
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        gen_sample(3, rng)
+        gen_dataset(1, 3, seed=0)
     with pytest.raises(ValueError):
         gen_dataset(0, 2, seed=1)
+
+
+def test_dataset_items_are_labeled_images():
+    data = gen_dataset(30, 4, seed=12)
+    assert isinstance(data, Dataset) and len(data) == 30
+    assert data.labels.shape == (30,) and data.pixels.shape == (30, 16)
+    rows = list(data)
+    assert all(isinstance(s, LabeledImage) and s.side == 4 for s in rows)
+    assert [s.label for s in rows] == data.labels.tolist()
+    np.testing.assert_array_equal([s.pixels for s in rows], data.pixels)
+    assert data[7].label == data.labels[7] and np.array_equal(data[-1].pixels, data.pixels[-1])
+    part = data[5:9]
+    assert isinstance(part, Dataset) and part.side == 4 and len(part) == 4
+    np.testing.assert_array_equal(part.pixels, data.pixels[5:9])
 
 
 def test_gen_dataset_refusals_name_the_parameter():
@@ -166,3 +277,110 @@ def test_load_tolerates_blank_lines(tmp_path):
     p = _write(tmp_path, "label,p0,p1,p2,p3\n1,5,5,5,5\n\n0,1,2,3,4\n")
     back = load_dataset(p)
     assert [s.label for s in back] == [1, 0]
+
+
+def _load_by_lines(path) -> list:
+    """Reference: the line-by-line loader that the byte pass stands in for,
+    every row through decimal_ints and LabeledImage."""
+    lines = read_ascii_lines(path, DatasetFormatError)
+    if not lines:
+        raise DatasetFormatError(f"{path}: line 1: empty file")
+    k = lines[0].count(",")
+    side = math.isqrt(k)
+    if lines[0] != "label," + ",".join(f"p{i}" for i in range(k)) or side * side != k:
+        raise DatasetFormatError(f"{path}: line 1: header {lines[0][:80]!r} is not label,p0,...,pN of a square image")
+    samples = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != k + 1:
+            raise DatasetFormatError(f"{path}: line {ln}: expected {k + 1} columns, got {len(parts)}")
+        try:
+            values = decimal_ints(parts)
+            samples.append(LabeledImage(side, values[1:], values[0]))
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: line {ln}: {exc}") from None
+    if not samples:
+        raise DatasetFormatError(f"{path}: dataset is empty")
+    return samples
+
+
+def _outcome(load, path):
+    try:
+        rows = list(load(path))
+    except DatasetFormatError as exc:
+        return str(exc)
+    return rows[0].side, [s.label for s in rows], [s.pixels.tolist() for s in rows]
+
+
+def test_load_refusals_are_byte_identical(tmp_path):
+    p = tmp_path / "bad.csv"
+    head = b"label,p0,p1,p2,p3\n"
+    cases = [
+        (b"", "line 1: empty file"),
+        (b"label,a,b,c,d\n1,0,0,0,0\n", "line 1: header 'label,a,b,c,d' is not label,p0,...,pN of a square image"),
+        (head + b"1,0,0,0\n", "line 2: expected 5 columns, got 4"),
+        (head + b"1,0,0,0,0\n2,0,0,0,0\n", "line 3: label must be 0 or 1, got 2"),
+        (head + b"1,0,0,x,0\n", "line 2: non-integer value"),
+        (head + b"1,0,0,,0\n", "line 2: non-integer value"),
+        (head + b"0,0,0,256,0\n", "line 2: pixel out of range 0..255"),
+        (head + b"0,0,0,1000,0\n", "line 2: pixel out of range 0..255"),
+        (head + b"0,0,0,-1,0\n", "line 2: pixel out of range 0..255"),
+        (head + b"1,0,0,0,0\n0,0,0,99999999999999999999,0\n", "line 3: pixel out of range 0..255"),
+        (b"label," + b",".join(b"p%d" % i for i in range(9)) + b"\n" + b",".join([b"0"] * 10) + b"\n",
+         "line 2: side must be one of (2, 4, 8), got 3"),
+        (head + b"1,5,5,5,5\n0,1,2," + "٣".encode() + b",4\n", "line 3: non-ASCII byte 0xd9"),
+        (head + b"\n\n", "dataset is empty"),
+        # lines are numbered as str.splitlines cuts them: \r\n is one break, \f is one more
+        (head[:-1] + b"\r\n1,1,1,1,1\r\n0,1,2,3,256\r\n", "line 3: pixel out of range 0..255"),
+        (head + b"1,1,1\x0c1,1\n", "line 2: expected 5 columns, got 3"),
+        (head + b"\n1,1,1,1,1\n\n0,0,0,0,300\n", "line 5: pixel out of range 0..255"),
+    ]
+    for content, want in cases:
+        p.write_bytes(content)
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(p)
+        assert str(info.value) == f"{p}: {want}", content
+
+
+def test_load_accepts_minus_zero_and_leading_zeros(tmp_path):
+    p = _write(tmp_path, "label,p0,p1,p2,p3\n0,-0,007,0255,00\n-0,1,1,1,1\n1,2,2,2,2")
+    data = load_dataset(p)
+    assert data.labels.tolist() == [0, 0, 1]
+    assert data.pixels.tolist() == [[0, 7, 255, 0], [1, 1, 1, 1], [2, 2, 2, 2]]
+
+
+def test_load_names_the_first_of_several_bad_lines(tmp_path):
+    bad = {"1,0,0,0": "expected 5 columns, got 4", "1,0,x,0,0": "non-integer value",
+           "0,0,0,0,256": "pixel out of range 0..255", "3,0,0,0,0": "label must be 0 or 1, got 3"}
+    for first, second, third in itertools.permutations(bad, 3):
+        p = _write(tmp_path, "\n".join(["label,p0,p1,p2,p3", "1,1,1,1,1", first, "0,1,2,3,4", second, third]) + "\n")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(p)
+        assert str(info.value) == f"{p}: line 3: {bad[first]}"
+
+
+def test_load_matches_the_line_by_line_reference(tmp_path):
+    # seeded edits of saved datasets: the byte pass and the row rule accept
+    # the same files with the same rows, and refuse the others with the
+    # same message
+    rng = np.random.default_rng(18)
+    goods = []
+    for side, n in ((2, 6), (4, 4), (8, 2)):
+        save_dataset(gen_dataset(n, side, seed=side), tmp_path / "good.csv")
+        goods.append((tmp_path / "good.csv").read_bytes())
+    alphabet = b"0123456789,\n-+ \r\x0b\x0c\x1ex"
+    p = tmp_path / "edited.csv"
+    accepted = 0
+    for i in range(600):
+        edited, chars = bytearray(goods[i % 3]), alphabet if i % 2 else b"0123456789-"
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(edited) + 1))
+            byte = chars[int(rng.integers(len(chars)))]
+            edited[at : at + int(rng.integers(0, 2))] = bytes([byte])  # replace or insert one byte
+        p.write_bytes(bytes(edited))
+        got = _outcome(load_dataset, p)
+        assert got == _outcome(_load_by_lines, p), bytes(edited)
+        accepted += not isinstance(got, str)
+    assert accepted >= 40

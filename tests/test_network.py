@@ -260,6 +260,17 @@ def test_model_params_container():
         ModelParams.from_flat(np.zeros(6))
 
 
+def test_model_params_name_the_first_non_finite_angle(tmp_path):
+    # ModelParams owns the finiteness rule; load_params maps the flat index
+    # it names back to the file line, past blank lines
+    with pytest.raises(ValueError, match=r"^kernel angle 5 is not finite, got nan$"):
+        ModelParams.from_flat([0, 1, 2, 3, 4, np.nan, np.inf, 7])
+    path = tmp_path / "params.txt"
+    path.write_text("0\n1\n\n2\n3\n4\n\n-inf\nnan\n7\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 8: angle -inf is not finite")):
+        load_params(path)
+
+
 def test_init_params_schemes():
     zeros = init_params(CPCP, seed=0, scheme="zeros")
     assert zeros.n_layers == 2 and not zeros.vector().any()

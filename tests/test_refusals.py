@@ -145,3 +145,19 @@ def test_corrupted_files_name_the_file(tmp_path, capsys, target):
             if kind == "non-ascii":
                 assert rc == EXIT_USAGE and "non-ASCII byte" in err, (content, argv, err)
     assert refused >= 20 * len(commands)
+
+
+def test_shots_beyond_int64_name_their_source(tmp_path, capsys):
+    # sampled readouts draw Generator.binomial(shots, p), which takes shots
+    # up to 2**63 - 1; a larger count is refused before the run starts
+    base = ["train", "--arch", "conv", "--epochs", "1", "--batch", "2", "--eval-mode", "sampled"] + _outs(tmp_path)
+    for value in (str(2**63), "99999999999999999999"):
+        rc, err = _run(base + ["--shots", value], capsys)
+        assert rc == EXIT_USAGE and "error: --shots must be " in err, (value, err)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"arch": "conv", "epochs": 1, "batch_size": 2, "eval_mode": "sampled", "shots": 2**63}))
+    rc, err = _run(["train", "--config", str(cfg)] + _outs(tmp_path), capsys)
+    assert rc == EXIT_USAGE and "error: config key 'shots' must be " in err, err
+    assert not (tmp_path / "p_out.txt").exists()
+    rc, err = _run(base + ["--shots", str(2**63 - 1)], capsys)
+    assert rc == EXIT_OK and (tmp_path / "p_out.txt").exists(), err
