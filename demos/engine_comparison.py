@@ -4,12 +4,13 @@ Three evaluators, one answer
 
 The same circuits evaluated by the dense state vector, by the batched
 density-matrix walk, which allocates and retires wires on the fly, and by
-the channel tree the trainer uses, which runs each layer's group template
-as two-input channels on real Bloch vectors, compiled from its gates.  The
-walk is what makes the 64-wire lattice affordable to any plan: it never
-holds more than nine wires at once.  The channel tree never holds more
-than a wire pair, three real numbers per wire.  All three agree to
-rounding.
+the factored readout the trainer uses.  The walk is what makes the 64-wire
+lattice affordable to any plan: it never holds more than nine wires at
+once.  The trainer needs no circuit per image at all: each layer's group
+template runs as two-input channels on real Bloch vectors, compiled from
+its gates, once on an all-black image, and that kernel factor F times the
+product of cos(angle) over the image's pixels is 1 - 2 p1.  All three
+agree to rounding.
 """
 
 import time
@@ -54,7 +55,7 @@ t_tree = time.perf_counter() - t0
 
 print(f"dense state vector: {dense:.12f}  ({t_dense * 1000:.1f} ms)")
 print(f"batched engine:     {batched:.12f}  ({t_batched * 1000:.1f} ms)")
-print(f"channel tree:       {tree:.12f}  ({t_tree * 1000:.1f} ms, compiles its channels on first use)")
+print(f"factored readout:   {tree:.12f}  ({t_tree * 1000:.1f} ms, compiles its channels on first use)")
 assert abs(tree - dense) < 1e-12
 
 # the 64-wire plan would need a 2**64 state vector; the batched engine
@@ -70,6 +71,6 @@ print(f"\n64-wire lattice readout: {value:.12f}  "
 t0 = time.perf_counter()
 deep_config = TrainConfig(arch=Architecture.CONV_POOL_CONV_POOL)
 deep_tree = TrainingObjective(deep_config, np.full((1, 64), 10), np.zeros(1)).p1(deep_params)[0]
-print(f"same, channel tree:      {deep_tree:.12f}  ({(time.perf_counter() - t0) * 1000:.1f} ms)")
-print(f"channel tree - batched engine: {abs(deep_tree - value):.1e}")
+print(f"same, factored readout:  {deep_tree:.12f}  ({(time.perf_counter() - t0) * 1000:.1f} ms)")
+print(f"factored readout - batched engine: {abs(deep_tree - value):.1e}")
 assert abs(deep_tree - value) <= 1e-12

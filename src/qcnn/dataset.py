@@ -31,10 +31,11 @@ def _check_side(side) -> None:
         raise ValueError(f"side must be one of {VALID_SIDES}, got {side!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledImage:
     """One image and its label; the one check of a row's side, pixel range
-    and label, whether the row is drawn or read from a file."""
+    and label, whether the row is drawn or read from a file.  Rows compare
+    and hash by identity."""
 
     side: int
     pixels: np.ndarray
@@ -58,11 +59,12 @@ class LabeledImage:
         return self.pixels.reshape(self.side, self.side)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Labeled images of one side as two uint8 arrays: labels (n,) and
     pixels (n, side * side), holding only rows LabeledImage accepts.  Its
-    items are LabeledImage rows, and a slice of it is a Dataset."""
+    items are LabeledImage rows, and a slice of it is a Dataset.  Datasets
+    compare and hash by identity."""
 
     side: int
     labels: np.ndarray

@@ -235,8 +235,10 @@ def load_params(path) -> ModelParams:
 
 def conv_feature_map(pixels, kernel_angles) -> np.ndarray:
     """Slide the 2x2 kernel (stride 2) over a grayscale grid and return the
-    window summary probabilities as a half-resolution float grid.  A
-    refusal of the grid starts with `pixels`."""
+    window summary probabilities as a half-resolution float grid: (1 - F
+    prod cos t) / 2 over each window's pixel angles t, with F the kernel's
+    readout z on an all-black window.  A refusal of the grid starts with
+    `pixels`."""
     grid = np.asarray(pixels)
     if grid.ndim != 2:
         raise ValueError(f"pixels must form a 2-d grid, got shape {grid.shape}")
@@ -250,4 +252,5 @@ def conv_feature_map(pixels, kernel_angles) -> np.ndarray:
     out_h, out_w = height // 2, width // 2
     # window (wr, wc) holds pixels (2wr, 2wc), (2wr, 2wc+1), (2wr+1, 2wc), (2wr+1, 2wc+1)
     windows = pixel_to_angle(grid).reshape(out_h, 2, out_w, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
-    return readout_probs(run_template(group_plan("conv", 0), ModelParams((kernel,)), data=windows)).reshape(out_h, out_w)
+    factor = run_template(group_plan("conv", 0), ModelParams((kernel,)), data=np.zeros(4))[2]
+    return readout_probs(factor * np.prod(np.cos(windows), axis=1)).reshape(out_h, out_w)

@@ -12,9 +12,12 @@ Group templates also run as trees of two-input channels on Bloch vectors
 (x, y, z), the state (I + x X + y Y + z Z) / 2 of one wire.  A rotation
 turns two components.  The controlled flips on a wire pair are Clifford,
 so each output component is one signed product of input components, a
-table compiled once from the run's gate matrices.  A readout is linear in
-each wire's state, so one backward sweep gives its derivative with
-respect to all of them.
+table compiled once from the run's gate matrices.  The compile admits only
+templates whose readout factors: data rotations are RY encodings from |0>,
+so a wire's (y, z) starts as cos(t) (0, 1); every other rotation is an RX,
+which turns (y, z) among themselves; and each table builds y and z from
+the y and z of both wires.  So a template's readout z is its value on
+zero-angle data times the product of cos(t) over its data slots.
 """
 from __future__ import annotations
 
@@ -167,17 +170,26 @@ def _pair_table(u) -> tuple:
 @functools.lru_cache(maxsize=None)
 def template_steps(tpl: CircuitPlan) -> tuple:
     """A template as steps (wires, op): op is a rotation gate, or the table
-    (_pair_table) of a wire pair's run, from the product of its gate matrices."""
-    steps, run = [], []
+    (_pair_table) of a wire pair's run, from the product of its gate
+    matrices.  A template whose readout does not factor raises ValueError."""
+    steps, run, touched = [], [], set()
     for i, gate in enumerate(tpl.gates):
         if gate.kind.is_rotation:
+            data = gate.angle.source is AngleSource.DATA
+            if gate.kind is not (GateKind.RY if data else GateKind.RX) or (data and gate.wires[0] in touched):
+                raise ValueError("template rotations must be RY encodings of data and RX turns of kernel angles")
+            touched.add(gate.wires[0])
             steps.append((gate.wires, gate))
             continue
         if run and run[0].wires != gate.wires:
             raise ValueError("template does not factor into two-input channels")
+        touched.update(gate.wires)
         run.append(gate)
         if gate.wires[1] in tpl.retire_schedule[i]:
-            steps.append((gate.wires, _pair_table(functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)]))))
+            table = _pair_table(functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)]))
+            if any(a < 2 or b < 2 for _, a, b in table[1:]):
+                raise ValueError("pair run builds y or z from an x or I component")
+            steps.append((gate.wires, table))
             run = []
     return tuple(steps)
 
@@ -204,63 +216,24 @@ def pair_channel(table, a, b) -> np.ndarray:
     return np.stack([sign * _part(a, i) * _part(b, j) for sign, i, j in table], axis=-1)
 
 
-def run_template(tpl: CircuitPlan, params, data=None, inputs=None, shift=None, tape=None) -> np.ndarray:
+def run_template(tpl: CircuitPlan, params, data=None, inputs=None, shift=None) -> np.ndarray:
     """Readout-wire Bloch vectors (..., 3) of a template.  Wires start in
     |0> and data slots read `data` (..., n_data); or `inputs` (..., k, 3)
     holds the states of wires 0..k-1 in place of the data rotations.
     shift maps parameter angles to offsets that broadcast against the
-    rows; `tape` collects what sweep_template() reads."""
+    rows."""
     state = {} if inputs is None else dict(enumerate(np.moveaxis(inputs, -2, 0)))
     for wires, op in template_steps(tpl):
         w = wires[0]
         if isinstance(op, tuple):
-            saved = (state[w], state.pop(wires[1]))
-            state[w] = pair_channel(op, *saved)
-        elif op.angle.source is AngleSource.DATA:
-            if inputs is None:
-                state[w] = rotate(state.get(w), op.kind, op.angle.resolve(data, params))
-            continue
-        else:
-            saved = (state.get(w), op.angle.resolve(data, params) + (shift or {}).get(op.angle, 0.0))
-            state[w] = rotate(saved[0], op.kind, saved[1])
-        if tape is not None:
-            tape.append((wires, op, saved))
+            state[w] = pair_channel(op, state[w], state.pop(wires[1]))
+        elif op.angle.source is not AngleSource.DATA:
+            state[w] = rotate(state.get(w), op.kind, op.angle.resolve(data, params) + (shift or {}).get(op.angle, 0.0))
+        elif inputs is None:
+            state[w] = rotate(None, op.kind, op.angle.resolve(data, params))
     return state[tpl.readout_wire]
 
 
-def sweep_template(tpl: CircuitPlan, tape, g) -> tuple:
-    """Backward pass that consumes the tape of run_template(tpl, ...), from
-    g (..., 3), the derivative of a scalar with respect to the readout
-    wire's Bloch vector.  Returns the rotations' {angle source: (input
-    state, derivative there, gate)} and the inputs' {wire: derivative}."""
-    grads, rots = {tpl.readout_wire: g}, {}
-    while tape:  # consumed, so each step's states are freed once used
-        wires, op, saved = tape.pop()
-        w = wires[0]
-        if isinstance(op, tuple):
-            (a, b), gout = saved, grads[w]
-            grads[w], grads[wires[1]] = ga, gb = np.zeros(a.shape), np.zeros(b.shape)
-            for k, (sign, i, j) in enumerate(op):
-                if i:
-                    ga[..., i - 1] += sign * gout[..., k] * _part(b, j)
-                if j:
-                    gb[..., j - 1] += sign * gout[..., k] * _part(a, i)
-        else:
-            grads[w] = rotate(grads[w], op.kind, -saved[1])  # the transpose of a rotation
-            rots[op.angle] = (saved[0], grads[w], op)
-    return rots, grads
-
-
-def moved(rot, delta) -> np.ndarray:
-    """Change of the swept scalar when a rotation rot = (x, g, gate) of
-    sweep_template() turns by delta (broadcast against x's rows) more:
-    R(t + delta) = R(t) R(delta) makes it g . (R(delta) x - x), summed left
-    to right so that a row's bits do not depend on how many rows there are."""
-    x, g, gate = rot
-    d = rotate(x, gate.kind, delta) - x
-    return g[..., 0] * d[..., 0] + g[..., 1] * d[..., 1] + g[..., 2] * d[..., 2]
-
-
-def readout_probs(v) -> np.ndarray:
-    """P(1) of Bloch vectors (..., 3): (1 - z) / 2."""
-    return np.clip((1.0 - v[..., 2]) / 2.0, 0.0, 1.0)
+def readout_probs(z) -> np.ndarray:
+    """P(1) of a wire whose Bloch vector has z component z: (1 - z) / 2."""
+    return np.clip((1.0 - z) / 2.0, 0.0, 1.0)

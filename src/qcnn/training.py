@@ -162,13 +162,17 @@ class TrainingObjective:
     probabilities, optionally with a single rotation occurrence displaced,
     and assembles the per-sample circuit jacobian from those displacements.
 
-    Each layer runs its group template as a tree of two-input channels on
-    Bloch vectors (runner.run_template) over all of its groups at once.
-    End to end the readout is linear in the input state x of any one
-    rotation, so one backward sweep gives all displaced readouts from the
-    derivative g there: p + g . (R(delta) x - x).  Measured after each
-    layer, a displaced evaluation runs its group again, then the layers
-    above on its own draws when sampled.
+    Every readout is a kernel factor times a per-row product
+    (runner.template_steps refuses a template for which it is not).  Each
+    evaluation is one row of a kernel batch: a layer runs its group
+    template once (runner.run_template) on zero-angle data, the all-black
+    row, for every evaluation and group at once, with each evaluation's
+    displacement.  End to end each layer takes the Bloch vectors of the
+    layer below, and the root's z, F, gives p1 = 1/2 - F phi / 2, where phi
+    is the product of cos(pixel angle) over the row.  Measured after each
+    layer, a group's z is its kernel factor times the product of its
+    inputs' z: cos of the pixel angles at the first layer, and above it cos
+    of the re-encoded readouts of the layer below, drawn when sampled.
     """
 
     def __init__(self, config: TrainConfig, pixel_rows, labels, base_key: int = 0):
@@ -180,10 +184,12 @@ class TrainingObjective:
                 f"{self.arch.value} expects {self.arch.image_side ** 2} pixels per row, got {pixel_rows.shape}"
             )
         self.angles = pixel_to_angle(pixel_rows)
+        self.phi = np.prod(np.cos(self.angles), axis=1)
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.shape != (pixel_rows.shape[0],):
             raise ValueError("one label per pixel row is required")
         self.plan, self.layers = build_plan(self.arch)
+        self._occs = {spec.param_layer: len(spec.groups) for spec in self.layers if spec.kind == "conv"}
         self.base_key = int(base_key)
         self._eval_ordinal = 0
         self.evals = 0
@@ -199,87 +205,52 @@ class TrainingObjective:
         return rng.binomial(self.config.shots, p) / self.config.shots
 
     def _draw(self, probs, ordinals, layer) -> np.ndarray:
-        """Sampled mode: each evaluation's rows of probs, drawn on its key."""
+        """Sampled mode: each evaluation's readouts probs[e], drawn on its key."""
         if self.config.eval_mode is EvalMode.EXACT:
             return probs
-        return np.concatenate([self._sample(p, o, layer) for p, o in zip(np.split(probs, len(ordinals)), ordinals)])
+        return np.stack([self._sample(p, o, layer) for p, o in zip(probs, ordinals)])
 
     def _check_params(self, params: ModelParams) -> None:
         n = params.vector().size
         if n != self.arch.n_params:
             raise ValueError(f"{self.arch.value} takes {self.arch.n_params} angles, got {n}")
 
-    def _site(self, layer, j, occ) -> int:
-        """Index of the conv layer whose group `occ` holds angle (layer, j)."""
-        li = next((i for i, spec in enumerate(self.layers) if spec.param_layer == layer), None)
-        if li is None or j not in range(4) or occ not in range(len(self.layers[li].groups)):
-            raise ValueError(f"the {self.arch.value} network has no occurrence {occ} of angle {(layer, j)}")
-        return li
-
-    def _walk(self, params, ordinals, site=None, tapes=None) -> np.ndarray:
-        """Bloch vectors (rows, 1, 3) of the root.  Measured after each layer,
-        rows are shared until the evaluations part, at the first draw or at
-        the displaced layer, where site = (layer index, angle, occs, deltas)
-        runs each evaluation's group again with the angle moved."""
-        b, e = self.batch_size, len(ordinals)
-        state = self.angles
-        for li, spec in enumerate(self.layers):
-            values, tpl, groups = state, group_plan(spec.kind, spec.param_layer), np.array(spec.groups)
-            if li and self.config.measure_mode is MeasureMode.INTERMEDIATE:
-                outs = runner.readout_probs(state)
-                if self.config.eval_mode is EvalMode.SAMPLED:
-                    outs = np.tile(outs, (e * b // len(outs), 1))
-                values = prob_to_angle(self._draw(outs, ordinals, li))
-            given = {"inputs" if values.ndim == 3 else "data": values[:, groups]}
-            state = runner.run_template(tpl, params, tape=None if tapes is None else tapes[li], **given)
-            if site is not None and site[0] == li:
-                copies = np.arange(e) % (len(values) // b)
-                x = np.take_along_axis(values.reshape(-1, b, values.shape[1])[copies], groups[site[2]][:, None], axis=2)
-                state = state.reshape((-1, b) + state.shape[1:])[copies]
-                state[np.arange(e), :, site[2]] = runner.run_template(tpl, params, data=x, shift={site[1]: site[3][:, None]})
-                state = state.reshape((e * b,) + state.shape[2:])
-        return state
-
-    def _sweep(self, params):
-        """End to end: the root readouts (B,) and, from one backward sweep,
-        each kernel rotation's (input state, derivative of the root readout
-        there, gate), the first two (B, G, 3) over its layer's groups."""
-        tapes, rots = [[] for _ in self.layers], {}
-        state = self._walk(params, range(1), tapes=tapes)
-        g = np.broadcast_to([0.0, 0.0, -0.5], state.shape)  # d (1 - z) / 2
-        for li, spec in reversed(list(enumerate(self.layers))):
-            found, grads = runner.sweep_template(group_plan(spec.kind, spec.param_layer), tapes[li], g)
-            rots.update(found)
-            if li:  # the inputs' derivatives; groups above layer 0 take consecutive inputs
-                g = np.stack([grads[w] for w in range(len(spec.groups[0]))], 2).reshape(len(state), -1, 3)
-        return runner.readout_probs(state)[:, 0], rots
-
-    def _evaluate(self, params, slot=None, sites=((0, 0.0),), swept=None) -> np.ndarray:
-        """Readouts (E, B) of E evaluations: undisplaced (slot None), or with
-        kernel angle `slot` moved by delta in group occ for each (occ, delta)
-        of sites.  swept: _sweep(params), shared across a jacobian's slots."""
-        ordinals = range(self._eval_ordinal, self._eval_ordinal + len(sites))
-        self._eval_ordinal += len(sites)
-        self.evals += len(sites) * self.batch_size
+    def _evaluate(self, params, rows) -> np.ndarray:
+        """Readouts (E, B) of E evaluations, one per entry of rows: None for
+        the plain readout, or ((layer, j), occ, delta), kernel angle (layer,
+        j) moved by delta in group occ of its conv layer."""
+        e, b = len(rows), self.batch_size
+        offsets = {}  # (layer, j) -> (E, G) offsets of that angle, G its layer's groups
+        for r, row in enumerate(rows):
+            if row is not None:
+                (layer, j), occ, delta = row
+                if j not in range(4) or occ not in range(self._occs.get(layer, 0)):
+                    raise ValueError(f"the {self.arch.value} network has no occurrence {occ} of angle {(layer, j)}")
+                offsets.setdefault((layer, j), np.zeros((e, self._occs[layer])))[r, occ] = delta
+        shift = {Angle.param(*slot): a for slot, a in offsets.items()}
+        ordinals = range(self._eval_ordinal, self._eval_ordinal + e)
+        self._eval_ordinal += e
+        self.evals += e * b
         measured = self.config.measure_mode is MeasureMode.INTERMEDIATE
-        occ, delta = (np.array(a) for a in zip(*sites))
-        site = None if slot is None else (max(self._site(*slot, o) for o in occ), Angle.param(*slot), occ, delta)
-        if site is None or measured:
-            p = runner.readout_probs(self._walk(params, ordinals, site))[:, 0]
-        else:
-            root, rots = swept or self._sweep(params)
-            x, g, gate = rots[site[1]]
-            rot = (np.swapaxes(x[:, occ], 0, 1), np.swapaxes(g[:, occ], 0, 1), gate)
-            p = np.clip(root + runner.moved(rot, delta[:, None]), 0.0, 1.0)
-        return self._draw(p.reshape(-1, 1), ordinals, len(self.layers) if measured else 0).reshape(len(sites), -1)
+        state, z = None, np.cos(self.angles)
+        for li, spec in enumerate(self.layers):
+            groups = np.array(spec.groups)
+            given = {"inputs": state[:, groups]} if li and not measured else {"data": np.zeros((e,) + groups.shape)}
+            state = runner.run_template(group_plan(spec.kind, spec.param_layer), params, shift=shift, **given)
+            if measured:
+                if li:
+                    drawn = self._draw(runner.readout_probs(z), ordinals, li)
+                    z = np.cos(prob_to_angle(drawn.reshape(e * b, -1))).reshape(e, b, -1)
+                z = state[:, None, :, 2] * np.prod(z[..., groups], axis=-1)
+        z = z[..., 0] if measured else state[:, :1, 2] * self.phi
+        return self._draw(runner.readout_probs(z), ordinals, len(self.layers) if measured else 0)
 
     def p1(self, params: ModelParams, shift_occ=None) -> np.ndarray:
         """Readout probability per sample.  shift_occ = (layer, index, occ,
         delta) displaces occurrence `occ` of one trainable angle."""
         self._check_params(params)
-        if shift_occ is None:
-            return self._evaluate(params)[0]
-        return self._evaluate(params, tuple(shift_occ[:2]), [tuple(shift_occ[2:])])[0]
+        row = None if shift_occ is None else (tuple(shift_occ[:2]), *shift_occ[2:])
+        return self._evaluate(params, [row])[0]
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
@@ -287,13 +258,13 @@ class TrainingObjective:
         angles, layer-major)."""
         self._check_params(params)
         slots = list(slots) if slots is not None else self.plan.param_slots()
+        # a slot of a layer the network lacks keeps one row, for _evaluate to refuse
+        sites = [(c, ((layer, j), o, d)) for c, (layer, j) in enumerate(slots)
+                 for o in range(self._occs.get(layer, 1)) for d in (np.pi / 2, -np.pi / 2)]
+        p = self._evaluate(params, [row for _, row in sites]) if sites else ()
         cols = np.zeros((self.batch_size, len(slots)))
-        swept = self._sweep(params) if self.config.measure_mode is MeasureMode.END_TO_END else None
-        for c, (layer, j) in enumerate(slots):
-            n_occ = len(self.layers[self._site(layer, j, 0)].groups)
-            p = self._evaluate(params, (layer, j), [(o, d) for o in range(n_occ) for d in (np.pi / 2, -np.pi / 2)], swept)
-            for up, dn in zip(p[0::2], p[1::2]):
-                cols[:, c] += 0.5 * (up - dn)
+        for (c, _), up, dn in zip(sites[::2], p[0::2], p[1::2]):
+            cols[:, c] += 0.5 * (up - dn)
         return cols
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import embed_gate
 from qcnn.dataset import gen_dataset
-from qcnn.gates import gate_matrix, rx_matrix
+from qcnn.gates import CFLIP_Z, Angle, GateKind, GateOp, gate_matrix, rx_matrix
 from qcnn.network import ModelParams, build_plan, conv_feature_map, group_plan, layer_structure
+from qcnn.plans import CircuitPlan
 from qcnn.runner import _pair_table, pair_channel, rotate, run_plan_batch, template_steps
 from qcnn.statevec import run_pure
 from qcnn.training import TrainConfig, TrainingObjective
@@ -82,6 +83,21 @@ def test_compiled_channels_match_dense_matrices(kind, param_layer):
     # a run whose output is a sum of Pauli products does not compile
     with pytest.raises(ValueError, match="one signed Pauli product"):
         _pair_table(np.kron(rx_matrix(0.3), np.eye(2)))
+
+
+def test_templates_whose_readout_does_not_factor_are_refused():
+    # a readout factors into a kernel part times a per-row product only when
+    # data rotations are RY encodings, kernel rotations are RX turns and
+    # every pair table builds y and z from the y and z of both wires
+    data = [GateOp(GateKind.RY, (w,), Angle.data(w)) for w in range(2)]
+    ry_kernel = data + [GateOp(GateKind.RY, (0,), Angle.param(0, 0)), GateOp(GateKind.CFLIP_X, (0, 1))]
+    with pytest.raises(ValueError, match="RX turns of kernel angles"):
+        template_steps(CircuitPlan(2, tuple(ry_kernel), 0))
+    # a lone CFLIP_Z compiles to a table whose z row is a_z times I
+    assert _pair_table(CFLIP_Z)[2] == (1, 3, 0)
+    lone_z = data + [GateOp(GateKind.RX, (0,), Angle.param(0, 0)), GateOp(GateKind.CFLIP_Z, (0, 1))]
+    with pytest.raises(ValueError, match="from an x or I component"):
+        template_steps(CircuitPlan(2, tuple(lone_z), 0))
 
 
 def _rows(arch, n, seed):

@@ -159,6 +159,17 @@ def test_dataset_items_are_labeled_images():
     np.testing.assert_array_equal(part.pixels, data.pixels[5:9])
 
 
+def test_rows_and_datasets_compare_by_identity():
+    # == answers, rather than raising on the arrays: distinct objects of
+    # equal content are unequal, and each object equals itself
+    a, b = gen_dataset(2, 2, 0), gen_dataset(2, 2, 0)
+    row, other = a[0], b[0]
+    np.testing.assert_array_equal(row.pixels, other.pixels)
+    assert row != other and a != b
+    assert row == row and a == a
+    assert len({row, other, a, b}) == 4
+
+
 def test_gen_dataset_refusals_name_the_parameter():
     # each refusal starts with the parameter's name, and a side is refused
     # before any row is drawn

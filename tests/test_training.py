@@ -148,6 +148,15 @@ def test_jacobian_slot_selection():
         for layer, j, occ in ((1, 0, 2), (1, 0, -1), (0, 4, 0), (2, 0, 0)):
             with pytest.raises(ValueError, match="no occurrence"):
                 other.p1(params, shift_occ=(layer, j, occ, np.pi / 2))
+    # conv-pool-pool has one conv layer of four windows
+    for mode in ("end-to-end", "intermediate"):
+        other, _ = _objective("conv-pool-pool", n=2, seed=4, measure_mode=mode)
+        one = ModelParams(params.layers[:1])
+        for layer, j, occ in ((0, 0, 4), (0, 0, -1), (1, 0, 0), (0, 4, 0)):
+            with pytest.raises(ValueError, match="the conv-pool-pool network has no occurrence"):
+                other.p1(one, shift_occ=(layer, j, occ, np.pi / 2))
+        with pytest.raises(ValueError, match=r"the conv-pool-pool network has no occurrence 0 of angle \(1, 0\)"):
+            other.jacobian(one, slots=[(1, 0)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,9 +177,9 @@ def _whole_plan_runs(arch):
 @pytest.mark.parametrize("eval_mode", ["exact", "sampled"])
 @pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
 def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode):
-    # the channel tree gives, to rounding, the readouts of walking the whole
-    # plan, and its backward sweep those of walking it with one rotation
-    # occurrence displaced; sampled mode draws the same shots
+    # the factored readout gives, to rounding, the readouts of walking the
+    # whole plan, and of walking it with one rotation occurrence displaced;
+    # sampled mode draws the same shots
     params, runs = _whole_plan_runs(arch)
     obj, _ = _objective(arch, n=5, seed=21, eval_mode=eval_mode, shots=100)
     want = iter(obj._sample(p, k, 0) if eval_mode == "sampled" else p for k, p in enumerate(runs))
@@ -233,19 +242,14 @@ def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode
     assert obj.evals == 5 * len(sites)
 
 
-@pytest.mark.parametrize("measure_mode, counts", [
-    ("end-to-end", (6, 10, 16)),
-    ("intermediate", (27, 37, 96)),
-])
-def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, counts):
+def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch):
     # compiling the channels from gate-matrix products and then a readout
     # plus a full jacobian apply no gate through the engine, and a fixed
-    # number of two-input channels, each to all rows of a layer at once,
-    # whatever the batch size.  End to end that is two forward passes: the
-    # readout's and the one the backward sweep reads.  Measured after each
-    # layer, each angle runs every layer once more for all of its displaced
-    # evaluations, plus the displaced groups themselves.  Once the tables
-    # are compiled, no gate matrix is built: rotations act on Bloch vectors
+    # number of two-input channels whatever the batch size or mode: each
+    # call runs every layer's template once, for all of its evaluations and
+    # groups at once, on zero angles, and the rows enter only through
+    # per-row products.  Once the tables are compiled, no gate matrix is
+    # built: rotations act on Bloch vectors
     import qcnn.runner
 
     gates, pairs, matrices = [], [], []
@@ -253,24 +257,26 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
     monkeypatch.setattr(qcnn.runner, "apply_to_density", lambda *a: gates.append(1) or apply(*a))
     monkeypatch.setattr(qcnn.runner, "pair_channel", lambda *a: pairs.append(1) or pair(*a))
     monkeypatch.setattr(qcnn.runner, "gate_matrix", lambda *a: matrices.append(1) or matrix(*a))
-    for eval_mode in ("exact", "sampled"):
-        for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), counts):
-            for n in (1, 3):
-                obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode, eval_mode=eval_mode)
-                params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
-                qcnn.runner.template_steps.cache_clear()
-                gates.clear()
-                obj.p1(params)  # compiles the channels on first use
-                assert matrices, (eval_mode, arch, n)
-                pairs.clear()
-                matrices.clear()
-                obj.p1(params)
-                obj.jacobian(params)
-                assert (len(gates), len(pairs), len(matrices)) == (0, want, 0), (eval_mode, arch, n)
+    for measure_mode in ("end-to-end", "intermediate"):
+        for eval_mode in ("exact", "sampled"):
+            for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), (6, 10, 16)):
+                for n in (1, 3):
+                    case = (measure_mode, eval_mode, arch, n)
+                    obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode, eval_mode=eval_mode)
+                    params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
+                    qcnn.runner.template_steps.cache_clear()
+                    gates.clear()
+                    obj.p1(params)  # compiles the channels on first use
+                    assert matrices, case
+                    pairs.clear()
+                    matrices.clear()
+                    obj.p1(params)
+                    obj.jacobian(params)
+                    assert (len(gates), len(pairs), len(matrices)) == (0, want, 0), case
 
 
 def test_evals_count_the_protocol_whatever_the_call_order():
-    # a jacobian without a preceding readout runs its own forward sweep;
+    # a jacobian without a preceding readout runs its own forward pass;
     # evals still counts batch x protocol evaluations, not engine work
     obj, config = _objective("conv-pool-conv-pool", n=3, seed=23)
     params = ModelParams.from_vector(config.arch, np.full(8, 0.3))
