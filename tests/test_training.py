@@ -242,7 +242,11 @@ def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode
     assert obj.evals == 5 * len(sites)
 
 
-def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch):
+@pytest.mark.parametrize("measure_mode, counts", [
+    ("end-to-end", (6, 10, 16)),
+    ("intermediate", (6, 10, 16)),
+])
+def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, counts):
     # compiling the channels from gate-matrix products and then a readout
     # plus a full jacobian apply no gate through the engine, and a fixed
     # number of two-input channels whatever the batch size or mode: each
@@ -257,22 +261,21 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch):
     monkeypatch.setattr(qcnn.runner, "apply_to_density", lambda *a: gates.append(1) or apply(*a))
     monkeypatch.setattr(qcnn.runner, "pair_channel", lambda *a: pairs.append(1) or pair(*a))
     monkeypatch.setattr(qcnn.runner, "gate_matrix", lambda *a: matrices.append(1) or matrix(*a))
-    for measure_mode in ("end-to-end", "intermediate"):
-        for eval_mode in ("exact", "sampled"):
-            for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), (6, 10, 16)):
-                for n in (1, 3):
-                    case = (measure_mode, eval_mode, arch, n)
-                    obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode, eval_mode=eval_mode)
-                    params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
-                    qcnn.runner.template_steps.cache_clear()
-                    gates.clear()
-                    obj.p1(params)  # compiles the channels on first use
-                    assert matrices, case
-                    pairs.clear()
-                    matrices.clear()
-                    obj.p1(params)
-                    obj.jacobian(params)
-                    assert (len(gates), len(pairs), len(matrices)) == (0, want, 0), case
+    for eval_mode in ("exact", "sampled"):
+        for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), counts):
+            for n in (1, 3):
+                case = (eval_mode, arch, n)
+                obj, config = _objective(arch, n=n, seed=27, measure_mode=measure_mode, eval_mode=eval_mode)
+                params = ModelParams.from_vector(config.arch, np.full(config.arch.n_params, 0.4))
+                qcnn.runner.template_steps.cache_clear()
+                gates.clear()
+                obj.p1(params)  # compiles the channels on first use
+                assert matrices, case
+                pairs.clear()
+                matrices.clear()
+                obj.p1(params)
+                obj.jacobian(params)
+                assert (len(gates), len(pairs), len(matrices)) == (0, want, 0), case
 
 
 def test_evals_count_the_protocol_whatever_the_call_order():
