@@ -11,6 +11,8 @@ import secrets
 import shutil
 from pathlib import Path
 
+import numpy as np
+
 
 def write_text_atomic(path, text: str) -> None:
     """Write ASCII text to a temporary file beside `path`, then move it over
@@ -55,6 +57,21 @@ def require_int(name: str, value, least: int) -> int:
         what = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return int(value)
+
+
+def _decimal_fields(b, sep, most: int) -> tuple:
+    """One numpy pass over the uint8 bytes b, cut into fields at the bytes
+    where sep is True; b ends in a separator.  Per field: the index of the
+    separator after it, its width, its value read as plain decimal digits,
+    and whether it is bad: empty, longer than `most` digits, or holding a
+    byte that is neither a digit nor a separator."""
+    digit = b - 48  # a uint8 above 9 off the digits
+    ends = np.flatnonzero(sep)
+    width = np.diff(ends, prepend=-1) - 1
+    value = sum(digit.take(ends - i, mode="clip").astype(np.uint32) * 10 ** (i - 1) * (width >= i) for i in range(1, most + 1))
+    bad = (width < 1) | (width > most)
+    bad[np.searchsorted(ends, np.flatnonzero(~sep & (digit > 9)))] = True
+    return ends, width, value, bad
 
 
 def decimal_ints(tokens) -> list:

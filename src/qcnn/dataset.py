@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import decimal_ints, read_ascii, require_int, write_text_atomic
+from ._io import _decimal_fields, decimal_ints, read_ascii, require_int, write_text_atomic
 
 VALID_SIDES = (2, 4, 8)
 # the line breaks of str.splitlines besides \n; the byte pass splits at \n only
@@ -157,13 +157,8 @@ def _vouched(body: bytes, k: int) -> tuple:
     1 and pixels of at most 255, and the values (vouched lines, k + 1) of
     those that are."""
     b = np.frombuffer(body + b"\n", np.uint8)
-    digit = b - 48  # a uint8 above 9 off the digits
-    sep = (b == 44) | (b == 10)
-    ends = np.flatnonzero(sep)  # the comma or newline after each field
-    width = np.diff(ends, prepend=-1) - 1
-    value = sum(digit.take(ends - i, mode="clip").astype(np.uint16) * 10 ** (i - 1) * (width >= i) for i in (1, 2, 3))
-    bad = (width < 1) | (width > 3) | (value > 255)
-    bad[np.searchsorted(ends, np.flatnonzero(~sep & (digit > 9)))] = True
+    ends, _, value, bad = _decimal_fields(b, (b == 44) | (b == 10), 3)  # ends: the comma or newline after each field
+    bad |= value > 255
     lasts = np.flatnonzero(b[ends] == 10)  # each line's last field
     label_fields = np.concatenate(([0], lasts[:-1] + 1))
     bad[label_fields[value[label_fields] > 1]] = True

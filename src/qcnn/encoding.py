@@ -12,8 +12,8 @@ import numpy as np
 _PROB_SLACK = 1e-9
 
 
-def pixel_to_angle(pixel) -> np.ndarray:
-    """Map integer intensities 0..255 to angles [0, pi] linearly."""
+def _intensities(pixel) -> np.ndarray:
+    """pixel as an integer array; a ValueError unless it holds integers in 0..255."""
     arr = np.asarray(pixel)
     if arr.dtype.kind not in "iu":
         if not np.all(np.equal(np.mod(arr, 1), 0)):
@@ -21,8 +21,22 @@ def pixel_to_angle(pixel) -> np.ndarray:
         arr = arr.astype(np.int64)
     if arr.size and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("pixel values must lie in 0..255")
-    out = np.pi * arr / 255.0
+    return arr
+
+
+def pixel_to_angle(pixel) -> np.ndarray:
+    """Map integer intensities 0..255 to angles [0, pi] linearly."""
+    out = np.pi * _intensities(pixel) / 255.0
     return float(out) if np.isscalar(pixel) or out.ndim == 0 else out
+
+
+_PIXEL_COS = np.cos(pixel_to_angle(np.arange(256)))
+
+
+def pixel_cos(pixel) -> np.ndarray:
+    """cos(pixel_to_angle(pixel)), bit for bit, looked up in a table of the
+    256 intensities instead of computed once per pixel."""
+    return _PIXEL_COS[_intensities(pixel)]
 
 
 def prob_to_angle(p) -> np.ndarray:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from ._io import decimal_float, read_ascii_lines, write_text_atomic
-from .encoding import pixel_to_angle
+from .encoding import pixel_cos
 from .gates import Angle, AngleSource, GateKind, GateOp
 from .plans import CircuitPlan
 from .runner import readout_probs, run_template
@@ -251,6 +251,6 @@ def conv_feature_map(pixels, kernel_angles) -> np.ndarray:
 
     out_h, out_w = height // 2, width // 2
     # window (wr, wc) holds pixels (2wr, 2wc), (2wr, 2wc+1), (2wr+1, 2wc), (2wr+1, 2wc+1)
-    windows = pixel_to_angle(grid).reshape(out_h, 2, out_w, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
+    windows = pixel_cos(grid).reshape(out_h, 2, out_w, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
     factor = run_template(group_plan("conv", 0), ModelParams((kernel,)), data=np.zeros(4))[2]
-    return readout_probs(factor * np.prod(np.cos(windows), axis=1)).reshape(out_h, out_w)
+    return readout_probs(factor * np.prod(windows, axis=1)).reshape(out_h, out_w)

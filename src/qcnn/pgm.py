@@ -9,18 +9,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._io import decimal_ints, read_ascii_lines, write_text_atomic
+from ._io import _decimal_fields, decimal_ints, read_ascii, write_text_atomic
+
+# the bytes at which str.split cuts: \t, \n, \x0b, \x0c, \r, \x1c-\x1f and space
+_SPACE = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
+_DECIMAL = np.array([str(v) for v in range(256)], dtype=object)  # write_pgm's text of each intensity
 
 
 class PgmFormatError(ValueError):
     pass
 
 
+def _tokens(text: str) -> list:
+    return [tok for line in text.splitlines() for tok in line.split("#", 1)[0].split()]
+
+
+def _header(text: str) -> tuple:
+    """The tokens of text up to the first newline after the fourth, and the
+    offset after that newline.  A newline ends a line, so the lines before
+    it read as they would in the whole text."""
+    toks, at = [], 0
+    while len(toks) < 4 and at < len(text):
+        end = text.find("\n", at) + 1 or len(text)
+        toks += _tokens(text[at:end])
+        at = end
+    return toks, at
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a P2 file into an int64 array of shape (height, width), values
-    rescaled to 0..255 when the file's maxval differs.  An unreadable file
-    raises OSError."""
-    toks = [tok for line in read_ascii_lines(path, PgmFormatError) for tok in line.split("#", 1)[0].split()]
+    rescaled to 0..255 when the file's maxval differs.  One numpy pass over
+    the bytes reads a body of plain digit tokens of at most 5 digits; any
+    other body (a `#`, a sign, a longer token) is read token by token, so
+    a refusal names the same fault either way.  An unreadable file raises
+    OSError."""
+    raw = read_ascii(path, PgmFormatError)
+    text = raw.decode("ascii")
+    toks, at = _header(text)
     if toks[:1] != ["P2"]:
         raise PgmFormatError(f"{path}: expected magic number P2, found {toks[0] if toks else 'nothing'}")
     if len(toks) < 4:
@@ -34,13 +59,18 @@ def read_pgm(path) -> np.ndarray:
     if not 1 <= maxval <= 65535:
         raise PgmFormatError(f"{path}: maxval must lie in 1..65535, got {maxval}")
 
-    values = toks[4:]
+    # the body: the tokens after the fourth on its line, then the lines below
+    b = np.frombuffer(" ".join(toks[4:] + [""]).encode() + raw[at:] + b" ", np.uint8)
+    _, size, value, bad = _decimal_fields(b, _SPACE[b], 5)
+    token = size > 0  # separators may run together
+    vouched = not bad[token].any()
+    values = value[token] if vouched else toks[4:] + _tokens(text[at:])
     if len(values) != width * height:
         raise PgmFormatError(
             f"{path}: expected {width * height} pixel values, found {len(values)}"
         )
     try:
-        flat = np.array(decimal_ints(values), dtype=np.int64)
+        flat = np.array(values if vouched else decimal_ints(values), dtype=np.int64)
     except (ValueError, OverflowError):  # OverflowError: beyond int64
         raise PgmFormatError(f"{path}: pixel values must be integers in 0..{maxval}") from None
     if flat.min() < 0 or flat.max() > maxval:
@@ -55,7 +85,9 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, grid, comment: str = None) -> None:
-    """Write an integer grid (values 0..255) as a P2 file with maxval 255."""
+    """Write an integer grid (values 0..255) as a P2 file with maxval 255,
+    after an optional comment line; a comment that is not one line of ASCII
+    text is refused before anything is written."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ValueError("image grid must be 2-d")
@@ -63,12 +95,12 @@ def write_pgm(path, grid, comment: str = None) -> None:
         raise ValueError("image grid must hold integers; rescale and round first")
     if grid.min() < 0 or grid.max() > 255:
         raise ValueError("pixel values must lie in 0..255")
-    height, width = grid.shape
     lines = ["P2"]
     if comment:
         lines.append(f"# {comment}")
-    lines.append(f"{width} {height}")
-    lines.append("255")
-    for row in grid:
-        lines.append(" ".join(str(int(v)) for v in row))
+        if lines[-1].splitlines() != [lines[-1]] or not lines[-1].isascii():
+            raise ValueError(f"comment must be one line of ASCII text, got {comment!r}")
+    height, width = grid.shape
+    lines += [f"{width} {height}", "255"]
+    lines += [" ".join(row) for row in _DECIMAL[grid].tolist()]
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -30,7 +30,7 @@ import numpy as np
 from . import runner
 from ._io import require_int, write_text_atomic
 from .dataset import as_dataset, gen_dataset
-from .encoding import pixel_to_angle, prob_to_angle
+from .encoding import pixel_cos, pixel_to_angle, prob_to_angle
 from .gates import Angle
 from .network import Architecture, InitScheme, ModelParams, _enum_from, build_plan, group_plan, init_params
 from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
@@ -183,8 +183,9 @@ class TrainingObjective:
             raise ValueError(
                 f"{self.arch.value} expects {self.arch.image_side ** 2} pixels per row, got {pixel_rows.shape}"
             )
-        self.angles = pixel_to_angle(pixel_rows)
-        self.phi = np.prod(np.cos(self.angles), axis=1)
+        self._pixel_rows = pixel_rows
+        self.cos = pixel_cos(pixel_rows)  # (B, P) cos of each pixel's angle
+        self.phi = np.prod(self.cos, axis=1)
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.shape != (pixel_rows.shape[0],):
             raise ValueError("one label per pixel row is required")
@@ -193,6 +194,11 @@ class TrainingObjective:
         self.base_key = int(base_key)
         self._eval_ordinal = 0
         self.evals = 0
+
+    @property
+    def angles(self) -> np.ndarray:
+        """(B, P) pixel angles of the rows; the readouts need only their cos."""
+        return pixel_to_angle(self._pixel_rows)
 
     @property
     def batch_size(self) -> int:
@@ -232,7 +238,7 @@ class TrainingObjective:
         self._eval_ordinal += e
         self.evals += e * b
         measured = self.config.measure_mode is MeasureMode.INTERMEDIATE
-        state, z = None, np.cos(self.angles)
+        state, z = None, self.cos
         for li, spec in enumerate(self.layers):
             groups = np.array(spec.groups)
             given = {"inputs": state[:, groups]} if li and not measured else {"data": np.zeros((e,) + groups.shape)}

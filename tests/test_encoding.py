@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qcnn.encoding import pixel_to_angle, prob_to_angle
+from qcnn.encoding import pixel_cos, pixel_to_angle, prob_to_angle
 
 
 def test_pixel_map_endpoints_and_linearity():
@@ -23,6 +23,22 @@ def test_pixel_map_accepts_integral_floats_only():
         pixel_to_angle(256)
     with pytest.raises(ValueError):
         pixel_to_angle(np.array([0, 999]))
+
+
+def test_pixel_cos_is_the_cosine_of_the_angle_bit_for_bit():
+    every, grid = np.arange(256), np.random.default_rng(9).integers(0, 256, (256, 256))
+    for values in (every, grid):
+        want = np.cos(pixel_to_angle(values))
+        for dtype in (np.uint8, np.int64, np.float64):
+            got = pixel_cos(values.astype(dtype))
+            assert got.dtype == np.float64 and got.shape == values.shape
+            assert got.tobytes() == want.tobytes(), dtype
+    for bad in (2.5, -1, 256):
+        with pytest.raises(ValueError) as angle:
+            pixel_to_angle(bad)
+        with pytest.raises(ValueError) as cos:
+            pixel_cos(bad)
+        assert str(cos.value) == str(angle.value)
 
 
 def test_prob_map_endpoints_and_mirror():

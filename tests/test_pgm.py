@@ -1,8 +1,50 @@
-"""Plain-text grayscale file round trip and reader diagnostics."""
+"""Plain-text grayscale file round trip and reader diagnostics.  The byte
+pass of the reader and the table of the writer are checked against the
+token-by-token reader and the per-pixel formatter they stand in for."""
 import numpy as np
 import pytest
 
+from qcnn._io import decimal_ints, read_ascii_lines
+from qcnn import pgm
 from qcnn.pgm import PgmFormatError, read_pgm, write_pgm
+
+
+def _read_by_tokens(path) -> np.ndarray:
+    """Reference: every line cut at `#` and split into tokens, every pixel
+    token through decimal_ints."""
+    toks = [tok for line in read_ascii_lines(path, PgmFormatError) for tok in line.split("#", 1)[0].split()]
+    if toks[:1] != ["P2"]:
+        raise PgmFormatError(f"{path}: expected magic number P2, found {toks[0] if toks else 'nothing'}")
+    if len(toks) < 4:
+        raise PgmFormatError(f"{path}: truncated header")
+    try:
+        width, height, maxval = decimal_ints(toks[1:4])
+    except ValueError:
+        raise PgmFormatError(f"{path}: width, height and maxval must be integers") from None
+    if width < 1 or height < 1:
+        raise PgmFormatError(f"{path}: image dimensions must be positive, got {width}x{height}")
+    if not 1 <= maxval <= 65535:
+        raise PgmFormatError(f"{path}: maxval must lie in 1..65535, got {maxval}")
+    values = toks[4:]
+    if len(values) != width * height:
+        raise PgmFormatError(f"{path}: expected {width * height} pixel values, found {len(values)}")
+    try:
+        flat = np.array(decimal_ints(values), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise PgmFormatError(f"{path}: pixel values must be integers in 0..{maxval}") from None
+    if flat.min() < 0 or flat.max() > maxval:
+        raise PgmFormatError(f"{path}: pixel values must lie in 0..{maxval}")
+    grid = flat.reshape(height, width)
+    if maxval != 255:
+        grid = np.rint(grid * 255.0 / maxval).astype(np.int64)
+    return grid
+
+
+def _write_by_pixels(grid, comment=None) -> bytes:
+    """Reference: the writer's text with str(int(v)) per pixel."""
+    lines = ["P2"] + ([f"# {comment}"] if comment else []) + [f"{grid.shape[1]} {grid.shape[0]}", "255"]
+    lines += [" ".join(str(int(v)) for v in row) for row in grid]
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def test_roundtrip(tmp_path):
@@ -78,3 +120,109 @@ def test_writer_validation(tmp_path):
         write_pgm(path, np.full((2, 2), 256))
     with pytest.raises(ValueError):
         write_pgm(path, np.full((2, 2), -3))
+
+
+def test_write_matches_the_per_pixel_formatter(tmp_path):
+    path = tmp_path / "img.pgm"
+    every = np.arange(256)
+    grids = [every.reshape(16, 16), every.reshape(4, 64), np.random.default_rng(3).permutation(every).reshape(32, 8)]
+    for grid in grids:
+        for dtype in (np.uint8, np.int32, np.int64):
+            for comment in (None, "every intensity"):
+                write_pgm(path, grid.astype(dtype), comment=comment)
+                assert path.read_bytes() == _write_by_pixels(grid, comment), (dtype, comment)
+
+
+def test_writer_refuses_a_comment_it_could_not_read_back(tmp_path):
+    path = tmp_path / "img.pgm"
+    grid = np.zeros((2, 2), dtype=np.uint8)
+    # "x\n7 9" would make the next header line read as a 7x9 image
+    for comment in ("x\n7 9", "x\r\n7 9", "x\r7", "a\x0bb", "a\x0cb", "a\x1cb", "a\x1eb", "ends\n", "caf\u00e9", "a\u2028b"):
+        with pytest.raises(ValueError) as info:
+            write_pgm(path, grid, comment=comment)
+        assert str(info.value).startswith("comment must be one line of ASCII text"), comment
+        assert not path.exists()
+    write_pgm(path, grid, comment="tab\tand\x1funit separator # and a hash")
+    np.testing.assert_array_equal(read_pgm(path), grid)
+
+
+def _outcome(read, path):
+    try:
+        return read(path).tolist()
+    except PgmFormatError as exc:
+        return str(exc)
+
+
+_SEPS = [" ", " ", " ", "  ", "\t", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \n\t"]
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+def _p2_file(rng) -> bytes:
+    """A seeded P2 file: a valid one with every spacing str.split and
+    str.splitlines allow, header comments, leading zeros and 5-digit values,
+    or, in about half the files, one with an edit that either reader may
+    refuse or read."""
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    width, height = (int(v) for v in rng.integers(1, 5 if rng.random() < 0.8 else 40, 2))
+    maxval = pick([255, 255, 255, 65535, 65535, 100, 1, 7])
+    toks = [str(v) for v in rng.integers(0, maxval + 1, width * height)]
+    toks = [t.zfill(int(rng.integers(1, 6))) if rng.random() < 0.15 else t for t in toks]  # leading zeros
+    edit = int(rng.integers(12))
+    if edit == 0:  # a count off by one
+        toks = toks[:-1] if rng.random() < 0.5 else toks + ["0"]
+    elif edit == 1:  # a sign
+        toks[int(rng.integers(len(toks)))] = pick(["+", "-"]) + pick(["0", "3", "255"])
+    elif edit == 2:  # what int() reads and decimal_ints does not
+        toks[int(rng.integers(len(toks)))] = pick(["1_0", "0x1", "1e2", "2.0"])
+    elif edit == 3:  # a token of 6 digits or more: leading zeros or beyond maxval
+        toks[int(rng.integers(len(toks)))] = pick(["000255", "0000000", "123456", "4294967296", "99999999999999999999"])
+    elif edit == 4:  # a `#` in the body
+        at = int(rng.integers(len(toks)))
+        toks[at] = toks[at] + pick(["#", "#c", " # c" + pick(_BREAKS), "#" + pick(_BREAKS)])
+    elif edit == 5:  # a 5-digit value beyond maxval 255
+        toks[int(rng.integers(len(toks)))] = pick(["65535", "00256", "99999"])
+    single_line = rng.random() < 0.2
+    body = "".join(t + (" " if single_line else pick(_SEPS)) for t in toks)
+    gaps = _SEPS + ["  # a comment" + pick(_BREAKS), pick(_BREAKS) + "# full line" + pick(_BREAKS)]
+    head = "".join(t + pick(gaps) for t in ("P2", str(width), str(height)))
+    # unless its gap holds a line break, the fourth header token shares its line with pixels
+    head += str(maxval) + pick(gaps + [" ", "\t", "\x1f"] * 4)
+    raw = (head + body if rng.random() < 0.9 else head + body.rstrip()).encode("ascii")
+    if edit == 6:  # a byte that is neither a digit nor a separator
+        at = int(rng.integers(len(raw) + 1))
+        raw = raw[:at] + pick([b"x", b"\x00", b".", b"\x7f", b",", b"\xc3\xa9"]) + raw[at:]
+    return raw
+
+
+def test_read_matches_the_token_reference(tmp_path):
+    # seeded P2 files: the byte pass and the token reader accept the same
+    # files with the same grids, and refuse the others with the same message
+    rng = np.random.default_rng(17)
+    path = tmp_path / "img.pgm"
+    accepted = refused = 0
+    for _ in range(1500):
+        raw = _p2_file(rng)
+        path.write_bytes(raw)
+        got = _outcome(read_pgm, path)
+        assert got == _outcome(_read_by_tokens, path), raw
+        accepted += not isinstance(got, str)
+        refused += isinstance(got, str)
+    assert accepted >= 600 and refused >= 300
+
+
+def test_plain_bodies_take_the_byte_pass(tmp_path, monkeypatch):
+    # every separator str.split cuts at, leading zeros, 5-digit values and
+    # pixels on the fourth header token's line: only the header's three
+    # numbers go through decimal_ints
+    calls = []
+    monkeypatch.setattr(pgm, "decimal_ints", lambda toks: calls.append(len(toks)) or decimal_ints(toks))
+    path = tmp_path / "img.pgm"
+    seps = [" ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+    values = [0, 65535, 7, 12345, 100, 3, 65535, 0, 42, 9, 99, 65535]
+    body = "".join(f"{v:0{1 + i % 5}d}{seps[i % len(seps)]}" for i, v in enumerate(values))
+    path.write_text(f"P2 # magic\n4 3\r\n65535 {body}")
+    want = np.rint(np.array(values).reshape(3, 4) * 255.0 / 65535).astype(np.int64)
+    np.testing.assert_array_equal(read_pgm(path), want)
+    assert calls == [3]
