@@ -13,15 +13,16 @@ _PROB_SLACK = 1e-9
 
 
 def _intensities(pixel) -> np.ndarray:
-    """pixel as an integer array; a ValueError unless it holds integers in 0..255."""
+    """pixel as an integer array; a ValueError that starts with `pixels`
+    unless it holds integers in 0..255, which bools are not."""
     arr = np.asarray(pixel)
-    if arr.dtype.kind not in "iu":
-        if not np.all(np.equal(np.mod(arr, 1), 0)):
-            raise ValueError("pixel values must be integers")
-        arr = arr.astype(np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise ValueError("pixel values must lie in 0..255")
-    return arr
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"pixels must be integers, got {arr.dtype} values")
+    if arr.size and not (0 <= arr.min() and arr.max() <= 255):  # nan fails both
+        raise ValueError("pixels must lie in 0..255")
+    if arr.dtype.kind == "f" and not np.all(np.mod(arr, 1) == 0):
+        raise ValueError("pixels must be integers")
+    return arr.astype(np.int64) if arr.dtype.kind == "f" else arr
 
 
 def pixel_to_angle(pixel) -> np.ndarray:

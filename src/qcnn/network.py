@@ -252,5 +252,5 @@ def conv_feature_map(pixels, kernel_angles) -> np.ndarray:
     out_h, out_w = height // 2, width // 2
     # window (wr, wc) holds pixels (2wr, 2wc), (2wr, 2wc+1), (2wr+1, 2wc), (2wr+1, 2wc+1)
     windows = pixel_cos(grid).reshape(out_h, 2, out_w, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
-    factor = run_template(group_plan("conv", 0), ModelParams((kernel,)), data=np.zeros(4))[2]
+    factor = run_template(group_plan("conv", 0), ModelParams((kernel,)).layers[0])[2]
     return readout_probs(factor * np.prod(windows, axis=1)).reshape(out_h, out_w)

@@ -9,15 +9,16 @@ plans keeps every factor at kernel size.  A leading batch axis evaluates a
 whole sample batch in single numpy calls.
 
 Group templates also run as trees of two-input channels on Bloch vectors
-(x, y, z), the state (I + x X + y Y + z Z) / 2 of one wire.  A rotation
-turns two components.  The controlled flips on a wire pair are Clifford,
-so each output component is one signed product of input components, a
-table compiled once from the run's gate matrices.  The compile admits only
-templates whose readout factors: data rotations are RY encodings from |0>,
-so a wire's (y, z) starts as cos(t) (0, 1); every other rotation is an RX,
-which turns (y, z) among themselves; and each table builds y and z from
-the y and z of both wires.  So a template's readout z is its value on
-zero-angle data times the product of cos(t) over its data slots.
+(x, y, z), the state (I + x X + y Y + z Z) / 2 of one wire, fed only the
+kernel angles.  A rotation turns two components.  The controlled flips on
+a wire pair are Clifford, so each output component is one signed product
+of input components, a table compiled once from the run's gate matrices.
+The compile admits only templates whose readout factors: data rotations
+are RY encodings from |0>, so a wire's (y, z) starts as cos(t) (0, 1);
+every other rotation is an RX of a kernel angle, which turns (y, z) among
+themselves; and each table builds y and z from the y and z of both wires.
+So a template's readout z is its value with every data wire left in |0>
+times the product of cos(t) over its data slots.
 """
 from __future__ import annotations
 
@@ -169,17 +170,20 @@ def _pair_table(u) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def template_steps(tpl: CircuitPlan) -> tuple:
-    """A template as steps (wires, op): op is a rotation gate, or the table
-    (_pair_table) of a wire pair's run, from the product of its gate
-    matrices.  A template whose readout does not factor raises ValueError."""
+    """A template as steps (wires, op): op is the kernel index of an RX, or
+    the table (_pair_table) of a wire pair's run, from the product of its
+    gate matrices; data RY encodings are checked but make no step.  A
+    template whose readout does not factor raises ValueError."""
     steps, run, touched = [], [], set()
     for i, gate in enumerate(tpl.gates):
         if gate.kind.is_rotation:
             data = gate.angle.source is AngleSource.DATA
-            if gate.kind is not (GateKind.RY if data else GateKind.RX) or (data and gate.wires[0] in touched):
+            want = (GateKind.RY, AngleSource.DATA) if data else (GateKind.RX, AngleSource.PARAM)
+            if (gate.kind, gate.angle.source) != want or (data and gate.wires[0] in touched):
                 raise ValueError("template rotations must be RY encodings of data and RX turns of kernel angles")
             touched.add(gate.wires[0])
-            steps.append((gate.wires, gate))
+            if not data:
+                steps.append((gate.wires, gate.angle.index))
             continue
         if run and run[0].wires != gate.wires:
             raise ValueError("template does not factor into two-input channels")
@@ -194,15 +198,11 @@ def template_steps(tpl: CircuitPlan) -> tuple:
     return tuple(steps)
 
 
-def rotate(v, kind, theta) -> np.ndarray:
+def rotate(v, theta) -> np.ndarray:
     """Bloch vectors v (..., 3) turned by theta (broadcast against v's rows)
-    as an RX or RY gate turns them; v None is |0>, (0, 0, 1)."""
+    as an RX gate turns them."""
     c, s = np.cos(theta), np.sin(theta)
-    if v is None:
-        return np.stack([s, np.zeros_like(c), c] if kind is GateKind.RY else [np.zeros_like(c), -s, c], axis=-1)
     x, y, z = np.moveaxis(v, -1, 0)
-    if kind is GateKind.RY:
-        return np.stack([c * x + s * z, y, c * z - s * x], axis=-1)
     return np.stack([x, c * y - s * z, c * z + s * y], axis=-1)
 
 
@@ -216,22 +216,20 @@ def pair_channel(table, a, b) -> np.ndarray:
     return np.stack([sign * _part(a, i) * _part(b, j) for sign, i, j in table], axis=-1)
 
 
-def run_template(tpl: CircuitPlan, params, data=None, inputs=None, shift=None) -> np.ndarray:
-    """Readout-wire Bloch vectors (..., 3) of a template.  Wires start in
-    |0> and data slots read `data` (..., n_data); or `inputs` (..., k, 3)
-    holds the states of wires 0..k-1 in place of the data rotations.
-    shift maps parameter angles to offsets that broadcast against the
-    rows."""
+def run_template(tpl: CircuitPlan, kernel, inputs=None) -> np.ndarray:
+    """Readout-wire Bloch vectors (..., 3) of a template at each row's
+    kernel angles, an array (..., n) with n the template's kernel angles (0
+    for a pool) whose leading axes set the rows.  inputs (..., k, 3)
+    holds the states of wires 0..k-1; every other wire starts in |0>,
+    (0, 0, 1), as an RY encoding of angle 0 leaves it."""
+    zero = np.broadcast_to([0.0, 0.0, 1.0], kernel.shape[:-1] + (3,))
     state = {} if inputs is None else dict(enumerate(np.moveaxis(inputs, -2, 0)))
     for wires, op in template_steps(tpl):
-        w = wires[0]
         if isinstance(op, tuple):
-            state[w] = pair_channel(op, state[w], state.pop(wires[1]))
-        elif op.angle.source is not AngleSource.DATA:
-            state[w] = rotate(state.get(w), op.kind, op.angle.resolve(data, params) + (shift or {}).get(op.angle, 0.0))
-        elif inputs is None:
-            state[w] = rotate(None, op.kind, op.angle.resolve(data, params))
-    return state[tpl.readout_wire]
+            state[wires[0]] = pair_channel(op, state.get(wires[0], zero), state.pop(wires[1], zero))
+        else:
+            state[wires[0]] = rotate(state.get(wires[0], zero), kernel[..., op])
+    return state.get(tpl.readout_wire, zero)
 
 
 def readout_probs(z) -> np.ndarray:

@@ -31,7 +31,6 @@ from . import runner
 from ._io import require_int, write_text_atomic
 from .dataset import as_dataset, gen_dataset
 from .encoding import pixel_cos, pixel_to_angle, prob_to_angle
-from .gates import Angle
 from .network import Architecture, InitScheme, ModelParams, _enum_from, build_plan, group_plan, init_params
 from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
 
@@ -165,20 +164,21 @@ class TrainingObjective:
     Every readout is a kernel factor times a per-row product
     (runner.template_steps refuses a template for which it is not).  Each
     evaluation is one row of a kernel batch: a layer runs its group
-    template once (runner.run_template) on zero-angle data, the all-black
-    row, for every evaluation and group at once, with each evaluation's
-    displacement.  End to end each layer takes the Bloch vectors of the
-    layer below, and the root's z, F, gives p1 = 1/2 - F phi / 2, where phi
-    is the product of cos(pixel angle) over the row.  Measured after each
-    layer, a group's z is its kernel factor times the product of its
-    inputs' z: cos of the pixel angles at the first layer, and above it cos
-    of the re-encoded readouts of the layer below, drawn when sampled.
+    template once (runner.run_template) on its kernel angles alone, one row
+    per evaluation and group with that evaluation's displacement added,
+    every data wire in |0> as the all-black row leaves it.  End to end each
+    layer takes the Bloch vectors of the layer below, and the root's z, F,
+    gives p1 = 1/2 - F phi / 2, where phi is the product of cos(pixel
+    angle) over the row.  Measured after each layer, a group's z is its
+    kernel factor times the product of its inputs' z: cos of the pixel
+    angles at the first layer, and above it cos of the re-encoded readouts
+    of the layer below, drawn when sampled.
     """
 
     def __init__(self, config: TrainConfig, pixel_rows, labels, base_key: int = 0):
         self.config = config
         self.arch = config.arch
-        pixel_rows = np.asarray(pixel_rows, dtype=np.float64)
+        pixel_rows = np.asarray(pixel_rows)
         if pixel_rows.ndim != 2 or pixel_rows.shape[1] != self.arch.image_side ** 2:
             raise ValueError(
                 f"{self.arch.value} expects {self.arch.image_side ** 2} pixels per row, got {pixel_rows.shape}"
@@ -223,17 +223,17 @@ class TrainingObjective:
 
     def _evaluate(self, params, rows) -> np.ndarray:
         """Readouts (E, B) of E evaluations, one per entry of rows: None for
-        the plain readout, or ((layer, j), occ, delta), kernel angle (layer,
-        j) moved by delta in group occ of its conv layer."""
+        the plain readout, or (layer, j, occ, delta), kernel angle (layer, j)
+        moved by delta in group occ of its conv layer.  Each conv layer runs
+        on (E, G, 4) kernel angles, one row per evaluation and group."""
         e, b = len(rows), self.batch_size
-        offsets = {}  # (layer, j) -> (E, G) offsets of that angle, G its layer's groups
+        kernels = {layer: np.tile(params.layers[layer], (e, g, 1)) for layer, g in self._occs.items()}
         for r, row in enumerate(rows):
             if row is not None:
-                (layer, j), occ, delta = row
+                layer, j, occ, delta = row
                 if j not in range(4) or occ not in range(self._occs.get(layer, 0)):
                     raise ValueError(f"the {self.arch.value} network has no occurrence {occ} of angle {(layer, j)}")
-                offsets.setdefault((layer, j), np.zeros((e, self._occs[layer])))[r, occ] = delta
-        shift = {Angle.param(*slot): a for slot, a in offsets.items()}
+                kernels[layer][r, occ, j] += delta
         ordinals = range(self._eval_ordinal, self._eval_ordinal + e)
         self._eval_ordinal += e
         self.evals += e * b
@@ -241,8 +241,9 @@ class TrainingObjective:
         state, z = None, self.cos
         for li, spec in enumerate(self.layers):
             groups = np.array(spec.groups)
-            given = {"inputs": state[:, groups]} if li and not measured else {"data": np.zeros((e,) + groups.shape)}
-            state = runner.run_template(group_plan(spec.kind, spec.param_layer), params, shift=shift, **given)
+            kernel = kernels.get(spec.param_layer, np.zeros((e, len(groups), 0)))
+            inputs = state[:, groups] if li and not measured else None
+            state = runner.run_template(group_plan(spec.kind, spec.param_layer), kernel, inputs)
             if measured:
                 if li:
                     drawn = self._draw(runner.readout_probs(z), ordinals, li)
@@ -255,8 +256,7 @@ class TrainingObjective:
         """Readout probability per sample.  shift_occ = (layer, index, occ,
         delta) displaces occurrence `occ` of one trainable angle."""
         self._check_params(params)
-        row = None if shift_occ is None else (tuple(shift_occ[:2]), *shift_occ[2:])
-        return self._evaluate(params, [row])[0]
+        return self._evaluate(params, [None if shift_occ is None else tuple(shift_occ)])[0]
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
@@ -265,7 +265,7 @@ class TrainingObjective:
         self._check_params(params)
         slots = list(slots) if slots is not None else self.plan.param_slots()
         # a slot of a layer the network lacks keeps one row, for _evaluate to refuse
-        sites = [(c, ((layer, j), o, d)) for c, (layer, j) in enumerate(slots)
+        sites = [(c, (layer, j, o, d)) for c, (layer, j) in enumerate(slots)
                  for o in range(self._occs.get(layer, 1)) for d in (np.pi / 2, -np.pi / 2)]
         p = self._evaluate(params, [row for _, row in sites]) if sites else ()
         cols = np.zeros((self.batch_size, len(slots)))
@@ -310,9 +310,10 @@ def run_epochs(config: TrainConfig, dataset, log_fn, init, step):
     """The training protocol shared by every model; returns (final state,
     loss curve).  init(seed) gives the model's initial state from the
     run's init seed.  Each epoch, step(state, epoch, pixels, labels) returns
-    (state, mse, evaluations) for that epoch's batch as float64 arrays: the
-    first batch_size rows of `dataset`, or without it a fresh seeded batch.
-    Epoch time, the loss curve and the log_fn line are kept here."""
+    (state, mse, evaluations) for that epoch's batch as the Dataset's uint8
+    arrays: the first batch_size rows of `dataset`, or without it a fresh
+    seeded batch.  Epoch time, the loss curve and the log_fn line are kept
+    here."""
     if dataset is not None:
         if len(dataset) < config.batch_size:
             raise ValueError(f"dataset holds {len(dataset)} rows, fewer than the batch size {config.batch_size}")
@@ -326,7 +327,7 @@ def run_epochs(config: TrainConfig, dataset, log_fn, init, step):
             batch = gen_dataset(config.batch_size, config.arch.image_side, int(seed))
         else:
             batch = fixed
-        state, epoch_mse, evals = step(state, epoch, batch.pixels.astype(np.float64), batch.labels.astype(np.float64))
+        state, epoch_mse, evals = step(state, epoch, batch.pixels, batch.labels)
         ms = (time.perf_counter() - t0) * 1000.0
         curve.record(epoch, epoch_mse, ms, evals)
         if log_fn is not None:
@@ -341,10 +342,8 @@ def score(samples, threshold, predict):
     if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be a real number strictly inside (0, 1), got {threshold!r}")
     data = as_dataset(samples)
-    labels = data.labels.astype(np.float64)
-    acts = predict(data.pixels.astype(np.float64), labels)
-    preds = (acts > threshold).astype(np.float64)
-    return mse(acts, labels), float(np.mean(preds == labels))
+    acts = predict(data.pixels, data.labels)
+    return mse(acts, data.labels), float(np.mean((acts > threshold) == data.labels))
 
 
 def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams = None):

@@ -118,7 +118,8 @@ def test_classical_evaluate():
 
 def test_train_and_classical_train_see_the_same_batches():
     # one protocol: at equal seed both models receive byte-identical rows
-    # and labels in every epoch, fresh batches and a fixed dataset alike
+    # and labels, the Dataset's own uint8 arrays, in every epoch, fresh
+    # batches and a fixed dataset alike
     for update in ("simultaneous", "layer-wise"):
         config = TrainConfig(arch="conv-pool-pool", epochs=3, batch_size=10, seed=65, update_strategy=update)
         for dataset in (None, gen_dataset(12, 4, seed=66)):
@@ -127,4 +128,4 @@ def test_train_and_classical_train_see_the_same_batches():
             for (qp, ql), (cp, cl) in zip(quantum, classical):
                 assert qp.shape == cp.shape == (10, 16) and ql.shape == cl.shape == (10,)
                 for q, c in ((qp, cp), (ql, cl)):
-                    assert q.dtype == c.dtype == np.float64 and q.tobytes() == c.tobytes()
+                    assert q.dtype == c.dtype == np.uint8 and q.tobytes() == c.tobytes()

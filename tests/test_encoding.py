@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from qcnn.encoding import pixel_cos, pixel_to_angle, prob_to_angle
+from qcnn.network import conv_feature_map
+from qcnn.training import TrainConfig, TrainingObjective
 
 
 def test_pixel_map_endpoints_and_linearity():
@@ -39,6 +41,19 @@ def test_pixel_cos_is_the_cosine_of_the_angle_bit_for_bit():
         with pytest.raises(ValueError) as cos:
             pixel_cos(bad)
         assert str(cos.value) == str(angle.value)
+
+
+def test_pixel_refusals_start_with_pixels():
+    # conv_feature_map and TrainingObjective refuse a bad grid or row with a
+    # message that starts with `pixels`, and bools are not intensities
+    config = TrainConfig(arch="conv")
+    for value, want in ((300, "lie in 0..255"), (True, "be integers, got bool values"),
+                        (2.5, "be integers"), (np.inf, "lie in 0..255"), (np.nan, "lie in 0..255")):
+        grid = np.full((2, 2), value)
+        with pytest.raises(ValueError, match=f"^pixels must {want}$"):
+            conv_feature_map(grid, np.zeros(4))
+        with pytest.raises(ValueError, match=f"^pixels must {want}$"):
+            TrainingObjective(config, grid.reshape(1, 4), np.zeros(1))
 
 
 def test_prob_map_endpoints_and_mirror():

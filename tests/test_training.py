@@ -562,6 +562,20 @@ def test_objective_validates_rows():
         TrainingObjective(config, np.zeros((2, 4)), np.zeros(3))
 
 
+@pytest.mark.parametrize("measure_mode", ["end-to-end", "intermediate"])
+@pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
+def test_objective_reads_uint8_rows_as_their_float64_copies(arch, measure_mode):
+    # training hands the objective a Dataset's own uint8 rows; readouts and
+    # the jacobian equal, bit for bit, those of the same rows as float64
+    config = TrainConfig(arch=arch, seed=28, measure_mode=measure_mode)
+    data = gen_dataset(6, config.arch.image_side, seed=68)
+    params = ModelParams.from_vector(config.arch, np.random.default_rng(28).uniform(-0.6, 0.6, config.arch.n_params))
+    small, wide = (TrainingObjective(config, rows, data.labels) for rows in (data.pixels, data.pixels.astype(float)))
+    assert data.pixels.dtype == np.uint8
+    assert small.p1(params).tobytes() == wide.p1(params).tobytes()
+    assert small.jacobian(params).tobytes() == wide.jacobian(params).tobytes()
+
+
 def test_train_is_deterministic():
     config = TrainConfig(arch="conv", epochs=3, batch_size=30, seed=21)
     p1, c1 = train(config)
