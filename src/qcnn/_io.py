@@ -7,7 +7,6 @@ import contextlib
 import numbers
 import os
 import re
-import secrets
 import shutil
 from pathlib import Path
 
@@ -20,7 +19,7 @@ def write_text_atomic(path, text: str) -> None:
     temporary file behind.  A replaced file keeps its permission bits.  An
     OSError names `path`, not the temporary."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         try:
             with open(tmp, "x", encoding="ascii") as fh:

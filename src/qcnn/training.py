@@ -153,7 +153,19 @@ def mse(predictions, labels) -> float:
 
 
 def _derived_rng(*key) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(int(k) for k in key))))
+    """The generator numpy seeds from the tuple of non-negative ints `key`.
+    SeedSequence gets the uint32 words numpy would make of the tuple (each
+    int's 32-bit words, low word first, at least one per int) as one array,
+    which skips numpy's slow per-int conversion; the pool, and so the
+    stream, are the same."""
+    words = []
+    for k in map(int, key):
+        if k < 0:
+            raise ValueError(f"a stream key must be non-negative, got {k}")
+        words.append(k & 0xFFFFFFFF)
+        while k := k >> 32:
+            words.append(k & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 class TrainingObjective:
@@ -191,7 +203,7 @@ class TrainingObjective:
             raise ValueError("one label per pixel row is required")
         self.plan, self.layers = build_plan(self.arch)
         self._occs = {spec.param_layer: len(spec.groups) for spec in self.layers if spec.kind == "conv"}
-        self.base_key = int(base_key)
+        self.base_key = require_int("base_key", base_key, 0)
         self._eval_ordinal = 0
         self.evals = 0
 
@@ -204,17 +216,19 @@ class TrainingObjective:
     def batch_size(self) -> int:
         return self.labels.shape[0]
 
-    def _sample(self, probs, *key) -> np.ndarray:
-        rng = _derived_rng(self.config.seed, _TAG_SHOTS, self.base_key, *key)
-        # on the 2^-32 grid, 1/2 + 1 ulp draws as 1/2 does, not as shots - X(1/2 - 1 ulp)
-        p = np.rint(np.clip(probs, 0.0, 1.0) * 2.0**32) / 2.0**32
-        return rng.binomial(self.config.shots, p) / self.config.shots
-
     def _draw(self, probs, ordinals, layer) -> np.ndarray:
-        """Sampled mode: each evaluation's readouts probs[e], drawn on its key."""
+        """Sampled mode: each evaluation's readouts probs[e] as binomial
+        counts over the shot number, drawn on the stream keyed by (seed,
+        _TAG_SHOTS, base_key, ordinals[e], layer)."""
         if self.config.eval_mode is EvalMode.EXACT:
             return probs
-        return np.stack([self._sample(p, o, layer) for p, o in zip(probs, ordinals)])
+        # on the 2^-32 grid, 1/2 + 1 ulp draws as 1/2 does, not as shots - X(1/2 - 1 ulp)
+        p = np.rint(np.clip(probs, 0.0, 1.0) * 2.0**32) / 2.0**32
+        counts = np.empty(p.shape, dtype=np.int64)
+        for e, ordinal in enumerate(ordinals):
+            rng = _derived_rng(self.config.seed, _TAG_SHOTS, self.base_key, ordinal, layer)
+            counts[e] = rng.binomial(self.config.shots, p[e])
+        return counts / self.config.shots
 
     def _check_params(self, params: ModelParams) -> None:
         n = params.vector().size

@@ -8,7 +8,10 @@ the package namespace exports a name that none of its readers use.
 """
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -138,3 +141,21 @@ def test_benchmark_tracer_installs_and_uninstalls():
         "gates.gate_matrix", "encoding.prob_to_angle", "network.build_plan",
     }
     assert want <= seen, sorted(want - seen)
+
+
+def test_an_exact_readout_loads_no_hashing_modules():
+    # a fresh interpreter that imports the package and takes one exact
+    # readout loads neither `secrets` nor `hashlib` (and with it OpenSSL);
+    # sampled mode loads them through numpy.random
+    script = (
+        "import sys, numpy as np, qcnn\n"
+        "from qcnn.training import TrainConfig, TrainingObjective\n"
+        "cfg = TrainConfig(arch='conv')\n"
+        "obj = TrainingObjective(cfg, np.zeros((2, 4), np.uint8), np.zeros(2))\n"
+        "obj.p1(qcnn.ModelParams.from_vector(cfg.arch, np.zeros(cfg.arch.n_params)))\n"
+        "print(sorted({'secrets', 'hashlib'} & set(sys.modules)))\n"
+    )
+    src = str(Path(qcnn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -21,6 +21,7 @@ from qcnn.training import (
     TrainConfig,
     TrainingObjective,
     UpdateStrategy,
+    _derived_rng,
     activate,
     activate_deriv,
     evaluate,
@@ -32,6 +33,21 @@ from qcnn.training import (
     train,
     update_direction,
 )
+
+
+def _reference_draw(obj, probs, ordinal, layer):
+    """Reference: readouts drawn as binomial counts over the shot number on
+    the 2^-32 grid, from the stream numpy seeds with the int-tuple key
+    (seed, 303, base_key, ordinal, layer)."""
+    key = (obj.config.seed, 303, obj.base_key, ordinal, layer)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    p = np.rint(np.clip(probs, 0.0, 1.0) * 2.0**32) / 2.0**32
+    return rng.binomial(obj.config.shots, p) / obj.config.shots
+
+
+def _drawn(obj, probs, ordinal, layer):
+    """The objective's own draw of one evaluation's readouts."""
+    return obj._draw(np.asarray(probs)[None], [ordinal], layer)[0]
 
 
 def _objective(arch="conv", n=6, seed=0, **kw):
@@ -182,7 +198,7 @@ def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode)
     # sampled mode draws the same shots
     params, runs = _whole_plan_runs(arch)
     obj, _ = _objective(arch, n=5, seed=21, eval_mode=eval_mode, shots=100)
-    want = iter(obj._sample(p, k, 0) if eval_mode == "sampled" else p for k, p in enumerate(runs))
+    want = iter(_reference_draw(obj, p, k, 0) if eval_mode == "sampled" else p for k, p in enumerate(runs))
     near = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
     same = np.testing.assert_array_equal if eval_mode == "sampled" else near
     same(obj.p1(params), next(want))
@@ -211,7 +227,7 @@ def _per_group_readout(obj, params, site, ordinal):
                 shift = {tpl.param_occurrences(site[0], site[1])[0]: site[3]}
             outs[:, g] = run_plan_batch(tpl, values[:, grp], params, shift=shift)
         if obj.config.eval_mode is EvalMode.SAMPLED:
-            outs = obj._sample(outs, ordinal, li + 1)
+            outs = _reference_draw(obj, outs, ordinal, li + 1)
         values = prob_to_angle(outs)
     return outs[:, 0]
 
@@ -476,9 +492,9 @@ def test_draws_do_not_depend_on_a_readouts_last_bit():
     # they draw the counts of 1/2 itself
     obj, _ = _objective("conv", n=3, seed=42, eval_mode="sampled", shots=100)
     for key in range(6):
-        half = obj._sample(np.full(5, 0.5), key, 1)
+        half = _drawn(obj, np.full(5, 0.5), key, 1)
         for p in (np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)):
-            np.testing.assert_array_equal(obj._sample(np.full(5, p), key, 1), half, err_msg=str((key, p)))
+            np.testing.assert_array_equal(_drawn(obj, np.full(5, p), key, 1), half, err_msg=str((key, p)))
 
 
 def test_shot_sampling_deterministic_and_bounded():
@@ -487,14 +503,56 @@ def test_shot_sampling_deterministic_and_bounded():
     # certain outcomes stay certain, and the rate converges on the readout
     obj, _ = _objective("conv", n=3, seed=42, eval_mode="sampled", shots=1000)
     p = np.array([0.37, 0.0, 1.0])
-    a = obj._sample(p, 0, 0)
-    np.testing.assert_array_equal(a, obj._sample(p, 0, 0))
-    assert not np.array_equal(a, obj._sample(p, 1, 0))
+    a = _drawn(obj, p, 0, 0)
+    np.testing.assert_array_equal(a, _drawn(obj, p, 0, 0))
+    assert not np.array_equal(a, _drawn(obj, p, 1, 0))
     assert 0.0 <= a[0] <= 1.0 and a[1] == 0.0 and a[2] == 1.0
     # readouts a rounding error outside [0, 1] are clipped, not refused
-    np.testing.assert_array_equal(obj._sample(np.array([-1e-12, 1.0 + 1e-12, 0.0]), 0, 0), [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(_drawn(obj, np.array([-1e-12, 1.0 + 1e-12, 0.0]), 0, 0), [0.0, 1.0, 0.0])
     big, _ = _objective("conv", n=1, seed=7, eval_mode="sampled", shots=100000)
-    assert abs(big._sample(np.array([0.3]), 0, 0)[0] - 0.3) < 0.01
+    assert abs(_drawn(big, np.array([0.3]), 0, 0)[0] - 0.3) < 0.01
+
+
+@pytest.mark.parametrize("seed, base_key", [(0, 0), (2**40 + 7, 2**33 + 1)])
+def test_a_block_of_evaluations_draws_each_on_its_own_key(seed, base_key):
+    # _draw takes (E, B, G) readouts and draws evaluation e on the stream
+    # of its ordinal, as the tuple-keyed reference does one at a time
+    config = TrainConfig(arch="conv", seed=seed, eval_mode="sampled", shots=1000)
+    obj = TrainingObjective(config, np.zeros((1, 4), dtype=np.uint8), np.zeros(1), base_key=base_key)
+    probs = np.random.default_rng(5).uniform(-1e-12, 1.0 + 1e-12, (4, 3, 2))
+    ordinals = [0, 7, 2**32, 2**64 + 3]
+    want = np.stack([_reference_draw(obj, p, o, 2) for p, o in zip(probs, ordinals)])
+    np.testing.assert_array_equal(obj._draw(probs, ordinals, 2), want)
+
+
+def test_stream_keys_seed_as_their_int_tuples():
+    # _derived_rng seeds from the key's uint32 words; numpy's SeedSequence
+    # of the int tuple gives the same pool and state at every key position,
+    # across the 32- and 64-bit word boundaries
+    values = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**100 + 3)
+    for pos in range(5):
+        for value in values:
+            key = [3, 303, 2, 17, 1]
+            key[pos] = value
+            ours = _derived_rng(*key).bit_generator.seed_seq
+            ref = np.random.SeedSequence(tuple(key))
+            np.testing.assert_array_equal(ours.pool, ref.pool, err_msg=str(key))
+            np.testing.assert_array_equal(ours.generate_state(4, np.uint64), ref.generate_state(4, np.uint64))
+    np.testing.assert_array_equal(_derived_rng(*values).integers(0, 2**63, 8),
+                                  np.random.default_rng(values).integers(0, 2**63, 8))
+
+
+@pytest.mark.parametrize("key", [(-1,), (0, 303, -1), (2**64, -(2**40))])
+def test_a_negative_stream_key_is_refused(key):
+    with pytest.raises(ValueError, match="non-negative"):
+        _derived_rng(*key)
+
+
+@pytest.mark.parametrize("bad", [-1, True, 2.5, "3", None])
+def test_base_key_refusals_start_with_its_name(bad):
+    config = TrainConfig(arch="conv", eval_mode="sampled")
+    with pytest.raises(ValueError, match=r"^base_key must be a non-negative integer"):
+        TrainingObjective(config, np.zeros((1, 4), dtype=np.uint8), np.zeros(1), base_key=bad)
 
 
 def test_setting_refusals_start_with_the_field_name():
