@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import require_int
 from .training import TrainConfig, mse, run_epochs, score, sigmoid
 
 
@@ -30,7 +31,7 @@ class ClassicalKernel:
 
 
 def init_classical(side: int, seed: int) -> ClassicalKernel:
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(require_int("seed", seed, 0)))
     return ClassicalKernel(rng.uniform(-0.5, 0.5, side * side), 0.0)
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._io import decimal_float, read_ascii_lines, write_text_atomic
+from ._io import decimal_float, read_ascii_lines, require_int, write_text_atomic
 from .encoding import pixel_cos
 from .gates import Angle, AngleSource, GateKind, GateOp
 from .plans import CircuitPlan
@@ -201,6 +201,7 @@ class ModelParams:
 def init_params(arch: Architecture, seed: int, scheme=InitScheme.UNIFORM) -> ModelParams:
     """Fresh kernel angles; scheme is an InitScheme or its value.  'uniform'
     draws each angle from [0, pi), 'zeros' starts every angle at 0."""
+    seed = require_int("seed", seed, 0)
     if _enum_from(InitScheme, scheme, "scheme") is InitScheme.ZEROS:
         return ModelParams(tuple(np.zeros(4) for _ in range(arch.conv_layer_count)))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -252,5 +253,5 @@ def conv_feature_map(pixels, kernel_angles) -> np.ndarray:
     out_h, out_w = height // 2, width // 2
     # window (wr, wc) holds pixels (2wr, 2wc), (2wr, 2wc+1), (2wr+1, 2wc), (2wr+1, 2wc+1)
     windows = pixel_cos(grid).reshape(out_h, 2, out_w, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
-    factor = run_template(group_plan("conv", 0), ModelParams((kernel,)).layers[0])[2]
+    factor = run_template(group_plan("conv", 0), ModelParams((kernel,)).layers[0])[1]
     return readout_probs(factor * np.prod(windows, axis=1)).reshape(out_h, out_w)

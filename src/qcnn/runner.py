@@ -8,17 +8,16 @@ merge only when a two-wire gate spans groups, which for the convolution
 plans keeps every factor at kernel size.  A leading batch axis evaluates a
 whole sample batch in single numpy calls.
 
-Group templates also run as trees of two-input channels on Bloch vectors
-(x, y, z), the state (I + x X + y Y + z Z) / 2 of one wire, fed only the
-kernel angles.  A rotation turns two components.  The controlled flips on
-a wire pair are Clifford, so each output component is one signed product
-of input components, a table compiled once from the run's gate matrices.
-The compile admits only templates whose readout factors: data rotations
-are RY encodings from |0>, so a wire's (y, z) starts as cos(t) (0, 1);
-every other rotation is an RX of a kernel angle, which turns (y, z) among
-themselves; and each table builds y and z from the y and z of both wires.
-So a template's readout z is its value with every data wire left in |0>
-times the product of cos(t) over its data slots.
+Group templates also run as trees of two-input channels on the Bloch
+components (y, z) of each wire, whose state is (I + x X + y Y + z Z) / 2;
+no readout reads x.  Only kernel angles enter: data rotations are RY
+encodings from |0>, so a wire's (y, z) starts as cos(t) (0, 1), and every
+other rotation is an RX of a kernel angle, which turns (y, z) among
+themselves.  The controlled flips on a wire pair are Clifford, and the
+compile admits a pair run only when it builds each of the first wire's y
+and z as one signed product of the y and z of both wires.  So a
+template's readout z is its value with every data wire left in |0> times
+the product of cos(t) over its data slots.
 """
 from __future__ import annotations
 
@@ -153,18 +152,18 @@ def run_plan(plan: CircuitPlan, data=None, params=None, shift: dict = None) -> f
     return float(run_plan_batch(plan, data, params, batch_size=1, shift=shift)[0])
 
 
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # I, X, Y, Z
-_PRODUCTS = np.einsum("iab,jcd->ijacbd", _PAULIS, _PAULIS).reshape(4, 4, 4, 4)  # [i, j] = P_i x P_j
+_YZ = np.array([[[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # Y, Z
+_PRODUCTS = np.einsum("iab,jcd->ijacbd", _YZ, _YZ).reshape(2, 2, 4, 4)  # [i, j] = P_i x P_j
 
 
 def _pair_table(u) -> tuple:
-    """Rows (sign, i, j) of the first wire's x, y, z after a pair run u:
-    u^dagger (P_k x I) u = sign P_i x P_j exactly, so on independent wires
-    a, b component k is sign a_i b_j, where P_0 = I and a_0 = b_0 = 1."""
-    h = np.conj(u.T) @ _PRODUCTS[1:, 0] @ u  # k = 1, 2, 3
+    """Rows (sign, i, j) of the first wire's y and z after a pair run u,
+    with i, j in {0: y, 1: z}: u^dagger (P_k x I) u = sign P_i x P_j
+    exactly, so on independent wires a, b component k is sign a_i b_j."""
+    h = np.conj(u.T) @ np.kron(_YZ, np.eye(2)) @ u
     found = np.argwhere((h[:, None, None, None] == np.stack([_PRODUCTS, -_PRODUCTS])).all(axis=(-2, -1)))
-    if list(found[:, 0]) != [0, 1, 2]:  # rows (k - 1, sign index, i, j)
-        raise ValueError("pair run does not map each of X, Y and Z to one signed Pauli product")
+    if list(found[:, 0]) != [0, 1]:  # rows (k, sign index, i, j)
+        raise ValueError("pair run does not map each of Y and Z to one signed Pauli product of Y and Z on both wires")
     return tuple(((1, -1)[s], int(i), int(j)) for _, s, i, j in found)
 
 
@@ -190,40 +189,31 @@ def template_steps(tpl: CircuitPlan) -> tuple:
         touched.update(gate.wires)
         run.append(gate)
         if gate.wires[1] in tpl.retire_schedule[i]:
-            table = _pair_table(functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)]))
-            if any(a < 2 or b < 2 for _, a, b in table[1:]):
-                raise ValueError("pair run builds y or z from an x or I component")
-            steps.append((gate.wires, table))
+            steps.append((gate.wires, _pair_table(functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)]))))
             run = []
     return tuple(steps)
 
 
-def rotate(v, theta) -> np.ndarray:
-    """Bloch vectors v (..., 3) turned by theta (broadcast against v's rows)
-    as an RX gate turns them."""
+def rotate(v, theta) -> tuple:
+    """Bloch components v = (y, z) turned by theta, as an RX gate turns them."""
     c, s = np.cos(theta), np.sin(theta)
-    x, y, z = np.moveaxis(v, -1, 0)
-    return np.stack([x, c * y - s * z, c * z + s * y], axis=-1)
+    y, z = v
+    return c * y - s * z, c * z + s * y
 
 
-def _part(v, i):
-    """Component i of (1, x, y, z) for Bloch vectors v (..., 3)."""
-    return v[..., i - 1] if i else 1.0
+def pair_channel(table, a, b) -> tuple:
+    """A pair run's table on the (y, z) of wires a and b, one product a row."""
+    return tuple(sign * a[i] * b[j] for sign, i, j in table)
 
 
-def pair_channel(table, a, b) -> np.ndarray:
-    """A pair run's table on Bloch vectors a, b (..., 3), one product a row."""
-    return np.stack([sign * _part(a, i) * _part(b, j) for sign, i, j in table], axis=-1)
-
-
-def run_template(tpl: CircuitPlan, kernel, inputs=None) -> np.ndarray:
-    """Readout-wire Bloch vectors (..., 3) of a template at each row's
+def run_template(tpl: CircuitPlan, kernel, inputs=None) -> tuple:
+    """Readout-wire Bloch components (y, z) of a template at each row's
     kernel angles, an array (..., n) with n the template's kernel angles (0
-    for a pool) whose leading axes set the rows.  inputs (..., k, 3)
-    holds the states of wires 0..k-1; every other wire starts in |0>,
-    (0, 0, 1), as an RY encoding of angle 0 leaves it."""
-    zero = np.broadcast_to([0.0, 0.0, 1.0], kernel.shape[:-1] + (3,))
-    state = {} if inputs is None else dict(enumerate(np.moveaxis(inputs, -2, 0)))
+    for a pool) whose leading axes set the rows.  inputs, a (y, z) pair of
+    (..., k) arrays, holds the states of wires 0..k-1; every other wire
+    starts in |0>, (0, 1), as an RY encoding of angle 0 leaves it."""
+    zero = (np.zeros(kernel.shape[:-1]), np.ones(kernel.shape[:-1]))
+    state = {} if inputs is None else {w: (inputs[0][..., w], inputs[1][..., w]) for w in range(inputs[0].shape[-1])}
     for wires, op in template_steps(tpl):
         if isinstance(op, tuple):
             state[wires[0]] = pair_channel(op, state.get(wires[0], zero), state.pop(wires[1], zero))

@@ -179,7 +179,7 @@ class TrainingObjective:
     template once (runner.run_template) on its kernel angles alone, one row
     per evaluation and group with that evaluation's displacement added,
     every data wire in |0> as the all-black row leaves it.  End to end each
-    layer takes the Bloch vectors of the layer below, and the root's z, F,
+    layer takes the Bloch (y, z) of the layer below, and the root's z, F,
     gives p1 = 1/2 - F phi / 2, where phi is the product of cos(pixel
     angle) over the row.  Measured after each layer, a group's z is its
     kernel factor times the product of its inputs' z: cos of the pixel
@@ -230,10 +230,16 @@ class TrainingObjective:
             counts[e] = rng.binomial(self.config.shots, p[e])
         return counts / self.config.shots
 
-    def _check_params(self, params: ModelParams) -> None:
-        n = params.vector().size
-        if n != self.arch.n_params:
-            raise ValueError(f"{self.arch.value} takes {self.arch.n_params} angles, got {n}")
+    def _check(self, params: ModelParams, name: str, sites, n: int) -> None:
+        """Refuse params of another architecture, and a site of `name` that
+        is not n integer indices (no bools), then a finite delta if n is 3."""
+        if params.vector().size != self.arch.n_params:
+            raise ValueError(f"{self.arch.value} takes {self.arch.n_params} angles, got {params.vector().size}")
+        kinds = (numbers.Integral,) * n + (numbers.Real,) * (n == 3)
+        for site in sites:
+            if len(site) != len(kinds) or not all(isinstance(v, k) and not isinstance(v, bool) and abs(v) < np.inf
+                                                  for v, k in zip(site, kinds)):
+                raise ValueError(f"{name} holds {site!r}, not {n} integer indices{' and a finite delta' * (n == 3)}")
 
     def _evaluate(self, params, rows) -> np.ndarray:
         """Readouts (E, B) of E evaluations, one per entry of rows: None for
@@ -256,28 +262,29 @@ class TrainingObjective:
         for li, spec in enumerate(self.layers):
             groups = np.array(spec.groups)
             kernel = kernels.get(spec.param_layer, np.zeros((e, len(groups), 0)))
-            inputs = state[:, groups] if li and not measured else None
+            inputs = (state[0][:, groups], state[1][:, groups]) if li and not measured else None
             state = runner.run_template(group_plan(spec.kind, spec.param_layer), kernel, inputs)
             if measured:
                 if li:
                     drawn = self._draw(runner.readout_probs(z), ordinals, li)
                     z = np.cos(prob_to_angle(drawn.reshape(e * b, -1))).reshape(e, b, -1)
-                z = state[:, None, :, 2] * np.prod(z[..., groups], axis=-1)
-        z = z[..., 0] if measured else state[:, :1, 2] * self.phi
+                z = state[1][:, None, :] * np.prod(z[..., groups], axis=-1)
+        z = z[..., 0] if measured else state[1][:, :1] * self.phi
         return self._draw(runner.readout_probs(z), ordinals, len(self.layers) if measured else 0)
 
     def p1(self, params: ModelParams, shift_occ=None) -> np.ndarray:
         """Readout probability per sample.  shift_occ = (layer, index, occ,
         delta) displaces occurrence `occ` of one trainable angle."""
-        self._check_params(params)
-        return self._evaluate(params, [None if shift_occ is None else tuple(shift_occ)])[0]
+        shift_occ = None if shift_occ is None else tuple(shift_occ)
+        self._check(params, "shift_occ", [] if shift_occ is None else [shift_occ], 3)
+        return self._evaluate(params, [shift_occ])[0]
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
         over each angle's occurrences.  Columns follow `slots` (default: all
         angles, layer-major)."""
-        self._check_params(params)
         slots = list(slots) if slots is not None else self.plan.param_slots()
+        self._check(params, "slots", slots, 2)
         # a slot of a layer the network lacks keeps one row, for _evaluate to refuse
         sites = [(c, (layer, j, o, d)) for c, (layer, j) in enumerate(slots)
                  for o in range(self._occs.get(layer, 1)) for d in (np.pi / 2, -np.pi / 2)]

@@ -57,24 +57,27 @@ def test_compiled_channels_match_dense_matrices(kind, param_layer):
     assert len(pairs) == (3 if kind == "conv" else 1)
     rng = np.random.default_rng(3)
     for wires, table in pairs:
-        # every run compiles to x' = a_x, y' = a_y b_z, z' = a_z b_z
-        assert table == ((1, 1, 0), (1, 2, 3), (1, 3, 3))
+        # every run compiles to y' = a_y b_z, z' = a_z b_z
+        assert table == ((1, 0, 1), (1, 1, 1))
         u, ptm = _dense_pair([g for g in tpl.gates if g.wires == wires])
-        for k, (sign, i, j) in enumerate(table, 1):
+        for k, (sign, i, j) in enumerate(table, 2):
             want = np.zeros((4, 4))
-            want[i, j] = sign
+            want[i + 2, j + 2] = sign
             np.testing.assert_array_equal(ptm[k, 0], want)
-        # and acts on Bloch vectors as u (rho_a x rho_b) u^dagger traced over b
+        # and gives the y and z of u (rho_a x rho_b) u^dagger traced over b,
+        # from full Bloch vectors whose x the tree never sees
         a, b = _random_bloch(rng, 5), _random_bloch(rng, 5)
         rho = np.einsum("nab,ncd->nacbd", _density(a), _density(b)).reshape(5, 4, 4)
         out = np.trace((u @ rho @ u.conj().T).reshape(5, 2, 2, 2, 2), axis1=2, axis2=4)
-        np.testing.assert_allclose(pair_channel(table, a, b), _bloch(out), rtol=0, atol=1e-15)
-    # an RX turn takes the Bloch vector of rho to that of u rho u^dagger
+        got = pair_channel(table, (a[:, 1], a[:, 2]), (b[:, 1], b[:, 2]))
+        np.testing.assert_allclose(np.stack(got, axis=-1), _bloch(out)[:, 1:], rtol=0, atol=1e-15)
+    # an RX turn takes the (y, z) of rho to those of u rho u^dagger
     for gate in (g for g in tpl.gates if g.kind is GateKind.RX):
         theta = rng.uniform(-np.pi, np.pi, 5)
         u = gate_matrix(gate, theta)
         v = _random_bloch(rng, 5)
-        np.testing.assert_allclose(rotate(v, theta), _bloch(u @ _density(v) @ u.conj().swapaxes(-1, -2)),
+        got = rotate((v[:, 1], v[:, 2]), theta)
+        np.testing.assert_allclose(np.stack(got, axis=-1), _bloch(u @ _density(v) @ u.conj().swapaxes(-1, -2))[:, 1:],
                                    rtol=0, atol=1e-15)
     # a run whose output is a sum of Pauli products does not compile
     with pytest.raises(ValueError, match="one signed Pauli product"):
@@ -89,11 +92,11 @@ def test_templates_whose_readout_does_not_factor_are_refused():
     ry_kernel = data + [GateOp(GateKind.RY, (0,), Angle.param(0, 0)), GateOp(GateKind.CFLIP_X, (0, 1))]
     with pytest.raises(ValueError, match="RX turns of kernel angles"):
         template_steps(CircuitPlan(2, tuple(ry_kernel), 0))
-    # a lone CFLIP_Z compiles to a table whose z row is a_z times I
-    assert _pair_table(CFLIP_Z)[2] == (1, 3, 0)
+    # a lone CFLIP_Z takes Z x I to itself, which is no product of Y and Z on both wires
     lone_z = data + [GateOp(GateKind.RX, (0,), Angle.param(0, 0)), GateOp(GateKind.CFLIP_Z, (0, 1))]
-    with pytest.raises(ValueError, match="from an x or I component"):
-        template_steps(CircuitPlan(2, tuple(lone_z), 0))
+    for refused in (lambda: _pair_table(CFLIP_Z), lambda: template_steps(CircuitPlan(2, tuple(lone_z), 0))):
+        with pytest.raises(ValueError, match="one signed Pauli product of Y and Z on both wires"):
+            refused()
 
 
 def _rows(arch, n, seed):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qcnn.baseline import init_classical
 from qcnn.encoding import pixel_to_angle
 from qcnn.gates import GateKind
 from qcnn.network import (
@@ -282,6 +283,15 @@ def test_init_params_schemes():
     assert not np.array_equal(a.vector(), c.vector())
     with pytest.raises(ValueError):
         init_params(CONV, seed=0, scheme="gaussian")
+
+
+@pytest.mark.parametrize("init", [lambda seed: init_params(CONV, seed).vector(),
+                                  lambda seed: init_classical(2, seed).weights])
+def test_init_seeds_must_be_non_negative_integers(init):
+    for seed in (-1, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            init(seed)
+    np.testing.assert_array_equal(init(np.int64(7)), init(7))
 
 
 def test_params_file_roundtrip(tmp_path):

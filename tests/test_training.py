@@ -158,6 +158,14 @@ def test_jacobian_slot_selection():
     assert len(obj.plan.param_occurrences(1, 0)) == 2
     with pytest.raises(ValueError):
         obj.jacobian(params, slots=[(5, 0)])
+    # malformed indices and non-finite displacements are refused by name
+    for slot in ((0, 1.0), (True, 0), (0, np.True_), (0,), (0, 1, 2)):
+        with pytest.raises(ValueError, match="^slots"):
+            obj.jacobian(params, slots=[slot])
+    for site in ((0, 0.0, 0, 0.1), (0, True, 0, 0.1), (0, 0, 1.0, 0.1), (0, 0, 0, np.nan),
+                 (0, 0, 0, np.inf), (0, 0, 0, True), (0, 0, 0, "0.1"), (0, 0, 0)):
+        with pytest.raises(ValueError, match="^shift_occ"):
+            obj.p1(params, shift_occ=site)
     # a displaced occurrence outside the network is refused in both modes
     for mode in ("end-to-end", "intermediate"):
         other, _ = _objective("conv-pool-conv-pool", n=2, seed=4, measure_mode=mode)
