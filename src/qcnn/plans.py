@@ -23,6 +23,7 @@ class CircuitPlan:
     readout_wire: int
     retire_schedule: tuple = field(init=False, compare=False, repr=False)
     _peak_width: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gates = tuple(self.gates)
@@ -58,6 +59,11 @@ class CircuitPlan:
             peak = max(peak, active)
             active -= len(retired)
         object.__setattr__(self, "_peak_width", peak)
+        # the dataclass hash of the compared fields, taken once: template_steps looks plans up by it
+        object.__setattr__(self, "_hash", hash((self.n_wires, gates, self.readout_wire)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n_data_slots(self) -> int:

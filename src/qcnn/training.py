@@ -19,6 +19,7 @@ networks and the classical reference in baseline.py.
 """
 from __future__ import annotations
 
+import functools
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -37,6 +38,9 @@ from .runner import run_plan_batch  # noqa: F401  (timed through this name by pe
 _TAG_INIT = 101
 _TAG_DATA = 202
 _TAG_SHOTS = 303
+
+# one displaced kernel angle: evaluation row, conv layer, angle, occurrence (group) and delta
+_SITE = np.dtype([("row", np.intp), ("layer", np.intp), ("angle", np.intp), ("occ", np.intp), ("delta", np.float64)])
 
 
 class GradMethod(Enum):
@@ -178,7 +182,9 @@ class TrainingObjective:
     evaluation is one row of a kernel batch: a layer runs its group
     template once (runner.run_template) on its kernel angles alone, one row
     per evaluation and group with that evaluation's displacement added,
-    every data wire in |0> as the all-black row leaves it.  End to end each
+    every data wire in |0> as the all-black row leaves it.  A layer with no
+    inputs runs on its distinct rows alone: the plain kernel row and the
+    rows displaced in that layer.  End to end each
     layer takes the Bloch (y, z) of the layer below, and the root's z, F,
     gives p1 = 1/2 - F phi / 2, where phi is the product of cos(pixel
     angle) over the row.  Measured after each layer, a group's z is its
@@ -202,7 +208,7 @@ class TrainingObjective:
         if self.labels.shape != (pixel_rows.shape[0],):
             raise ValueError("one label per pixel row is required")
         self.plan, self.layers = build_plan(self.arch)
-        self._occs = {spec.param_layer: len(spec.groups) for spec in self.layers if spec.kind == "conv"}
+        self._groups = [np.array(spec.groups) for spec in self.layers]
         self.base_key = require_int("base_key", base_key, 0)
         self._eval_ordinal = 0
         self.evals = 0
@@ -230,40 +236,56 @@ class TrainingObjective:
             counts[e] = rng.binomial(self.config.shots, p[e])
         return counts / self.config.shots
 
-    def _check(self, params: ModelParams, name: str, sites, n: int) -> None:
+    def _check(self, params: ModelParams, name: str, sites, n: int) -> list:
         """Refuse params of another architecture, and a site of `name` that
-        is not n integer indices (no bools), then a finite delta if n is 3."""
+        is not n integer indices (no bools, each below 2**63 in size), then a
+        finite delta if n is 3; return the sites as tuples."""
         if params.vector().size != self.arch.n_params:
             raise ValueError(f"{self.arch.value} takes {self.arch.n_params} angles, got {params.vector().size}")
-        kinds = (numbers.Integral,) * n + (numbers.Real,) * (n == 3)
-        for site in sites:
-            if len(site) != len(kinds) or not all(isinstance(v, k) and not isinstance(v, bool) and abs(v) < np.inf
-                                                  for v, k in zip(site, kinds)):
+        kinds = ((numbers.Integral, 2**63),) * n + ((numbers.Real, np.inf),) * (n == 3)
+        try:
+            sites = list(sites)
+        except TypeError:
+            raise ValueError(f"{name} must be a sequence of sites, got {sites!r}") from None
+        for i, site in enumerate(sites):
+            try:
+                sites[i] = tuple(site)
+            except TypeError:
+                sites[i] = ()  # not a sequence, so refused as the wrong length
+            if len(sites[i]) != len(kinds) or not all(isinstance(v, k) and not isinstance(v, bool) and abs(v) < bound
+                                                      for v, (k, bound) in zip(sites[i], kinds)):
                 raise ValueError(f"{name} holds {site!r}, not {n} integer indices{' and a finite delta' * (n == 3)}")
+        return sites
 
-    def _evaluate(self, params, rows) -> np.ndarray:
-        """Readouts (E, B) of E evaluations, one per entry of rows: None for
-        the plain readout, or (layer, j, occ, delta), kernel angle (layer, j)
-        moved by delta in group occ of its conv layer.  Each conv layer runs
-        on (E, G, 4) kernel angles, one row per evaluation and group."""
-        e, b = len(rows), self.batch_size
-        kernels = {layer: np.tile(params.layers[layer], (e, g, 1)) for layer, g in self._occs.items()}
-        for r, row in enumerate(rows):
-            if row is not None:
-                layer, j, occ, delta = row
-                if j not in range(4) or occ not in range(self._occs.get(layer, 0)):
-                    raise ValueError(f"the {self.arch.value} network has no occurrence {occ} of angle {(layer, j)}")
-                kernels[layer][r, occ, j] += delta
+    def _evaluate(self, params, e: int, sites) -> np.ndarray:
+        """Readouts (E, B) of E evaluations.  Each entry of the site table
+        sites (_SITE, range-checked by _refuse_outside) moves kernel angle
+        (layer, angle) by delta in group occ of its conv layer for one
+        evaluation row; a row without one is the plain readout.  A layer
+        that reads the layer below runs on (E, G, n) kernel angles, one row
+        per evaluation and group.  A layer with no inputs (the first, or any
+        when measured after each layer) runs on the plain kernel row and the
+        rows displaced in that layer alone, and its (y, z) are spread over
+        (E, G)."""
+        b = self.batch_size
         ordinals = range(self._eval_ordinal, self._eval_ordinal + e)
         self._eval_ordinal += e
         self.evals += e * b
         measured = self.config.measure_mode is MeasureMode.INTERMEDIATE
         state, z = None, self.cos
-        for li, spec in enumerate(self.layers):
-            groups = np.array(spec.groups)
-            kernel = kernels.get(spec.param_layer, np.zeros((e, len(groups), 0)))
-            inputs = (state[0][:, groups], state[1][:, groups]) if li and not measured else None
-            state = runner.run_template(group_plan(spec.kind, spec.param_layer), kernel, inputs)
+        for li, (spec, groups) in enumerate(zip(self.layers, self._groups)):
+            tpl = group_plan(spec.kind, spec.param_layer)
+            conv = spec.kind == "conv"
+            here = sites[sites["layer"] == spec.param_layer] if conv else sites[:0]
+            base = params.layers[spec.param_layer] if conv else np.zeros(0)
+            if li and not measured:
+                kernel = np.tile(base, (e, len(groups), 1))
+                kernel[here["row"], here["occ"], here["angle"]] += here["delta"]
+                state = runner.run_template(tpl, kernel, (state[0][:, groups], state[1][:, groups]))
+            else:
+                kernel = np.repeat(base[None], 1 + here.size, axis=0)
+                kernel[1 + np.arange(here.size), here["angle"]] += here["delta"]
+                state = tuple(_spread(v, here, e, len(groups)) for v in runner.run_template(tpl, kernel))
             if measured:
                 if li:
                     drawn = self._draw(runner.readout_probs(z), ordinals, li)
@@ -275,24 +297,75 @@ class TrainingObjective:
     def p1(self, params: ModelParams, shift_occ=None) -> np.ndarray:
         """Readout probability per sample.  shift_occ = (layer, index, occ,
         delta) displaces occurrence `occ` of one trainable angle."""
-        shift_occ = None if shift_occ is None else tuple(shift_occ)
-        self._check(params, "shift_occ", [] if shift_occ is None else [shift_occ], 3)
-        return self._evaluate(params, [shift_occ])[0]
+        sites = self._check(params, "shift_occ", [] if shift_occ is None else [shift_occ], 3)
+        sites = np.array([(0, *site) for site in sites], dtype=_SITE)
+        if sites.size:
+            _refuse_outside(self.arch, sites)
+        return self._evaluate(params, 1, sites)[0]
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
         over each angle's occurrences.  Columns follow `slots` (default: all
         angles, layer-major)."""
-        slots = list(slots) if slots is not None else self.plan.param_slots()
-        self._check(params, "slots", slots, 2)
-        # a slot of a layer the network lacks keeps one row, for _evaluate to refuse
-        sites = [(c, (layer, j, o, d)) for c, (layer, j) in enumerate(slots)
-                 for o in range(self._occs.get(layer, 1)) for d in (np.pi / 2, -np.pi / 2)]
-        p = self._evaluate(params, [row for _, row in sites]) if sites else ()
+        slots = self._check(params, "slots", _slots(self.arch) if slots is None else slots, 2)
+        if not slots:
+            return np.zeros((self.batch_size, 0))
+        sites, n = _jacobian_sites(self.arch, tuple(slots))
+        p = self._evaluate(params, sites.size, sites)
+        # (occurrence, sample, slot), zero past a slot's last occurrence
+        half = np.zeros((n.max(), self.batch_size, len(slots)))
+        half[sites["occ"][0::2], :, np.repeat(np.arange(len(slots)), n)] = 0.5 * (p[0::2] - p[1::2])
         cols = np.zeros((self.batch_size, len(slots)))
-        for (c, _), up, dn in zip(sites[::2], p[0::2], p[1::2]):
-            cols[:, c] += 0.5 * (up - dn)
+        for k in range(n.max()):  # whole-row adds, in occurrence order
+            cols += half[k]
         return cols
+
+
+def _spread(values, here, e: int, g: int) -> np.ndarray:
+    """(E, G) of a layer's values on its distinct kernel rows: the plain
+    row's values[0] everywhere, and values[1 + k] at site k's row and
+    group."""
+    out = np.full((e, g), values[0])
+    out[here["row"], here["occ"]] = values[1:]
+    return out
+
+
+def _refuse_outside(arch: Architecture, sites) -> None:
+    """The range check of a site table: refuse an entry that is not an
+    occurrence of one of the network's kernel angles."""
+    occs = np.array([len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv"] + [0])
+    layer = np.clip(sites["layer"], -1, occs.size - 1)  # any other layer has the last entry, 0
+    bad = (sites["angle"] < 0) | (sites["angle"] > 3) | (sites["occ"] < 0) | (sites["occ"] >= occs[layer])
+    if bad.any():
+        site = sites[np.argmax(bad)]
+        raise ValueError(f"the {arch.value} network has no occurrence {site['occ']} of angle "
+                         f"{(int(site['layer']), int(site['angle']))}")
+
+
+@functools.lru_cache(maxsize=64)
+def _jacobian_sites(arch: Architecture, slots: tuple) -> tuple:
+    """(site table, occurrences of each slot) of a jacobian over slots:
+    one evaluation row per occurrence of each slot in order, moved by
+    +pi/2 and then by -pi/2.  A slot of a layer the network lacks keeps one
+    occurrence, which the range check refuses.  Both arrays are read-only,
+    as every call with these slots shares them."""
+    occs = [len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv"]
+    n = np.array([occs[layer] if 0 <= layer < len(occs) else 1 for layer, _ in slots])
+    slot = np.repeat(np.arange(len(slots)), 2 * n)
+    sites = np.empty(slot.size, dtype=_SITE)
+    sites["row"] = np.arange(slot.size)
+    sites["layer"], sites["angle"] = np.array(slots).T[:, slot]
+    sites["occ"] = sites["row"] // 2 - (np.cumsum(n) - n)[slot]
+    sites["delta"] = np.where(sites["row"] % 2, -np.pi / 2, np.pi / 2)
+    _refuse_outside(arch, sites)
+    sites.flags.writeable = n.flags.writeable = False
+    return sites, n
+
+
+def _slots(arch: Architecture) -> list:
+    """Every kernel angle (layer, index), layer-major: the plan's
+    param_slots(), from the architecture alone."""
+    return [(layer, j) for layer in range(arch.conv_layer_count) for j in range(4)]
 
 
 def update_direction(objective: TrainingObjective, params: ModelParams, p1s, slots) -> np.ndarray:
@@ -377,7 +450,7 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
     time, each from fresh readouts at the params the previous layer left.
     """
     simultaneous = config.update_strategy is UpdateStrategy.SIMULTANEOUS
-    slots = build_plan(config.arch)[0].param_slots()
+    slots = _slots(config.arch)
     by_layer = [[s for s in slots if s[0] == layer] for layer in range(config.arch.conv_layer_count)]
     slot_groups = [slots] if simultaneous else by_layer
 

@@ -11,7 +11,7 @@ from conftest import batches_seen
 from qcnn.baseline import classical_train
 from qcnn.dataset import LabeledImage, gen_dataset
 from qcnn.encoding import prob_to_angle
-from qcnn.network import Architecture, ModelParams, group_plan, layer_structure
+from qcnn.network import Architecture, ModelParams, build_plan, group_plan, layer_structure
 from qcnn.runner import run_plan_batch
 from qcnn.training import (
     EvalMode,
@@ -158,12 +158,15 @@ def test_jacobian_slot_selection():
     assert len(obj.plan.param_occurrences(1, 0)) == 2
     with pytest.raises(ValueError):
         obj.jacobian(params, slots=[(5, 0)])
-    # malformed indices and non-finite displacements are refused by name
-    for slot in ((0, 1.0), (True, 0), (0, np.True_), (0,), (0, 1, 2)):
+    # malformed indices, indices of 2**63 or more, non-finite displacements
+    # and sites or slot lists that are not sequences are refused by name
+    for slot in ((0, 1.0), (True, 0), (0, np.True_), (0,), (0, 1, 2), (2**64, 0), 0):
         with pytest.raises(ValueError, match="^slots"):
             obj.jacobian(params, slots=[slot])
+    with pytest.raises(ValueError, match="^slots"):
+        obj.jacobian(params, slots=5)
     for site in ((0, 0.0, 0, 0.1), (0, True, 0, 0.1), (0, 0, 1.0, 0.1), (0, 0, 0, np.nan),
-                 (0, 0, 0, np.inf), (0, 0, 0, True), (0, 0, 0, "0.1"), (0, 0, 0)):
+                 (0, 0, 0, np.inf), (0, 0, 0, True), (0, 0, 0, "0.1"), (0, 0, 0), (0, 0, 2**64, 0.1), 5):
         with pytest.raises(ValueError, match="^shift_occ"):
             obj.p1(params, shift_occ=site)
     # a displaced occurrence outside the network is refused in both modes
@@ -266,6 +269,24 @@ def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode
     assert obj.evals == 5 * len(sites)
 
 
+def _kernel_batches(arch, measure_mode):
+    """(kernel shape, input-free) of each run_template call of a readout
+    and then a full jacobian.  A layer with no inputs runs on the plain
+    kernel row and the rows displaced in that layer: 4 angles, + and -, at
+    each of its groups.  A layer that reads the layer below runs on every
+    evaluation and group."""
+    layers = layer_structure(Architecture(arch))
+    jacobian_rows = 8 * sum(len(spec.groups) for spec in layers if spec.kind == "conv")
+    calls = []
+    for rows in (1, jacobian_rows):
+        for li, spec in enumerate(layers):
+            n = 4 if spec.kind == "conv" else 0
+            free = li == 0 or measure_mode == "intermediate"
+            displaced = 8 * len(spec.groups) if spec.kind == "conv" and rows > 1 else 0
+            calls.append(((1 + displaced, n) if free else (rows, len(spec.groups), n), free))
+    return calls
+
+
 @pytest.mark.parametrize("measure_mode, counts", [
     ("end-to-end", (6, 10, 16)),
     ("intermediate", (6, 10, 16)),
@@ -276,15 +297,20 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
     # number of two-input channels whatever the batch size or mode: each
     # call runs every layer's template once, for all of its evaluations and
     # groups at once, on zero angles, and the rows enter only through
-    # per-row products.  Once the tables are compiled, no gate matrix is
+    # per-row products.  A layer with no inputs runs on its distinct
+    # kernel rows alone.  Once the tables are compiled, no gate matrix is
     # built: rotations act on Bloch vectors
     import qcnn.runner
 
-    gates, pairs, matrices = [], [], []
+    gates, pairs, matrices, kernels = [], [], [], []
     apply, pair, matrix = qcnn.runner.apply_to_density, qcnn.runner.pair_channel, qcnn.runner.gate_matrix
+    run = qcnn.runner.run_template
     monkeypatch.setattr(qcnn.runner, "apply_to_density", lambda *a: gates.append(1) or apply(*a))
     monkeypatch.setattr(qcnn.runner, "pair_channel", lambda *a: pairs.append(1) or pair(*a))
     monkeypatch.setattr(qcnn.runner, "gate_matrix", lambda *a: matrices.append(1) or matrix(*a))
+    monkeypatch.setattr(qcnn.runner, "run_template",
+                        lambda tpl, kernel, inputs=None: kernels.append((kernel.shape, inputs is None))
+                        or run(tpl, kernel, inputs))
     for eval_mode in ("exact", "sampled"):
         for arch, want in zip(("conv", "conv-pool-pool", "conv-pool-conv-pool"), counts):
             for n in (1, 3):
@@ -297,9 +323,29 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
                 assert matrices, case
                 pairs.clear()
                 matrices.clear()
+                kernels.clear()
                 obj.p1(params)
                 obj.jacobian(params)
                 assert (len(gates), len(pairs), len(matrices)) == (0, want, 0), case
+                assert kernels == _kernel_batches(arch, measure_mode), case
+
+
+@pytest.mark.parametrize("measure_mode", ["end-to-end", "intermediate"])
+@pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
+def test_exact_jacobian_sums_its_displaced_readouts_bit_for_bit(arch, measure_mode):
+    # in exact mode the jacobian's one batch of displaced evaluations gives
+    # each of them bit for bit as a displaced p1 does alone, and sums each
+    # slot's two-point differences in occurrence order
+    obj, config = _objective(arch, n=5, seed=31, measure_mode=measure_mode)
+    params = ModelParams.from_vector(config.arch, np.random.default_rng(32).uniform(-np.pi, np.pi, config.arch.n_params))
+    slots = obj.plan.param_slots()
+    want = np.zeros((5, len(slots)))
+    for c, (layer, j) in enumerate(slots):
+        for occ in range(len(obj.plan.param_occurrences(layer, j))):
+            up, dn = (obj.p1(params, shift_occ=(layer, j, occ, d)) for d in (np.pi / 2, -np.pi / 2))
+            want[:, c] += 0.5 * (up - dn)
+    np.testing.assert_array_equal(obj.jacobian(params), want)
+    np.testing.assert_array_equal(obj.jacobian(params, slots=slots[::-1]), want[:, ::-1])
 
 
 def test_evals_count_the_protocol_whatever_the_call_order():
@@ -697,6 +743,25 @@ def test_train_refuses_dataset_shorter_than_batch():
         with pytest.raises(ValueError, match="5 rows, fewer than the batch size 6"):
             fn(config, dataset=short)
     train(config, dataset=gen_dataset(6, 2, seed=1))
+
+
+@pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
+def test_train_updates_the_slots_of_the_plan(monkeypatch, arch):
+    # train takes its slots from the architecture, not the composed plan:
+    # simultaneous updates move every slot of the plan at once, layer-wise
+    # updates each conv layer's slots in turn
+    import qcnn.training
+
+    seen = []
+    direction = qcnn.training.update_direction
+    monkeypatch.setattr(qcnn.training, "update_direction",
+                        lambda obj, params, p1s, slots: seen.append(list(slots)) or direction(obj, params, p1s, slots))
+    want = list(build_plan(Architecture(arch))[0].param_slots())
+    train(TrainConfig(arch=arch, epochs=1, batch_size=2))
+    assert seen == [want]
+    seen.clear()
+    train(TrainConfig(arch=arch, epochs=1, batch_size=2, update_strategy="layer-wise"))
+    assert seen == [[slot for slot in want if slot[0] == layer] for layer in range(len(want) // 4)]
 
 
 def test_train_layer_wise_strategy():
