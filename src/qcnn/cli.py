@@ -24,7 +24,7 @@ import numpy as np
 
 from ._io import NEGATIVE_NUMBER, decimal_float, decimal_int
 from .dataset import gen_dataset, load_dataset, save_dataset
-from .network import Architecture, InitScheme, ModelParams, conv_feature_map, load_params, save_params
+from .network import Architecture, InitScheme, conv_feature_map, load_params, save_params
 from .pgm import read_pgm, write_pgm
 from .training import EvalMode, GradMethod, MeasureMode, TrainConfig, UpdateStrategy, evaluate, save_curve, train
 
@@ -100,9 +100,10 @@ def cmd_gen(args) -> int:
 
 
 def _merged_train_settings(args) -> tuple:
-    """(TrainConfig, data path, params path, curve path): flags that were
-    given override config-file values, which override the defaults.  A
-    refused setting is named by its flag, its config key or QCNN_SEED."""
+    """(TrainConfig, source of batch_size, data path, params path, curve
+    path): flags that were given override config-file values, which
+    override the defaults.  A refused setting is named by its flag, its
+    config key or QCNN_SEED."""
     file_cfg = _load_config_file(args.config) if args.config else {}
     for key in _PATH_DEFAULTS:
         if key in file_cfg and not isinstance(file_cfg[key], str):
@@ -118,11 +119,11 @@ def _merged_train_settings(args) -> tuple:
         config = TrainConfig(**merged)
         if config.learning_rate == 0:  # the API keeps 0 for a frozen model; a run refuses it
             raise ValueError(f"learning_rate must be positive, got {config.learning_rate}")
-    return (config, *paths)
+    return (config, sources.get("batch_size"), *paths)
 
 
 def cmd_train(args) -> int:
-    config, data_path, params_out, curve_out = _merged_train_settings(args)
+    config, batch_source, data_path, params_out, curve_out = _merged_train_settings(args)
     for flag, out in (("--params-out", Path(params_out)), ("--curve-out", Path(curve_out))):
         if out.is_dir():
             raise CliError(f"{flag} {out} is a directory")
@@ -139,10 +140,12 @@ def cmd_train(args) -> int:
                 f"{config.arch.value} expects {config.arch.image_side}x{config.arch.image_side}"
             )
         if len(dataset) < config.batch_size:
-            raise CliError(f"{data_path} holds {len(dataset)} rows, fewer than --batch {config.batch_size}")
+            batch = batch_source or "the default batch size"
+            raise CliError(f"{data_path} holds {len(dataset)} rows, fewer than {batch} {config.batch_size}")
     log_fn = (lambda line: print(line, file=sys.stderr)) if args.progress else None
     t0 = time.perf_counter()
-    params, curve = train(config, dataset=dataset, log_fn=log_fn)
+    with _named({"n": batch_source}):  # a batch too large to draw
+        params, curve = train(config, dataset=dataset, log_fn=log_fn)
     wall = time.perf_counter() - t0
     save_params(params, params_out)
     save_curve(curve, curve_out)
@@ -157,14 +160,13 @@ def cmd_eval(args) -> int:
     samples = load_dataset(args.data)
     side = samples.side
     arch = _ARCH_BY_SIDE[side]
-    vector = load_params(args.params).vector()
-    if vector.size != arch.n_params:
+    params = load_params(args.params)
+    if params.vector().size != arch.n_params:
         raise CliError(
-            f"{args.params} holds {vector.size} angles but {arch.value} "
+            f"{args.params} holds {params.vector().size} angles but {arch.value} "
             f"(inferred from {side}x{side} data) needs {arch.n_params}"
         )
     config = TrainConfig(arch=arch, measure_mode=args.measure)
-    params = ModelParams.from_vector(arch, vector)
     with _named({"threshold": "--threshold"}):
         m, acc = evaluate(params, samples, config, threshold=args.threshold)
     print(f"samples {len(samples)}")

@@ -132,11 +132,19 @@ def _rows_from_words(n: int, k: int, draw) -> tuple:
 def gen_dataset(n: int, side: int, seed: int) -> Dataset:
     """n labeled images from a PCG64 stream seeded with `seed`, drawn as one
     block of words.  The side is checked before any row is drawn, so a huge
-    one allocates nothing."""
+    one allocates nothing; an n whose words do not fit in memory, or in one
+    array, is refused by name."""
     n = require_int("n", n, 1)
     _check_side(side)
     rng = np.random.Generator(np.random.PCG64(require_int("seed", seed, 0)))
-    return Dataset(side, *_rows_from_words(n, side * side, lambda m: rng.integers(0, 2**32, size=m, dtype=np.uint32)))
+
+    def draw(m):
+        try:
+            return rng.integers(0, 2**32, size=m, dtype=np.uint32)
+        except (MemoryError, ValueError):  # no memory for m words, or more than one array can index
+            raise ValueError(f"n is too large to draw: {n} rows take {m} random words") from None
+
+    return Dataset(side, *_rows_from_words(n, side * side, draw))
 
 
 def _header(k: int) -> str:

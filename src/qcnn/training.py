@@ -178,13 +178,11 @@ class TrainingObjective:
     and assembles the per-sample circuit jacobian from those displacements.
 
     Every readout is a kernel factor times a per-row product
-    (runner.template_steps refuses a template for which it is not).  Each
-    evaluation is one row of a kernel batch: a layer runs its group
-    template once (runner.run_template) on its kernel angles alone, one row
-    per evaluation and group with that evaluation's displacement added,
-    every data wire in |0> as the all-black row leaves it.  A layer with no
-    inputs runs on its distinct rows alone: the plain kernel row and the
-    rows displaced in that layer.  End to end each
+    (runner.template_steps refuses a template for which it is not).  A
+    layer runs its group template (runner.run_template) on kernel angles
+    alone, every data wire in |0> as the all-black row leaves it, from one
+    table: the plain kernel row, then one row per site displaced in that
+    layer; a layer with no inputs runs on the table itself.  End to end each
     layer takes the Bloch (y, z) of the layer below, and the root's z, F,
     gives p1 = 1/2 - F phi / 2, where phi is the product of cos(pixel
     angle) over the row.  Measured after each layer, a group's z is its
@@ -261,12 +259,9 @@ class TrainingObjective:
         """Readouts (E, B) of E evaluations.  Each entry of the site table
         sites (_SITE, range-checked by _refuse_outside) moves kernel angle
         (layer, angle) by delta in group occ of its conv layer for one
-        evaluation row; a row without one is the plain readout.  A layer
-        that reads the layer below runs on (E, G, n) kernel angles, one row
-        per evaluation and group.  A layer with no inputs (the first, or any
-        when measured after each layer) runs on the plain kernel row and the
-        rows displaced in that layer alone, and its (y, z) are spread over
-        (E, G)."""
+        evaluation row; a row without one is the plain readout.  A layer's
+        kernel rows are its plain row, then one per site in that layer, and
+        pick (E, G) names each evaluation's and group's row."""
         b = self.batch_size
         ordinals = range(self._eval_ordinal, self._eval_ordinal + e)
         self._eval_ordinal += e
@@ -277,15 +272,15 @@ class TrainingObjective:
             tpl = group_plan(spec.kind, spec.param_layer)
             conv = spec.kind == "conv"
             here = sites[sites["layer"] == spec.param_layer] if conv else sites[:0]
-            base = params.layers[spec.param_layer] if conv else np.zeros(0)
-            if li and not measured:
-                kernel = np.tile(base, (e, len(groups), 1))
-                kernel[here["row"], here["occ"], here["angle"]] += here["delta"]
-                state = runner.run_template(tpl, kernel, (state[0][:, groups], state[1][:, groups]))
+            k = np.arange(1, here.size + 1)  # each site's row of the table
+            rows = np.repeat(params.layers[spec.param_layer][None] if conv else np.zeros((1, 0)), 1 + here.size, axis=0)
+            rows[k, here["angle"]] += here["delta"]
+            pick = np.zeros((e, len(groups)), np.intp)
+            pick[here["row"], here["occ"]] = k
+            if li and not measured:  # rows.take(pick, axis=0) is rows[pick], several times faster
+                state = runner.run_template(tpl, rows.take(pick, axis=0), (state[0][:, groups], state[1][:, groups]))
             else:
-                kernel = np.repeat(base[None], 1 + here.size, axis=0)
-                kernel[1 + np.arange(here.size), here["angle"]] += here["delta"]
-                state = tuple(_spread(v, here, e, len(groups)) for v in runner.run_template(tpl, kernel))
+                state = tuple(v[pick] for v in runner.run_template(tpl, rows))
             if measured:
                 if li:
                     drawn = self._draw(runner.readout_probs(z), ordinals, li)
@@ -299,8 +294,7 @@ class TrainingObjective:
         delta) displaces occurrence `occ` of one trainable angle."""
         sites = self._check(params, "shift_occ", [] if shift_occ is None else [shift_occ], 3)
         sites = np.array([(0, *site) for site in sites], dtype=_SITE)
-        if sites.size:
-            _refuse_outside(self.arch, sites)
+        _refuse_outside(self.arch, sites)
         return self._evaluate(params, 1, sites)[0]
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
@@ -321,20 +315,11 @@ class TrainingObjective:
         return cols
 
 
-def _spread(values, here, e: int, g: int) -> np.ndarray:
-    """(E, G) of a layer's values on its distinct kernel rows: the plain
-    row's values[0] everywhere, and values[1 + k] at site k's row and
-    group."""
-    out = np.full((e, g), values[0])
-    out[here["row"], here["occ"]] = values[1:]
-    return out
-
-
 def _refuse_outside(arch: Architecture, sites) -> None:
     """The range check of a site table: refuse an entry that is not an
     occurrence of one of the network's kernel angles."""
     occs = np.array([len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv"] + [0])
-    layer = np.clip(sites["layer"], -1, occs.size - 1)  # any other layer has the last entry, 0
+    layer = np.minimum(np.maximum(sites["layer"], -1), occs.size - 1)  # any other layer has the last entry, 0
     bad = (sites["angle"] < 0) | (sites["angle"] > 3) | (sites["occ"] < 0) | (sites["occ"] >= occs[layer])
     if bad.any():
         site = sites[np.argmax(bad)]

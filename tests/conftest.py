@@ -1,6 +1,7 @@
 """Shared test helpers: an independent dense-matrix oracle, a seeded
-random circuit-plan generator used by the engine-equivalence suites, and
-a record of the batches each trainer receives."""
+random circuit-plan generator used by the engine-equivalence suites, a
+record of the batches each trainer receives, and draws that run out of
+memory."""
 import numpy as np
 import pytest
 
@@ -97,3 +98,18 @@ def batches_seen(config, dataset=None):
         qcnn.training.train(config, dataset=dataset)
         qcnn.baseline.classical_train(config, dataset=dataset)
     return quantum, classical
+
+
+class _NoMemory(np.random.Generator):
+    def integers(self, *args, size=None, **kwargs):
+        if size is None:
+            return super().integers(*args, **kwargs)
+        raise MemoryError(f"Unable to allocate an array of {size} integers")
+
+
+@pytest.fixture
+def no_memory(monkeypatch):
+    """Every Generator.integers draw of an array fails as numpy's does when
+    the array does not fit in memory, so no test has to allocate one; a
+    scalar draw, such as a seed, still works."""
+    monkeypatch.setattr(np.random, "Generator", _NoMemory)

@@ -547,6 +547,45 @@ def test_train_refuses_data_shorter_than_batch(tmp_path, capsys):
     assert not params.exists()
 
 
+def test_data_shorter_than_batch_names_where_the_batch_came_from(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    entry(["gen", "--side", "2", "--count", "5", "--seed", "1", "--out", str(data)])
+    outs = ["--params-out", str(tmp_path / "p.txt"), "--curve-out", str(tmp_path / "c.csv")]
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({"arch": "conv", "epochs": 1, "batch_size": 6}))
+    assert entry(["train", "--config", str(cfg), "--data", str(data)] + outs) == EXIT_USAGE
+    assert f"{data} holds 5 rows, fewer than config key 'batch_size' 6" in capsys.readouterr().err
+    assert entry(["train", "--arch", "conv", "--epochs", "1", "--data", str(data)] + outs) == EXIT_USAGE
+    assert f"{data} holds 5 rows, fewer than the default batch size 1000" in capsys.readouterr().err
+
+
+def test_a_count_or_batch_too_large_to_draw_names_its_source(tmp_path, capsys):
+    # 10**21 rows take more words than any numpy array can hold: exit 2,
+    # naming the flag or config key, and nothing written
+    huge = str(10**21)
+    out = tmp_path / "d.csv"
+    assert entry(["gen", "--side", "2", "--count", huge, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: --count is too large to draw: {huge} rows take ")
+    rc, params, _ = _train(tmp_path, "huge", ["--batch", huge])
+    assert rc == EXIT_USAGE and not params.exists()
+    assert capsys.readouterr().err.startswith(f"error: --batch is too large to draw: {huge} rows take ")
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"arch": "conv", "epochs": 1, "batch_size": 10**21}))
+    assert entry(["train", "--config", str(cfg), "--params-out", str(tmp_path / "p.txt"),
+                  "--curve-out", str(tmp_path / "c.csv")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: config key 'batch_size' is too large to draw: ")
+    assert not out.exists()
+
+
+def test_a_count_or_batch_that_runs_out_of_memory_names_its_source(tmp_path, capsys, no_memory):
+    out = tmp_path / "d.csv"
+    assert entry(["gen", "--side", "2", "--count", "3", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --count is too large to draw: 3 rows take ")
+    rc, params, _ = _train(tmp_path, "oom", [])
+    assert rc == EXIT_USAGE and not params.exists() and not out.exists()
+    assert capsys.readouterr().err.startswith("error: --batch is too large to draw: 4 rows take ")
+
+
 def test_negative_seed_names_its_source(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "d.csv")
     assert entry(["gen", "--side", "2", "--count", "2", "--seed", "-3", "--out", out]) == EXIT_USAGE

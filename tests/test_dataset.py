@@ -179,6 +179,17 @@ def test_gen_dataset_refusals_name_the_parameter():
             gen_dataset(*args)
 
 
+def test_gen_dataset_refuses_an_n_too_large_to_draw():
+    # 10**21 rows take more words than any numpy array can hold
+    with pytest.raises(ValueError, match=f"^n is too large to draw: {10**21} rows take "):
+        gen_dataset(10**21, 8, 0)
+
+
+def test_gen_dataset_refuses_an_n_whose_draw_runs_out_of_memory(no_memory):
+    with pytest.raises(ValueError, match="^n is too large to draw: 3 rows take "):
+        gen_dataset(3, 2, 0)
+
+
 def test_labeled_image_validation():
     img = LabeledImage(2, [0, 1, 2, 3], 1)
     np.testing.assert_array_equal(img.grid(), [[0, 1], [2, 3]])
