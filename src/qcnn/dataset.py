@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import _decimal_fields, decimal_ints, read_ascii, require_int, write_text_atomic
+from ._io import _decimal_fields, blocks, decimal_ints, read_ascii, require_int, write_text_atomic
 
 VALID_SIDES = (2, 4, 8)
 # the line breaks of str.splitlines besides \n; the byte pass splits at \n only
@@ -160,27 +160,31 @@ def save_dataset(samples, path) -> None:
 
 
 def _vouched(body: bytes, k: int) -> tuple:
-    """One numpy pass over the newline-separated lines of body: whether each is
-    k + 1 comma-separated fields of one to three digits, a label of at most
-    1 and pixels of at most 255, and the values (vouched lines, k + 1) of
-    those that are."""
-    b = np.frombuffer(body + b"\n", np.uint8)
-    ends, _, value, bad = _decimal_fields(b, (b == 44) | (b == 10), 3)  # ends: the comma or newline after each field
-    bad |= value > 255
-    lasts = np.flatnonzero(b[ends] == 10)  # each line's last field
-    label_fields = np.concatenate(([0], lasts[:-1] + 1))
-    bad[label_fields[value[label_fields] > 1]] = True
-    fields = np.diff(lasts, prepend=-1)
-    vouched = fields == k + 1
-    vouched[np.searchsorted(lasts, np.flatnonzero(bad))] = False
-    values = value if vouched.all() else value[np.repeat(vouched, fields)]
-    return vouched, values.reshape(-1, k + 1).astype(np.uint8)
+    """One numpy pass per block of whole newline-separated lines of body:
+    whether each line is k + 1 comma-separated fields of one to three
+    digits, a label of at most 1 and pixels of at most 255, and the values
+    (vouched lines, k + 1) of those that are."""
+    masks, rows = [], []
+    for start, stop in blocks(body, b"\n"):
+        b = np.frombuffer(body[start:stop] + b"\n", np.uint8)
+        ends, _, value, bad = _decimal_fields(b, (b == 44) | (b == 10), 3)  # ends: the comma or newline after each field
+        bad |= value > 255
+        lasts = np.flatnonzero(b[ends] == 10)  # each line's last field
+        label_fields = np.concatenate(([0], lasts[:-1] + 1))
+        bad[label_fields[value[label_fields] > 1]] = True
+        fields = np.diff(lasts, prepend=-1)
+        vouched = fields == k + 1
+        vouched[np.searchsorted(lasts, np.flatnonzero(bad))] = False
+        values = value if vouched.all() else value[np.repeat(vouched, fields)]
+        masks.append(vouched)
+        rows.append(values.reshape(-1, k + 1).astype(np.uint8))
+    return np.concatenate(masks), np.concatenate(rows)
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV back: an ASCII file whose header names a square
     number of pixels, then at least one row of plain decimal integers.
-    One numpy pass over the bytes reads the lines it can vouch for; every
+    One numpy pass per block of lines reads the lines it can vouch for; every
     other line takes the row rule, decimal_ints and LabeledImage, which
     accepts it (`007`, `-0`) or refuses it, naming the file and line.
     Blank lines are skipped."""

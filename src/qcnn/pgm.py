@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._io import _decimal_fields, decimal_ints, read_ascii, write_text_atomic
+from ._io import _decimal_fields, blocks, decimal_ints, read_ascii, write_text_atomic
 
 # the bytes at which str.split cuts: \t, \n, \x0b, \x0c, \r, \x1c-\x1f and space
-_SPACE = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
+_SPLIT = bytes([9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
+_SPACE = np.isin(np.arange(256), list(_SPLIT))
 _DECIMAL = np.array([str(v) for v in range(256)], dtype=object)  # write_pgm's text of each intensity
 
 
@@ -36,10 +37,25 @@ def _header(text: str) -> tuple:
     return toks, at
 
 
+def _plain_values(body: bytes):
+    """The values of a body of plain digit tokens of at most 5 digits, read
+    one numpy pass per block; None at the first block that holds any other
+    token."""
+    parts = []
+    for start, stop in blocks(body, _SPLIT):
+        b = np.frombuffer(body[start:stop] + b" ", np.uint8)
+        _, size, value, bad = _decimal_fields(b, _SPACE[b], 5)
+        token = size > 0  # separators may run together
+        if bad[token].any():
+            return None
+        parts.append(value[token])
+    return np.concatenate(parts)
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a P2 file into an int64 array of shape (height, width), values
-    rescaled to 0..255 when the file's maxval differs.  One numpy pass over
-    the bytes reads a body of plain digit tokens of at most 5 digits; any
+    rescaled to 0..255 when the file's maxval differs.  One numpy pass per
+    block reads a body of plain digit tokens of at most 5 digits; any
     other body (a `#`, a sign, a longer token) is read token by token, so
     a refusal names the same fault either way.  An unreadable file raises
     OSError."""
@@ -60,11 +76,10 @@ def read_pgm(path) -> np.ndarray:
         raise PgmFormatError(f"{path}: maxval must lie in 1..65535, got {maxval}")
 
     # the body: the tokens after the fourth on its line, then the lines below
-    b = np.frombuffer(" ".join(toks[4:] + [""]).encode() + raw[at:] + b" ", np.uint8)
-    _, size, value, bad = _decimal_fields(b, _SPACE[b], 5)
-    token = size > 0  # separators may run together
-    vouched = not bad[token].any()
-    values = value[token] if vouched else toks[4:] + _tokens(text[at:])
+    values = _plain_values(" ".join(toks[4:] + [""]).encode() + raw[at:])
+    vouched = values is not None
+    if not vouched:
+        values = toks[4:] + _tokens(text[at:])
     if len(values) != width * height:
         raise PgmFormatError(
             f"{path}: expected {width * height} pixel values, found {len(values)}"

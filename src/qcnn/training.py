@@ -315,10 +315,19 @@ class TrainingObjective:
         return cols
 
 
+@functools.lru_cache(maxsize=None)
+def _occurrences(arch: Architecture) -> np.ndarray:
+    """Occurrences of each conv layer's kernel angles, then a 0 that any
+    other layer reads; read-only, as every call for arch shares it."""
+    occs = np.array([len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv"] + [0])
+    occs.flags.writeable = False
+    return occs
+
+
 def _refuse_outside(arch: Architecture, sites) -> None:
     """The range check of a site table: refuse an entry that is not an
     occurrence of one of the network's kernel angles."""
-    occs = np.array([len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv"] + [0])
+    occs = _occurrences(arch)
     layer = np.minimum(np.maximum(sites["layer"], -1), occs.size - 1)  # any other layer has the last entry, 0
     bad = (sites["angle"] < 0) | (sites["angle"] > 3) | (sites["occ"] < 0) | (sites["occ"] >= occs[layer])
     if bad.any():
@@ -334,8 +343,8 @@ def _jacobian_sites(arch: Architecture, slots: tuple) -> tuple:
     +pi/2 and then by -pi/2.  A slot of a layer the network lacks keeps one
     occurrence, which the range check refuses.  Both arrays are read-only,
     as every call with these slots shares them."""
-    occs = [len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv"]
-    n = np.array([occs[layer] if 0 <= layer < len(occs) else 1 for layer, _ in slots])
+    occs = _occurrences(arch)
+    n = np.array([occs[layer] if 0 <= layer < occs.size - 1 else 1 for layer, _ in slots])
     slot = np.repeat(np.arange(len(slots)), 2 * n)
     sites = np.empty(slot.size, dtype=_SITE)
     sites["row"] = np.arange(slot.size)

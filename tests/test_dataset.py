@@ -4,10 +4,12 @@ checked against per-row references: numpy's own rng.integers calls, and
 the line-by-line loader."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qcnn import _io
 from qcnn._io import decimal_ints, read_ascii_lines
 from qcnn.dataset import (
     VALID_SIDES,
@@ -383,26 +385,78 @@ def test_load_names_the_first_of_several_bad_lines(tmp_path):
         assert str(info.value) == f"{p}: line 3: {bad[first]}"
 
 
-def test_load_matches_the_line_by_line_reference(tmp_path):
+def test_load_matches_the_line_by_line_reference(tmp_path, monkeypatch):
     # seeded edits of saved datasets: the byte pass and the row rule accept
     # the same files with the same rows, and refuse the others with the
-    # same message
-    rng = np.random.default_rng(18)
+    # same message, in blocks of the default size and of a few bytes
     goods = []
     for side, n in ((2, 6), (4, 4), (8, 2)):
         save_dataset(gen_dataset(n, side, seed=side), tmp_path / "good.csv")
         goods.append((tmp_path / "good.csv").read_bytes())
     alphabet = b"0123456789,\n-+ \r\x0b\x0c\x1ex"
     p = tmp_path / "edited.csv"
-    accepted = 0
-    for i in range(600):
-        edited, chars = bytearray(goods[i % 3]), alphabet if i % 2 else b"0123456789-"
-        for _ in range(int(rng.integers(1, 4))):
-            at = int(rng.integers(len(edited) + 1))
-            byte = chars[int(rng.integers(len(chars)))]
-            edited[at : at + int(rng.integers(0, 2))] = bytes([byte])  # replace or insert one byte
-        p.write_bytes(bytes(edited))
-        got = _outcome(load_dataset, p)
-        assert got == _outcome(_load_by_lines, p), bytes(edited)
-        accepted += not isinstance(got, str)
-    assert accepted >= 40
+    for block in (_io.BLOCK, 5):
+        monkeypatch.setattr(_io, "BLOCK", block)
+        rng = np.random.default_rng(18)
+        accepted = 0
+        for i in range(600):
+            edited, chars = bytearray(goods[i % 3]), alphabet if i % 2 else b"0123456789-"
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(len(edited) + 1))
+                byte = chars[int(rng.integers(len(chars)))]
+                edited[at : at + int(rng.integers(0, 2))] = bytes([byte])  # replace or insert one byte
+            p.write_bytes(bytes(edited))
+            got = _outcome(load_dataset, p)
+            assert got == _outcome(_load_by_lines, p), (block, bytes(edited))
+            accepted += not isinstance(got, str)
+        assert accepted >= 40
+
+
+_SEAM_FILES = [
+    b"1,5,5,5,5\n\n0,1,2,3,4\n\n\n1,9,9,9,9\n",  # blank lines: a block ends at one
+    b"1,5,5,5,5\n0,1,2,3,4\n",  # a block ends at the final newline
+    b"1,5,5,5,5\n0,1,2,3,4",  # no final newline
+    b"1,5,5,5,5\n0,1,2,3,4\n\n",
+    b"\n1,255,0,17,200\n0,007,-0,1,2\n1,1,1,1,1",  # a leading blank, rows for the row rule
+    b"1,5,5,5,5\n0,1,2,3,4\n1,0,0,0,256\n",  # a refusal in a later block
+    b"1,5,5,5,5\n0,1,2,3,4\n1,0,0,0\n0,1,1,1,1\n",
+    b"1,5,5,5,5\r\n0,1,2,3,4\r\n1,0,0,0,300\r\n",  # not plain: no byte pass
+    b"1,5,5,5,5\r\n0,1,2,3,4\r\n",
+    b"\n\n\n",
+]
+
+
+def test_load_matches_the_reference_at_every_block_seam(tmp_path, monkeypatch):
+    # every block size up to the body's length puts a cut after every line
+    p = tmp_path / "seam.csv"
+    for body in _SEAM_FILES:
+        p.write_bytes(b"label,p0,p1,p2,p3\n" + body)
+        want = _outcome(_load_by_lines, p)
+        for block in range(1, len(body) + 2):
+            monkeypatch.setattr(_io, "BLOCK", block)
+            assert _outcome(load_dataset, p) == want, (block, body)
+
+
+def test_load_peaks_at_a_few_times_the_file_size(tmp_path):
+    # the byte pass holds one block's int64 field arrays at a time, not the
+    # whole file's
+    p = tmp_path / "big.csv"
+    save_dataset(gen_dataset(20000, 8, seed=3), p)
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        data = load_dataset(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 20000
+    assert peak < 6 * size, peak / size
+
+
+def test_a_late_non_ascii_byte_names_its_line(tmp_path):
+    p = tmp_path / "late.csv"
+    save_dataset(gen_dataset(20000, 8, seed=3), p)
+    p.write_bytes(p.read_bytes() + b"0,1,\xd9")
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(p)
+    assert str(info.value) == f"{p}: line 20002: non-ASCII byte 0xd9"

@@ -4,8 +4,8 @@ token-by-token reader and the per-pixel formatter they stand in for."""
 import numpy as np
 import pytest
 
-from qcnn._io import decimal_ints, read_ascii_lines
-from qcnn import pgm
+from qcnn import _io, pgm
+from qcnn._io import blocks, decimal_ints, read_ascii_lines
 from qcnn.pgm import PgmFormatError, read_pgm, write_pgm
 
 
@@ -196,20 +196,67 @@ def _p2_file(rng) -> bytes:
     return raw
 
 
-def test_read_matches_the_token_reference(tmp_path):
+def test_read_matches_the_token_reference(tmp_path, monkeypatch):
     # seeded P2 files: the byte pass and the token reader accept the same
-    # files with the same grids, and refuse the others with the same message
-    rng = np.random.default_rng(17)
+    # files with the same grids, and refuse the others with the same
+    # message, in blocks of the default size and of a few tokens (the seam
+    # test below tries blocks of every size on shorter files)
     path = tmp_path / "img.pgm"
-    accepted = refused = 0
-    for _ in range(1500):
-        raw = _p2_file(rng)
+    for block in (_io.BLOCK, 32):
+        monkeypatch.setattr(_io, "BLOCK", block)
+        rng = np.random.default_rng(17)
+        accepted = refused = 0
+        for _ in range(1500):
+            raw = _p2_file(rng)
+            path.write_bytes(raw)
+            got = _outcome(read_pgm, path)
+            assert got == _outcome(_read_by_tokens, path), (block, raw)
+            accepted += not isinstance(got, str)
+            refused += isinstance(got, str)
+        assert accepted >= 600 and refused >= 300
+
+
+_SEAM_BODIES = [
+    "0 1 2 3\n4 5 6 7\n",
+    "0 \t\r\n\x1f 1\x0b\x0c2   3\n\n4\x1c5\x1d6\x1e7",  # runs of separators, no final newline
+    "65535 00001 12345 0\n99999 1 2 3\n",  # 5-digit tokens; 99999 is beyond maxval
+    "0 1 2 3 4 5 6 123456\n",  # a token too long for the byte pass, in a later block
+    "0 1 2 3 4 5 6 +7\n",
+    "0 1 2 3\n4 5 6 7 # a comment\n",
+    "0 1 2 3\n4 5 6 7 8\n",
+    "x 1 2 3\n4 5 6 7\n",  # a refusal in the first block
+]
+
+
+def test_read_matches_the_reference_at_every_block_seam(tmp_path, monkeypatch):
+    # every block size up to the file's length puts a cut at every separator
+    path = tmp_path / "seam.pgm"
+    for body in _SEAM_BODIES:
+        raw = f"P2\n4 2\n65535 {body}".encode()
         path.write_bytes(raw)
-        got = _outcome(read_pgm, path)
-        assert got == _outcome(_read_by_tokens, path), raw
-        accepted += not isinstance(got, str)
-        refused += isinstance(got, str)
-    assert accepted >= 600 and refused >= 300
+        want = _outcome(_read_by_tokens, path)
+        for block in range(1, len(raw) + 2):
+            monkeypatch.setattr(_io, "BLOCK", block)
+            assert _outcome(read_pgm, path) == want, (block, body)
+
+
+def test_blocks_cut_whole_fields_just_past_the_block_size(monkeypatch):
+    rng = np.random.default_rng(23)
+    alphabet = b"0123456789#" + pgm._SPLIT
+    for _ in range(300):
+        body = bytes(alphabet[i] for i in rng.integers(len(alphabet), size=int(rng.integers(0, 60))))
+        block = int(rng.integers(1, 20))
+        monkeypatch.setattr(_io, "BLOCK", block)
+        spans = blocks(body, pgm._SPLIT)
+        assert spans[0][0] == 0 and spans[-1][1] == len(body)
+        for (start, stop), (after, _) in zip(spans, spans[1:]):
+            # a block stops at the first separator from start + BLOCK on,
+            # which no block holds
+            assert stop >= start + block and after == stop + 1 and body[stop] in pgm._SPLIT
+            assert not any(c in pgm._SPLIT for c in body[start + block : stop])
+        last = spans[-1][0]
+        assert not any(c in pgm._SPLIT for c in body[last + block :])
+        assert b" ".join(body[a:b] for a, b in spans).decode().split() == body.decode().split()
 
 
 def test_plain_bodies_take_the_byte_pass(tmp_path, monkeypatch):
