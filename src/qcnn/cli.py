@@ -129,6 +129,8 @@ def cmd_train(args) -> int:
             raise CliError(f"{flag} {out} is a directory")
         if not out.parent.is_dir():
             raise CliError(f"cannot write {out}: directory {out.parent} does not exist")
+        if data_path is not None and os.path.realpath(out) == os.path.realpath(data_path):
+            raise CliError(f"{flag} and --data both name {out}")
     if os.path.realpath(params_out) == os.path.realpath(curve_out):
         raise CliError(f"--params-out and --curve-out both name {params_out}")
     dataset = None

@@ -175,6 +175,9 @@ def template_steps(tpl: CircuitPlan) -> tuple:
     template whose readout does not factor raises ValueError."""
     steps, run, touched = [], [], set()
     for i, gate in enumerate(tpl.gates):
+        # a run is one step, taken at its last gate: no other pair and no turn of its own wires may fall inside it
+        if run and run[0].wires != gate.wires and (len(gate.wires) == 2 or gate.wires[0] in run[0].wires):
+            raise ValueError("template does not factor into two-input channels")
         if gate.kind.is_rotation:
             data = gate.angle.source is AngleSource.DATA
             want = (GateKind.RY, AngleSource.DATA) if data else (GateKind.RX, AngleSource.PARAM)
@@ -184,8 +187,6 @@ def template_steps(tpl: CircuitPlan) -> tuple:
             if not data:
                 steps.append((gate.wires, gate.angle.index))
             continue
-        if run and run[0].wires != gate.wires:
-            raise ValueError("template does not factor into two-input channels")
         touched.update(gate.wires)
         run.append(gate)
         if gate.wires[1] in tpl.retire_schedule[i]:

@@ -207,6 +207,7 @@ class TrainingObjective:
             raise ValueError("one label per pixel row is required")
         self.plan, self.layers = build_plan(self.arch)
         self._groups = [np.array(spec.groups) for spec in self.layers]
+        self._occs = _occurrences(self.arch)
         self.base_key = require_int("base_key", base_key, 0)
         self._eval_ordinal = 0
         self.evals = 0
@@ -237,7 +238,9 @@ class TrainingObjective:
     def _check(self, params: ModelParams, name: str, sites, n: int) -> list:
         """Refuse params of another architecture, and a site of `name` that
         is not n integer indices (no bools, each below 2**63 in size), then a
-        finite delta if n is 3; return the sites as tuples."""
+        finite delta if n is 3, or that names no (layer, angle, occurrence)
+        of the network's kernel angles (a slot, n = 2, names occurrence 0);
+        return the sites as tuples."""
         if params.vector().size != self.arch.n_params:
             raise ValueError(f"{self.arch.value} takes {self.arch.n_params} angles, got {params.vector().size}")
         kinds = ((numbers.Integral, 2**63),) * n + ((numbers.Real, np.inf),) * (n == 3)
@@ -253,11 +256,15 @@ class TrainingObjective:
             if len(sites[i]) != len(kinds) or not all(isinstance(v, k) and not isinstance(v, bool) and abs(v) < bound
                                                       for v, (k, bound) in zip(sites[i], kinds)):
                 raise ValueError(f"{name} holds {site!r}, not {n} integer indices{' and a finite delta' * (n == 3)}")
+            layer, angle, occ = (sites[i] + (0,))[:3]
+            if not (0 <= layer < len(self._occs) and 0 <= angle < 4 and 0 <= occ < self._occs[layer]):
+                raise ValueError(f"{name} holds {site!r}: the {self.arch.value} network has no occurrence "
+                                 f"{int(occ)} of angle {(int(layer), int(angle))}")
         return sites
 
     def _evaluate(self, params, e: int, sites) -> np.ndarray:
         """Readouts (E, B) of E evaluations.  Each entry of the site table
-        sites (_SITE, range-checked by _refuse_outside) moves kernel angle
+        sites (_SITE, built from sites _check accepted) moves kernel angle
         (layer, angle) by delta in group occ of its conv layer for one
         evaluation row; a row without one is the plain readout.  A layer's
         kernel rows are its plain row, then one per site in that layer, and
@@ -293,9 +300,7 @@ class TrainingObjective:
         """Readout probability per sample.  shift_occ = (layer, index, occ,
         delta) displaces occurrence `occ` of one trainable angle."""
         sites = self._check(params, "shift_occ", [] if shift_occ is None else [shift_occ], 3)
-        sites = np.array([(0, *site) for site in sites], dtype=_SITE)
-        _refuse_outside(self.arch, sites)
-        return self._evaluate(params, 1, sites)[0]
+        return self._evaluate(params, 1, np.array([(0, *site) for site in sites], dtype=_SITE))[0]
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
@@ -316,42 +321,25 @@ class TrainingObjective:
 
 
 @functools.lru_cache(maxsize=None)
-def _occurrences(arch: Architecture) -> np.ndarray:
-    """Occurrences of each conv layer's kernel angles, then a 0 that any
-    other layer reads; read-only, as every call for arch shares it."""
-    occs = np.array([len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv"] + [0])
-    occs.flags.writeable = False
-    return occs
-
-
-def _refuse_outside(arch: Architecture, sites) -> None:
-    """The range check of a site table: refuse an entry that is not an
-    occurrence of one of the network's kernel angles."""
-    occs = _occurrences(arch)
-    layer = np.minimum(np.maximum(sites["layer"], -1), occs.size - 1)  # any other layer has the last entry, 0
-    bad = (sites["angle"] < 0) | (sites["angle"] > 3) | (sites["occ"] < 0) | (sites["occ"] >= occs[layer])
-    if bad.any():
-        site = sites[np.argmax(bad)]
-        raise ValueError(f"the {arch.value} network has no occurrence {site['occ']} of angle "
-                         f"{(int(site['layer']), int(site['angle']))}")
+def _occurrences(arch: Architecture) -> tuple:
+    """Occurrences (groups) of each conv layer's kernel angles."""
+    return tuple(len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv")
 
 
 @functools.lru_cache(maxsize=64)
 def _jacobian_sites(arch: Architecture, slots: tuple) -> tuple:
-    """(site table, occurrences of each slot) of a jacobian over slots:
-    one evaluation row per occurrence of each slot in order, moved by
-    +pi/2 and then by -pi/2.  A slot of a layer the network lacks keeps one
-    occurrence, which the range check refuses.  Both arrays are read-only,
+    """(site table, occurrences of each slot) of a jacobian over slots,
+    which _check accepted: one evaluation row per occurrence of each slot
+    in order, moved by +pi/2 and then by -pi/2.  Both arrays are read-only,
     as every call with these slots shares them."""
     occs = _occurrences(arch)
-    n = np.array([occs[layer] if 0 <= layer < occs.size - 1 else 1 for layer, _ in slots])
+    n = np.array([occs[layer] for layer, _ in slots])
     slot = np.repeat(np.arange(len(slots)), 2 * n)
     sites = np.empty(slot.size, dtype=_SITE)
     sites["row"] = np.arange(slot.size)
     sites["layer"], sites["angle"] = np.array(slots).T[:, slot]
     sites["occ"] = sites["row"] // 2 - (np.cumsum(n) - n)[slot]
     sites["delta"] = np.where(sites["row"] % 2, -np.pi / 2, np.pi / 2)
-    _refuse_outside(arch, sites)
     sites.flags.writeable = n.flags.writeable = False
     return sites, n
 

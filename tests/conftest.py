@@ -1,13 +1,16 @@
-"""Shared test helpers: an independent dense-matrix oracle, a seeded
-random circuit-plan generator used by the engine-equivalence suites, a
-record of the batches each trainer receives, and draws that run out of
-memory."""
+"""Shared test helpers: an independent dense-matrix oracle, seeded
+random circuit-plan and group-template generators used by the
+engine-equivalence suites, a record of the batches each trainer
+receives, and draws that run out of memory."""
+import functools
+
 import numpy as np
 import pytest
 
 import qcnn.baseline
 import qcnn.training
 from qcnn import Angle, CircuitPlan, GateKind, GateOp, ModelParams
+from qcnn.gates import gate_matrix
 
 GATE_KINDS = (GateKind.RX, GateKind.RY, GateKind.CFLIP_X, GateKind.CFLIP_Y, GateKind.CFLIP_Z)
 
@@ -76,6 +79,65 @@ def random_plan(rng, max_wires=10, mean_gates=12, max_gates=40):
     data = rng.uniform(0.0, np.pi, n_wires)
     params = ModelParams(tuple(rng.uniform(0.0, np.pi, 4) for _ in range(n_layers)))
     return plan, data, params
+
+
+PAIR_KINDS = (GateKind.CFLIP_X, GateKind.CFLIP_Y, GateKind.CFLIP_Z)
+PAULI_YZ = np.array([[[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # Y, Z
+
+
+@functools.lru_cache(maxsize=None)
+def _factors(kinds: tuple) -> bool:
+    """Whether a run of controlled flips of these kinds on one wire pair
+    takes each of Y x I and Z x I to one signed product P_i x P_j with P_i,
+    P_j in {Y, Z}: the Heisenberg picture u^dagger (P x I) u of the product
+    u of the flip matrices, compared entry by entry."""
+    u = np.eye(4)
+    for kind in kinds:
+        u = gate_matrix(GateOp(kind, (0, 1))) @ u
+    products = [s * np.kron(p, q) for s in (1, -1) for p in PAULI_YZ for q in PAULI_YZ]
+    return all(any(np.array_equal(u.conj().T @ np.kron(p, np.eye(2)) @ u, m) for m in products) for p in PAULI_YZ)
+
+
+def random_template(rng, max_wires=6):
+    """A random group template, a (3, n) block of data rows for it, and
+    whether its readout factors into channels.
+
+    Each wire w takes an RY encoding of data slot w with probability 0.7.
+    Then runs of one to three CFLIP_X/Y/Z gates on a random ordered pair of
+    live wires follow, with RX turns of kernel angles 0..3 on live wires
+    between them.  A run's second wire is never used again, so it retires
+    at the run's last gate, and runs follow until one live wire, the
+    readout, is left: every wire feeds it, as in a group template.  Each
+    run is redrawn until _factors() agrees with a coin that says yes 4
+    times in 5, so that whole templates that factor are common.  A turn may
+    also fall inside a run, on any live wire; one on the run's own wires
+    cuts it, and the readout then does not factor.
+    """
+    n = int(rng.integers(2, max_wires + 1))
+    gates = [GateOp(GateKind.RY, (w,), Angle.data(w)) for w in range(n) if rng.random() < 0.7]
+    live = list(range(n))
+    factoring = True
+
+    def turns(count):
+        wires = [int(rng.choice(live)) for _ in range(count)]
+        gates.extend(GateOp(GateKind.RX, (w,), Angle.param(0, int(rng.integers(0, 4)))) for w in wires)
+        return wires
+
+    for _ in range(n - 1):
+        turns(int(rng.integers(0, 3)))
+        a, b = (int(w) for w in rng.choice(live, size=2, replace=False))
+        want = rng.random() < 0.8
+        kinds = None
+        while kinds is None or _factors(kinds) != want:
+            kinds = tuple(PAIR_KINDS[k] for k in rng.integers(0, len(PAIR_KINDS), int(rng.integers(1, 4))))
+        factoring &= want
+        for k, kind in enumerate(kinds):
+            if k and rng.random() < 0.15:
+                factoring &= not {a, b} & set(turns(1))
+            gates.append(GateOp(kind, (a, b)))
+        live.remove(b)
+    turns(int(rng.integers(0, 3)))
+    return CircuitPlan(n, tuple(gates), live[0]), rng.uniform(0.0, np.pi, (3, n)), factoring
 
 
 def batches_seen(config, dataset=None):

@@ -6,12 +6,12 @@ and the feature map against a batched engine run."""
 import numpy as np
 import pytest
 
-from conftest import embed_gate
+from conftest import embed_gate, random_template
 from qcnn.dataset import gen_dataset
 from qcnn.gates import CFLIP_Z, Angle, GateKind, GateOp, gate_matrix, rx_matrix
 from qcnn.network import ModelParams, build_plan, conv_feature_map, group_plan, layer_structure
 from qcnn.plans import CircuitPlan
-from qcnn.runner import _pair_table, pair_channel, rotate, run_plan_batch, template_steps
+from qcnn.runner import _pair_table, pair_channel, rotate, run_plan_batch, run_template, template_steps
 from qcnn.statevec import run_pure
 from qcnn.training import TrainConfig, TrainingObjective
 
@@ -97,6 +97,37 @@ def test_templates_whose_readout_does_not_factor_are_refused():
     for refused in (lambda: _pair_table(CFLIP_Z), lambda: template_steps(CircuitPlan(2, tuple(lone_z), 0))):
         with pytest.raises(ValueError, match="one signed Pauli product of Y and Z on both wires"):
             refused()
+    # a turn of a run's wire inside the run cannot move before the run's channel
+    cut = data + [GateOp(GateKind.CFLIP_Y, (0, 1)), GateOp(GateKind.RX, (1,), Angle.param(0, 0)),
+                  GateOp(GateKind.CFLIP_Z, (0, 1))]
+    with pytest.raises(ValueError, match="does not factor into two-input channels"):
+        template_steps(CircuitPlan(2, tuple(cut), 0))
+
+
+def test_random_templates_compile_exactly_or_are_refused():
+    # every template the compiler admits reads, through its channel tree at
+    # zero data times the cos product of its data angles, what the dense
+    # state vector reads; it refuses exactly those with a run that builds Y
+    # or Z of its first wire from anything but one signed product of Y and
+    # Z on both wires, or with a turn of a run's own wire inside the run
+    rng = np.random.default_rng(2207)
+    admitted = refused = 0
+    for case in range(500):
+        tpl, data, factoring = random_template(rng)
+        try:
+            template_steps(tpl)
+        except ValueError:
+            assert not factoring, case
+            refused += 1
+            continue
+        assert factoring, case
+        admitted += 1
+        kernel = rng.uniform(-np.pi, np.pi, (3, 4))
+        encoded = [g.wires[0] for g in tpl.gates if g.kind is GateKind.RY]
+        got = run_template(tpl, kernel)[1] * np.prod(np.cos(data[:, encoded]), axis=1)
+        want = [1 - 2 * run_pure(tpl, row, ModelParams((k,))) for row, k in zip(data, kernel)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(case))
+    assert admitted > 150 and refused > 150
 
 
 def _rows(arch, n, seed):

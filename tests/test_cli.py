@@ -469,6 +469,21 @@ def test_train_checks_output_paths_before_training(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "--params-out and --curve-out both name" in err and "epoch=" not in err
     assert not same.exists()
+    # an output that names the --data file, by any spelling, leaves it as it was
+    data = tmp_path / "d.csv"
+    assert entry(["gen", "--side", "2", "--count", "2", "--seed", "1", "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    before = data.read_bytes()
+    (tmp_path / "link.csv").symlink_to(data)
+    for flag in ("--params-out", "--curve-out"):
+        for spelling in (str(data), f"{tmp_path}/./d.csv", str(tmp_path / "link.csv")):
+            outs = {"--params-out": params, "--curve-out": curve, flag: spelling}
+            argv = base + ["--data", str(data)] + [arg for pair in outs.items() for arg in pair]
+            assert entry(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"{flag} and --data both name" in err and "epoch=" not in err
+            assert data.read_bytes() == before
+    assert not (tmp_path / "p.txt").exists() and not (tmp_path / "c.csv").exists()
 
 
 def test_env_seed_takes_plain_ascii_decimal_only(tmp_path, monkeypatch, capsys):

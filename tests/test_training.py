@@ -156,7 +156,7 @@ def test_jacobian_slot_selection():
     sub = obj.jacobian(params, slots=[(1, 0), (1, 1), (1, 2), (1, 3)])
     np.testing.assert_allclose(sub, full[:, 4:], atol=1e-12)
     assert len(obj.plan.param_occurrences(1, 0)) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^slots"):
         obj.jacobian(params, slots=[(5, 0)])
     # malformed indices, indices of 2**63 or more, non-finite displacements
     # and sites or slot lists that are not sequences are refused by name
@@ -173,17 +173,45 @@ def test_jacobian_slot_selection():
     for mode in ("end-to-end", "intermediate"):
         other, _ = _objective("conv-pool-conv-pool", n=2, seed=4, measure_mode=mode)
         for layer, j, occ in ((1, 0, 2), (1, 0, -1), (0, 4, 0), (2, 0, 0)):
-            with pytest.raises(ValueError, match="no occurrence"):
+            with pytest.raises(ValueError, match=f"^shift_occ holds .*: the conv-pool-conv-pool network has no occurrence {occ} of"):
                 other.p1(params, shift_occ=(layer, j, occ, np.pi / 2))
     # conv-pool-pool has one conv layer of four windows
     for mode in ("end-to-end", "intermediate"):
         other, _ = _objective("conv-pool-pool", n=2, seed=4, measure_mode=mode)
         one = ModelParams(params.layers[:1])
         for layer, j, occ in ((0, 0, 4), (0, 0, -1), (1, 0, 0), (0, 4, 0)):
-            with pytest.raises(ValueError, match="the conv-pool-pool network has no occurrence"):
+            with pytest.raises(ValueError, match="^shift_occ holds .*: the conv-pool-pool network has no occurrence"):
                 other.p1(one, shift_occ=(layer, j, occ, np.pi / 2))
-        with pytest.raises(ValueError, match=r"the conv-pool-pool network has no occurrence 0 of angle \(1, 0\)"):
+        with pytest.raises(ValueError, match=r"^slots holds \(1, 0\): the conv-pool-pool network has no occurrence 0 "
+                                             r"of angle \(1, 0\)$"):
             other.jacobian(one, slots=[(1, 0)])
+
+
+@pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
+def test_a_refused_site_changes_nothing(arch):
+    # the range check runs before any evaluation: a refused shift_occ or slot
+    # counts no evaluation and moves no sampled stream, so the objective then
+    # draws exactly what a fresh one draws
+    kw = dict(n=3, seed=26, measure_mode="intermediate", eval_mode="sampled", shots=50)
+    obj, config = _objective(arch, **kw)
+    fresh, _ = _objective(arch, **kw)
+    params = ModelParams.from_vector(config.arch, np.random.default_rng(27).uniform(-np.pi, np.pi, config.arch.n_params))
+    last = config.arch.conv_layer_count - 1
+    for site in ((0, 0, 4 ** (last + 1), 0.1), (last + 1, 0, 0, 0.1), (0, 4, 0, 0.1), (0, 0, -1, 0.1)):
+        with pytest.raises(ValueError, match="^shift_occ"):
+            obj.p1(params, shift_occ=site)
+    for slots in ([(last + 1, 0)], [(0, 0), (0, 4)], [(0, 1), (-1, 0)]):
+        with pytest.raises(ValueError, match="^slots"):
+            obj.jacobian(params, slots=slots)
+    assert obj.evals == 0
+    np.testing.assert_array_equal(obj.p1(params, shift_occ=(0, 1, 0, 0.2)), fresh.p1(params, shift_occ=(0, 1, 0, 0.2)))
+    np.testing.assert_array_equal(obj.jacobian(params), fresh.jacobian(params))
+    assert obj.evals == fresh.evals
+    # no slots: a (B, 0) jacobian and no evaluation; exact, a repeated slot repeats its column
+    assert obj.jacobian(params, slots=[]).shape == (3, 0) and obj.evals == fresh.evals
+    exact, _ = _objective(arch, **{**kw, "eval_mode": "exact"})
+    twice = exact.jacobian(params, slots=[(0, 2), (0, 2)])
+    np.testing.assert_array_equal(twice, np.repeat(exact.jacobian(params, slots=[(0, 2)]), 2, axis=1))
 
 
 @functools.lru_cache(maxsize=None)
