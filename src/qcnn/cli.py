@@ -100,10 +100,11 @@ def cmd_gen(args) -> int:
 
 
 def _merged_train_settings(args) -> tuple:
-    """(TrainConfig, source of batch_size, data path, params path, curve
-    path): flags that were given override config-file values, which
-    override the defaults.  A refused setting is named by its flag, its
-    config key or QCNN_SEED."""
+    """(TrainConfig, sources, data path, params path, curve path): flags
+    that were given override config-file values, which override the
+    defaults.  sources names where each setting came from, its flag (also
+    for a default path), its config key or QCNN_SEED, and a refusal of the
+    setting starts with that name."""
     file_cfg = _load_config_file(args.config) if args.config else {}
     for key in _PATH_DEFAULTS:
         if key in file_cfg and not isinstance(file_cfg[key], str):
@@ -111,28 +112,29 @@ def _merged_train_settings(args) -> tuple:
     flags = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS and value is not None}
     seed, seed_source = _resolve_seed(args.seed, file_cfg)
     merged = {**_PATH_DEFAULTS, **file_cfg, **flags, "seed": seed}
+    sources = {key: f"config key '{key}'" if key in file_cfg and key not in flags else args.flag_names[key] for key in merged}
+    sources["seed"] = seed_source
     paths = [merged.pop(key) for key in _PATH_DEFAULTS]
     if merged.get("arch") is None:
         raise CliError("an architecture is required (--arch or config file)")
-    sources = {key: args.flag_names[key] if key in flags else f"config key '{key}'" for key in merged}
-    with _named({**sources, "seed": seed_source}):
+    with _named(sources):
         config = TrainConfig(**merged)
         if config.learning_rate == 0:  # the API keeps 0 for a frozen model; a run refuses it
             raise ValueError(f"learning_rate must be positive, got {config.learning_rate}")
-    return (config, sources.get("batch_size"), *paths)
+    return (config, sources, *paths)
 
 
 def cmd_train(args) -> int:
-    config, batch_source, data_path, params_out, curve_out = _merged_train_settings(args)
-    for flag, out in (("--params-out", Path(params_out)), ("--curve-out", Path(curve_out))):
+    config, sources, data_path, params_out, curve_out = _merged_train_settings(args)
+    for key, out in (("params_out", Path(params_out)), ("curve_out", Path(curve_out))):
         if out.is_dir():
-            raise CliError(f"{flag} {out} is a directory")
+            raise CliError(f"{sources[key]} {out} is a directory")
         if not out.parent.is_dir():
             raise CliError(f"cannot write {out}: directory {out.parent} does not exist")
         if data_path is not None and os.path.realpath(out) == os.path.realpath(data_path):
-            raise CliError(f"{flag} and --data both name {out}")
+            raise CliError(f"{sources[key]} and {sources['data']} both name {out}")
     if os.path.realpath(params_out) == os.path.realpath(curve_out):
-        raise CliError(f"--params-out and --curve-out both name {params_out}")
+        raise CliError(f"{sources['params_out']} and {sources['curve_out']} both name {params_out}")
     dataset = None
     if data_path is not None:
         dataset = load_dataset(data_path)
@@ -142,11 +144,11 @@ def cmd_train(args) -> int:
                 f"{config.arch.value} expects {config.arch.image_side}x{config.arch.image_side}"
             )
         if len(dataset) < config.batch_size:
-            batch = batch_source or "the default batch size"
+            batch = sources.get("batch_size", "the default batch size")
             raise CliError(f"{data_path} holds {len(dataset)} rows, fewer than {batch} {config.batch_size}")
     log_fn = (lambda line: print(line, file=sys.stderr)) if args.progress else None
     t0 = time.perf_counter()
-    with _named({"n": batch_source}):  # a batch too large to draw
+    with _named({"n": sources.get("batch_size")}):  # a batch too large to draw
         params, curve = train(config, dataset=dataset, log_fn=log_fn)
     wall = time.perf_counter() - t0
     save_params(params, params_out)

@@ -104,8 +104,16 @@ def _rows_from_words(n: int, k: int, draw) -> tuple:
     numpy's bounded integers take a power-of-two range from the top bits of
     one word and never reject it, so a label is a word's top bit and an
     intensity its top byte: the rows are those that per-row
-    rng.integers(0, 2) and rng.integers(0, 256, size=k) calls would draw."""
-    words = draw(n * (k + 3) // 2 + 2 * k)  # a row takes (k + 3) / 2 words on average
+    rng.integers(0, 2) and rng.integers(0, 256, size=k) calls would draw.
+
+    jump[p] is where the next row starts if a row starts at word p, clipped
+    to m + 1 past the m words drawn.  The row heads come from pointer
+    jumping: doubling the list of heads [0] by jump, and jump by itself,
+    until it holds n + 1, which takes about log2(n) passes over m words.
+    The first draw covers the mean of (k + 3) / 2 words a row plus about
+    three standard deviations of (k - 1) / 2 sqrt(n); when the rows still
+    run past it, more words are drawn and the pass runs again."""
+    words = draw(n * (k + 3) // 2 + 3 * (math.isqrt(n) + 1) * (k - 1) // 2 + 2 * k)
     while True:
         m = len(words)
         bits, top = words >> 31, (words >> 24).astype(np.uint8)
@@ -113,17 +121,17 @@ def _rows_from_words(n: int, k: int, draw) -> tuple:
         block = np.arange(m + 1)  # the first word of the pixel block kept when drawing from word q on
         for q in np.flatnonzero(changes[k - 1:] == changes[: m - k + 1])[::-1]:  # k equal top bytes from q
             block[q] = block[q + k]
-        after = np.where(bits, np.arange(2, m + 2), block[1:] + k).tolist()  # the next row's label word
-        heads, p = [], 0
-        for _ in range(n):
-            if p >= m:
-                break
-            heads.append(p)
-            p = after[p]
-        if len(heads) == n and p <= m:
+        jump = np.full(m + 2, m + 1)
+        np.minimum(np.where(bits, np.arange(2, m + 2), block[1:] + k), m + 1, out=jump[:m])
+        heads = np.zeros(1, np.intp)
+        while len(heads) <= n:
+            heads = np.concatenate((heads, jump.take(heads)))
+            if len(heads) <= n:
+                jump = jump.take(jump)
+        if heads[n] <= m:  # row n - 1 ends within the words drawn
             break
         words = np.concatenate((words, draw(m // 2 + 2 * k)))
-    heads = np.array(heads)
+    heads = heads[:n]
     labels = bits[heads].astype(np.uint8)
     firsts = np.where(labels, heads + 1, block[heads + 1])
     return labels, top[firsts[:, None] + np.arange(k) * (1 - labels[:, None])]
@@ -131,9 +139,10 @@ def _rows_from_words(n: int, k: int, draw) -> tuple:
 
 def gen_dataset(n: int, side: int, seed: int) -> Dataset:
     """n labeled images from a PCG64 stream seeded with `seed`, drawn as one
-    block of words.  The side is checked before any row is drawn, so a huge
-    one allocates nothing; an n whose words do not fit in memory, or in one
-    array, is refused by name."""
+    block of words sized so that it nearly always holds the n rows, then
+    read in array passes by _rows_from_words.  The side is checked before
+    any row is drawn, so a huge one allocates nothing; an n whose words do
+    not fit in memory, or in one array, is refused by name."""
     n = require_int("n", n, 1)
     _check_side(side)
     rng = np.random.Generator(np.random.PCG64(require_int("seed", seed, 0)))
@@ -162,9 +171,10 @@ def save_dataset(samples, path) -> None:
 def _vouched(body: bytes, k: int) -> tuple:
     """One numpy pass per block of whole newline-separated lines of body:
     whether each line is k + 1 comma-separated fields of one to three
-    digits, a label of at most 1 and pixels of at most 255, and the values
-    (vouched lines, k + 1) of those that are."""
-    masks, rows = [], []
+    digits, a label of at most 1 and pixels of at most 255, the values
+    (vouched lines, k + 1) of those that are, and the offset in body of
+    each line's end (len(body) for the last line)."""
+    masks, rows, line_ends = [], [], []
     for start, stop in blocks(body, b"\n"):
         b = np.frombuffer(body[start:stop] + b"\n", np.uint8)
         ends, _, value, bad = _decimal_fields(b, (b == 44) | (b == 10), 3)  # ends: the comma or newline after each field
@@ -178,36 +188,42 @@ def _vouched(body: bytes, k: int) -> tuple:
         values = value if vouched.all() else value[np.repeat(vouched, fields)]
         masks.append(vouched)
         rows.append(values.reshape(-1, k + 1).astype(np.uint8))
-    return np.concatenate(masks), np.concatenate(rows)
+        line_ends.append(ends[lasts] + start)
+    return np.concatenate(masks), np.concatenate(rows), np.concatenate(line_ends)
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV back: an ASCII file whose header names a square
     number of pixels, then at least one row of plain decimal integers.
-    One numpy pass per block of lines reads the lines it can vouch for; every
-    other line takes the row rule, decimal_ints and LabeledImage, which
-    accepts it (`007`, `-0`) or refuses it, naming the file and line.
-    Blank lines are skipped."""
+    One numpy pass per block of lines reads the lines it can vouch for;
+    only the other lines are decoded, and each takes the row rule,
+    decimal_ints and LabeledImage, which accepts it (`007`, `-0`) or
+    refuses it, naming the file and line.  Lines are cut where
+    str.splitlines cuts them.  Blank lines are skipped."""
     raw = read_ascii(path, DatasetFormatError)
     if not raw:
         raise DatasetFormatError(f"{path}: line 1: empty file")
-    plain = not any(c in raw for c in _OTHER_BREAKS)
-    head, *lines = raw.decode().split("\n") if plain else raw.decode().splitlines()
+    if any(c in raw for c in _OTHER_BREAKS):  # the same lines, each ended by \n alone
+        raw = "\n".join(raw.decode().splitlines()).encode()
+    head, _, body = raw.partition(b"\n")
+    head = head.decode()
     k = head.count(",")
     side = math.isqrt(k)
     if head != _header(k) or side * side != k:
         raise DatasetFormatError(f"{path}: line 1: header {head[:80]!r} is not label,p0,...,pN of a square image")
-    vouched = np.zeros(len(lines), bool)
-    rows = np.zeros((len(lines), k + 1), np.uint8)
-    if plain and lines and side in VALID_SIDES:
-        vouched, values = _vouched(raw[len(head) + 1:], k)
+    vouched, values, ends = _vouched(body, k)
+    rows = np.zeros((len(vouched), k + 1), np.uint8)
+    if side in VALID_SIDES:
         rows[vouched] = values
+    else:  # LabeledImage refuses the first row that is not blank
+        vouched[:] = False
     blank = []
     for ln in np.flatnonzero(~vouched).tolist():
-        parts = lines[ln].split(",")
-        if not lines[ln]:
+        line = body[ends[ln - 1] + 1 if ln else 0 : ends[ln]].decode()
+        if not line:
             blank.append(ln)
             continue
+        parts = line.split(",")
         if len(parts) != k + 1:
             raise DatasetFormatError(f"{path}: line {ln + 2}: expected {k + 1} columns, got {len(parts)}")
         try:

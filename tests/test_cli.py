@@ -5,6 +5,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -484,6 +485,33 @@ def test_train_checks_output_paths_before_training(tmp_path, capsys):
             assert f"{flag} and --data both name" in err and "epoch=" not in err
             assert data.read_bytes() == before
     assert not (tmp_path / "p.txt").exists() and not (tmp_path / "c.csv").exists()
+
+
+def test_train_names_config_file_output_paths_by_key(tmp_path, monkeypatch, capsys):
+    # a path from the config file is named by its key, one from a flag, or
+    # a default, by its flag; either way nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert entry(["gen", "--side", "2", "--count", "2", "--seed", "1", "--out", "d.csv"]) == EXIT_OK
+    capsys.readouterr()
+    before = Path("d.csv").read_bytes()
+    base = {"arch": "conv", "epochs": 1, "batch_size": 2}
+    for cfg, flags, want in (
+        ({"data": "d.csv", "params_out": "d.csv"}, [], "config key 'params_out' and config key 'data' both name d.csv"),
+        ({"data": "d.csv", "curve_out": "./d.csv"}, [], "config key 'curve_out' and config key 'data' both name d.csv"),
+        ({"params_out": "d.csv"}, ["--data", "d.csv"], "config key 'params_out' and --data both name d.csv"),
+        ({"data": "d.csv"}, ["--curve-out", "d.csv"], "--curve-out and config key 'data' both name d.csv"),
+        ({"params_out": "x.txt", "curve_out": "x.txt"}, [], "config key 'params_out' and config key 'curve_out' both name x.txt"),
+        ({"curve_out": "x.txt"}, ["--params-out", "x.txt"], "--params-out and config key 'curve_out' both name x.txt"),
+        ({"params_out": "curve.csv"}, [], "config key 'params_out' and --curve-out both name curve.csv"),
+        ({"params_out": "."}, [], "config key 'params_out' . is a directory"),
+        ({"curve_out": "."}, [], "config key 'curve_out' . is a directory"),
+        ({"params_out": "."}, ["--params-out", "p.txt", "--curve-out", "."], "--curve-out . is a directory"),
+    ):
+        Path("cfg.json").write_text(json.dumps({**base, **cfg}))
+        assert entry(["train", "--config", "cfg.json", *flags]) == EXIT_USAGE, cfg
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert Path("d.csv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv"]
 
 
 def test_env_seed_takes_plain_ascii_decimal_only(tmp_path, monkeypatch, capsys):
