@@ -1,6 +1,6 @@
-"""File helpers: output files are written whole or not at all, input files
-are read as ASCII lines, and the numbers of input files and flags are read
-in plain decimal only."""
+"""File helpers: output files are written whole or not at all, every input
+file is read by one ASCII reader that also decides its lines, and the
+numbers of input files and flags are read in plain decimal only."""
 from __future__ import annotations
 
 import contextlib
@@ -33,10 +33,18 @@ def write_text_atomic(path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
+_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"  # the line breaks of str.splitlines besides \n
+_TO_NEWLINE = bytes.maketrans(_OTHER_BREAKS, b"\n" * len(_OTHER_BREAKS))
+
+
 def read_ascii(path, error=ValueError) -> bytes:
-    """The bytes of an ASCII text file.  A non-ASCII byte raises `error`
-    naming the path and its line; an unreadable file raises OSError."""
+    """The bytes of an ASCII text file, every line break of str.splitlines
+    as one \n (\r\n too): the one reader of an input file and of its lines.
+    A non-ASCII byte raises `error` naming the path and its line; an
+    unreadable file raises OSError."""
     raw = Path(path).read_bytes()
+    if any(c in raw for c in _OTHER_BREAKS):
+        raw = raw.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
     if not raw.isascii():
         try:
             raw.decode("ascii")
@@ -69,13 +77,13 @@ def require_int(name: str, value, least: int) -> int:
 BLOCK = 1 << 15
 
 
-def blocks(body: bytes, seps: bytes) -> list:
-    """The (start, stop) spans that cut body into blocks of whole fields: a
-    block stops just before the first byte of seps at or after start + BLOCK,
-    and the next starts just after that byte.  The last block is the rest
-    of body, which is empty when body ends in that byte."""
+def blocks(body: bytes, seps: bytes, at: int = 0) -> list:
+    """The (start, stop) spans that cut body from `at` on into blocks of
+    whole fields: a block stops just before the first byte of seps at or
+    after start + BLOCK, and the next starts just after that byte.  The last
+    block is the rest of body, which is empty when body ends in that byte."""
     find = re.compile(b"[" + re.escape(seps) + b"]").search
-    spans, at = [], 0
+    spans = []
     while cut := find(body, at + BLOCK):
         spans.append((at, cut.start()))
         at = cut.end()

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import NEGATIVE_NUMBER, decimal_float, decimal_int
+from ._io import NEGATIVE_NUMBER, decimal_float, decimal_int, read_ascii
 from .dataset import gen_dataset, load_dataset, save_dataset
 from .network import Architecture, InitScheme, conv_feature_map, load_params, save_params
 from .pgm import read_pgm, write_pgm
@@ -73,14 +73,12 @@ def _resolve_seed(flag_value, file_cfg) -> tuple:
 
 
 def _load_config_file(path) -> dict:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
+    """The flat JSON object of an ASCII config file; a refusal names the file."""
+    raw = read_ascii(path, CliError)
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep a nesting
+        raise CliError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CliError(f"{path}: config must be a flat JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))

@@ -11,6 +11,7 @@ rows (Dataset); its items are LabeledImage rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,6 @@ import numpy as np
 from ._io import _decimal_fields, blocks, decimal_ints, read_ascii, require_int, write_text_atomic
 
 VALID_SIDES = (2, 4, 8)
-# the line breaks of str.splitlines besides \n; the byte pass splits at \n only
-_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
 class DatasetFormatError(ValueError):
@@ -43,20 +42,24 @@ class LabeledImage:
 
     def __post_init__(self):
         _check_side(self.side)
+        # a sequence keeps its values as given, so a bool or a str shows
+        pixels = self.pixels if isinstance(self.pixels, np.ndarray) else np.array(self.pixels, dtype=object)
+        if pixels.dtype.kind not in "iufO" or pixels.dtype.kind == "O" and not all(
+                issubclass(t, numbers.Real) and t is not bool for t in set(map(type, pixels.flat))):
+            raise ValueError("pixels must be integers")
         try:
-            pixels = np.asarray(self.pixels, dtype=np.int64).reshape(-1)
-        except OverflowError:  # beyond int64, so beyond 0..255
+            pixels = pixels.reshape(-1).astype(np.float64 if pixels.dtype.kind == "O" else pixels.dtype, copy=False)
+        except OverflowError:  # an int beyond float64, so beyond 0..255
             raise ValueError("pixel out of range 0..255") from None
-        object.__setattr__(self, "pixels", pixels)
         if pixels.shape != (self.side * self.side,):
             raise ValueError(f"expected {self.side * self.side} pixels, got {pixels.shape}")
-        if pixels.min() < 0 or pixels.max() > 255:
+        if not (pixels.min() >= 0 and pixels.max() <= 255):  # nan fails both
             raise ValueError("pixel out of range 0..255")
-        if self.label not in (0, 1):
+        if pixels.dtype.kind == "f" and (pixels % 1).any():
+            raise ValueError("pixels must be integers")
+        object.__setattr__(self, "pixels", pixels.astype(np.int64))
+        if isinstance(self.label, (bool, np.bool_)) or self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-    def grid(self) -> np.ndarray:
-        return self.pixels.reshape(self.side, self.side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,15 +171,15 @@ def save_dataset(samples, path) -> None:
     write_text_atomic(path, "\n".join([_header(data.side ** 2)] + [",".join(map(str, r)) for r in rows]) + "\n")
 
 
-def _vouched(body: bytes, k: int) -> tuple:
-    """One numpy pass per block of whole newline-separated lines of body:
-    whether each line is k + 1 comma-separated fields of one to three
-    digits, a label of at most 1 and pixels of at most 255, the values
-    (vouched lines, k + 1) of those that are, and the offset in body of
-    each line's end (len(body) for the last line)."""
+def _vouched(raw: bytes, at: int, k: int) -> tuple:
+    """One numpy pass per block of whole newline-separated lines of raw from
+    offset `at` on: whether each line is k + 1 comma-separated fields of
+    one to three digits, a label of at most 1 and pixels of at most 255,
+    the values (vouched lines, k + 1) of those that are, and the offset in
+    raw of each line's end (len(raw) for the last line)."""
     masks, rows, line_ends = [], [], []
-    for start, stop in blocks(body, b"\n"):
-        b = np.frombuffer(body[start:stop] + b"\n", np.uint8)
+    for start, stop in blocks(raw, b"\n", at):
+        b = np.frombuffer(raw[start:stop] + b"\n", np.uint8)
         ends, _, value, bad = _decimal_fields(b, (b == 44) | (b == 10), 3)  # ends: the comma or newline after each field
         bad |= value > 255
         lasts = np.flatnonzero(b[ends] == 10)  # each line's last field
@@ -194,24 +197,22 @@ def _vouched(body: bytes, k: int) -> tuple:
 
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV back: an ASCII file whose header names a square
-    number of pixels, then at least one row of plain decimal integers.
-    One numpy pass per block of lines reads the lines it can vouch for;
-    only the other lines are decoded, and each takes the row rule,
-    decimal_ints and LabeledImage, which accepts it (`007`, `-0`) or
-    refuses it, naming the file and line.  Lines are cut where
-    str.splitlines cuts them.  Blank lines are skipped."""
+    number of pixels, then at least one row of plain decimal integers, in
+    the lines read_ascii gives.  One numpy pass per block of lines of the
+    bytes after the header reads the lines it can vouch for; only the other
+    lines are decoded, and each takes the row rule, decimal_ints and
+    LabeledImage, which accepts it (`007`, `-0`) or refuses it, naming the
+    file and line.  Blank lines are skipped."""
     raw = read_ascii(path, DatasetFormatError)
     if not raw:
         raise DatasetFormatError(f"{path}: line 1: empty file")
-    if any(c in raw for c in _OTHER_BREAKS):  # the same lines, each ended by \n alone
-        raw = "\n".join(raw.decode().splitlines()).encode()
-    head, _, body = raw.partition(b"\n")
-    head = head.decode()
+    at = raw.find(b"\n") + 1 or len(raw)  # where the body starts
+    head = raw[:at].rstrip(b"\n").decode()
     k = head.count(",")
     side = math.isqrt(k)
     if head != _header(k) or side * side != k:
         raise DatasetFormatError(f"{path}: line 1: header {head[:80]!r} is not label,p0,...,pN of a square image")
-    vouched, values, ends = _vouched(body, k)
+    vouched, values, ends = _vouched(raw, at, k)
     rows = np.zeros((len(vouched), k + 1), np.uint8)
     if side in VALID_SIDES:
         rows[vouched] = values
@@ -219,7 +220,7 @@ def load_dataset(path) -> Dataset:
         vouched[:] = False
     blank = []
     for ln in np.flatnonzero(~vouched).tolist():
-        line = body[ends[ln - 1] + 1 if ln else 0 : ends[ln]].decode()
+        line = raw[ends[ln - 1] + 1 if ln else at : ends[ln]].decode()
         if not line:
             blank.append(ln)
             continue
@@ -228,7 +229,7 @@ def load_dataset(path) -> Dataset:
             raise DatasetFormatError(f"{path}: line {ln + 2}: expected {k + 1} columns, got {len(parts)}")
         try:
             values = decimal_ints(parts)
-            image = LabeledImage(side, values[1:], values[0])
+            image = LabeledImage(side, np.array(values[1:]), values[0])  # ints, so an array skips the per-type check
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: line {ln + 2}: {exc}") from None
         rows[ln, 0], rows[ln, 1:] = image.label, image.pixels

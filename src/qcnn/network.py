@@ -172,10 +172,6 @@ class ModelParams:
         if bad.size:
             raise NonFiniteAngleError(int(bad[0]), self.vector()[bad[0]])
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
     def vector(self) -> np.ndarray:
         return np.concatenate(self.layers) if self.layers else np.zeros(0)
 
@@ -199,8 +195,10 @@ class ModelParams:
 
 
 def init_params(arch: Architecture, seed: int, scheme=InitScheme.UNIFORM) -> ModelParams:
-    """Fresh kernel angles; scheme is an InitScheme or its value.  'uniform'
-    draws each angle from [0, pi), 'zeros' starts every angle at 0."""
+    """Fresh kernel angles; arch is an Architecture or its value, scheme an
+    InitScheme or its value.  'uniform' draws each angle from [0, pi),
+    'zeros' starts every angle at 0."""
+    arch = _enum_from(Architecture, arch, "arch")
     seed = require_int("seed", seed, 0)
     if _enum_from(InitScheme, scheme, "scheme") is InitScheme.ZEROS:
         return ModelParams(tuple(np.zeros(4) for _ in range(arch.conv_layer_count)))

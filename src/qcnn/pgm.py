@@ -7,6 +7,8 @@ image row per text line.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ._io import _decimal_fields, blocks, decimal_ints, read_ascii, write_text_atomic
@@ -25,25 +27,25 @@ def _tokens(text: str) -> list:
     return [tok for line in text.splitlines() for tok in line.split("#", 1)[0].split()]
 
 
-def _header(text: str) -> tuple:
-    """The tokens of text up to the first newline after the fourth, and the
-    offset after that newline.  A newline ends a line, so the lines before
-    it read as they would in the whole text."""
+def _header(raw: bytes) -> tuple:
+    """The tokens of raw up to the first newline after the fourth, and the
+    offset after that newline; only those lines are decoded."""
     toks, at = [], 0
-    while len(toks) < 4 and at < len(text):
-        end = text.find("\n", at) + 1 or len(text)
-        toks += _tokens(text[at:end])
+    while len(toks) < 4 and at < len(raw):
+        end = raw.find(b"\n", at) + 1 or len(raw)
+        toks += _tokens(raw[at:end].decode("ascii"))
         at = end
     return toks, at
 
 
-def _plain_values(body: bytes):
-    """The values of a body of plain digit tokens of at most 5 digits, read
-    one numpy pass per block; None at the first block that holds any other
-    token."""
+def _plain_values(rest: list, raw: bytes, at: int):
+    """The values of the tokens rest, then of raw from offset `at` on, if
+    all are plain digit tokens of at most 5 digits, read one numpy pass per
+    block; None at the first block that holds any other token."""
     parts = []
-    for start, stop in blocks(body, _SPLIT):
-        b = np.frombuffer(body[start:stop] + b" ", np.uint8)
+    pieces = (raw[start:stop] for start, stop in blocks(raw, _SPLIT, at))
+    for piece in itertools.chain([" ".join(rest).encode()], pieces):
+        b = np.frombuffer(piece + b" ", np.uint8)
         _, size, value, bad = _decimal_fields(b, _SPACE[b], 5)
         token = size > 0  # separators may run together
         if bad[token].any():
@@ -54,14 +56,14 @@ def _plain_values(body: bytes):
 
 def read_pgm(path) -> np.ndarray:
     """Read a P2 file into an int64 array of shape (height, width), values
-    rescaled to 0..255 when the file's maxval differs.  One numpy pass per
-    block reads a body of plain digit tokens of at most 5 digits; any
-    other body (a `#`, a sign, a longer token) is read token by token, so
-    a refusal names the same fault either way.  An unreadable file raises
-    OSError."""
+    rescaled to 0..255 when the file's maxval differs.  Lines are those
+    read_ascii gives.  Only the header's lines are decoded; one numpy pass
+    per block of the file's bytes reads a body of plain digit tokens of at
+    most 5 digits, and any other body (a `#`, a sign, a longer token) is
+    decoded and read token by token, so a refusal names the same fault
+    either way.  An unreadable file raises OSError."""
     raw = read_ascii(path, PgmFormatError)
-    text = raw.decode("ascii")
-    toks, at = _header(text)
+    toks, at = _header(raw)
     if toks[:1] != ["P2"]:
         raise PgmFormatError(f"{path}: expected magic number P2, found {toks[0] if toks else 'nothing'}")
     if len(toks) < 4:
@@ -76,10 +78,10 @@ def read_pgm(path) -> np.ndarray:
         raise PgmFormatError(f"{path}: maxval must lie in 1..65535, got {maxval}")
 
     # the body: the tokens after the fourth on its line, then the lines below
-    values = _plain_values(" ".join(toks[4:] + [""]).encode() + raw[at:])
+    values = _plain_values(toks[4:], raw, at)
     vouched = values is not None
     if not vouched:
-        values = toks[4:] + _tokens(text[at:])
+        values = toks[4:] + _tokens(raw[at:].decode("ascii"))
     if len(values) != width * height:
         raise PgmFormatError(
             f"{path}: expected {width * height} pixel values, found {len(values)}"

@@ -31,7 +31,7 @@ import numpy as np
 from . import runner
 from ._io import require_int, write_text_atomic
 from .dataset import as_dataset, gen_dataset
-from .encoding import pixel_cos, pixel_to_angle, prob_to_angle
+from .encoding import pixel_cos, prob_to_angle
 from .network import Architecture, InitScheme, ModelParams, _enum_from, build_plan, group_plan, init_params
 from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
 
@@ -99,13 +99,11 @@ _CHOICES = {name: kind for name, kind in get_type_hints(TrainConfig).items() if 
 class LossCurve:
     epochs: list = field(default_factory=list)
     mses: list = field(default_factory=list)
-    wall_ms: list = field(default_factory=list)
     evals: list = field(default_factory=list)
 
-    def record(self, epoch, mse_value, ms, n_evals):
+    def record(self, epoch, mse_value, n_evals):
         self.epochs.append(int(epoch))
         self.mses.append(float(mse_value))
-        self.wall_ms.append(float(ms))
         self.evals.append(int(n_evals))
 
     @property
@@ -199,23 +197,17 @@ class TrainingObjective:
             raise ValueError(
                 f"{self.arch.value} expects {self.arch.image_side ** 2} pixels per row, got {pixel_rows.shape}"
             )
-        self._pixel_rows = pixel_rows
         self.cos = pixel_cos(pixel_rows)  # (B, P) cos of each pixel's angle
         self.phi = np.prod(self.cos, axis=1)
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.shape != (pixel_rows.shape[0],):
             raise ValueError("one label per pixel row is required")
-        self.plan, self.layers = build_plan(self.arch)
+        self.layers = build_plan(self.arch)[1]
         self._groups = [np.array(spec.groups) for spec in self.layers]
         self._occs = _occurrences(self.arch)
         self.base_key = require_int("base_key", base_key, 0)
         self._eval_ordinal = 0
         self.evals = 0
-
-    @property
-    def angles(self) -> np.ndarray:
-        """(B, P) pixel angles of the rows; the readouts need only their cos."""
-        return pixel_to_angle(self._pixel_rows)
 
     @property
     def batch_size(self) -> int:
@@ -405,7 +397,7 @@ def run_epochs(config: TrainConfig, dataset, log_fn, init, step):
             batch = fixed
         state, epoch_mse, evals = step(state, epoch, batch.pixels, batch.labels)
         ms = (time.perf_counter() - t0) * 1000.0
-        curve.record(epoch, epoch_mse, ms, evals)
+        curve.record(epoch, epoch_mse, evals)
         if log_fn is not None:
             log_fn(f"epoch={epoch} mse={epoch_mse:.6f} wall_ms={ms:.1f} evals={evals}")
     return state, curve

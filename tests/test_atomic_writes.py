@@ -16,7 +16,7 @@ from qcnn.training import LossCurve, save_curve
 
 def _curve():
     curve = LossCurve()
-    curve.record(1, 0.25, 1.0, 10)
+    curve.record(1, 0.25, 10)
     return curve
 
 

@@ -353,7 +353,7 @@ def test_bad_params_and_config_files_name_the_path(tmp_path, capsys):
     rc = entry(["train", "--config", str(cfg), "--params-out", str(tmp_path / "o.txt"),
                 "--curve-out", str(tmp_path / "c.csv")])
     assert rc == EXIT_USAGE
-    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+    assert f"{cfg}: line 1: non-ASCII byte 0xff" in capsys.readouterr().err
 
 
 def test_eval_rejects_param_count_mismatch(tmp_path, capsys):

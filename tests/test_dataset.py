@@ -289,7 +289,7 @@ def test_gen_dataset_refuses_an_n_whose_draw_runs_out_of_memory(no_memory):
 
 def test_labeled_image_validation():
     img = LabeledImage(2, [0, 1, 2, 3], 1)
-    np.testing.assert_array_equal(img.grid(), [[0, 1], [2, 3]])
+    np.testing.assert_array_equal(img.pixels.reshape(img.side, img.side), [[0, 1], [2, 3]])
     with pytest.raises(ValueError):
         LabeledImage(3, list(range(9)), 0)  # side not supported
     with pytest.raises(ValueError):
@@ -299,6 +299,30 @@ def test_labeled_image_validation():
     with pytest.raises(ValueError):
         LabeledImage(2, [0, 1, 2, 3], 2)  # bad label
     assert set(VALID_SIDES) == {2, 4, 8}
+
+
+def test_labeled_image_refuses_what_is_not_an_integer_pixel_or_label():
+    # the row rule reads a value as encoding.pixel_cos does: a fraction, a
+    # bool or a str is not an intensity, however numpy would convert it
+    for pixels in ([0.5, 1.9, 2, 254.99], [0, 1, 2, 3.5], np.array([0, 1, 2, 0.5]), [True, 1, 2, 3],
+                   [0, 1, np.True_, 3], np.ones(4, bool), ["1", "2", "3", "4"], np.array(["1", "2", "3", "4"]),
+                   [0, 1, 2, None], [0, 1, 2, 1j]):
+        with pytest.raises(ValueError, match="^pixels must be integers$"):
+            LabeledImage(2, pixels, 0)
+    for label in (True, False, np.True_):
+        with pytest.raises(ValueError, match="^label must be 0 or 1, got "):
+            LabeledImage(2, [0, 1, 2, 3], label)
+    # integers out of range keep their text, however large
+    for pixels in ([0, 1, 2, 256], [-1, 0, 0, 0], [0, 0, 0, 2**70], [0, 0, 0, -(10**400)], [0, 0, 0, float("inf")],
+                   [0, 0, 0, float("nan")], np.array([0, 0, 0, 2**63 - 1])):
+        with pytest.raises(ValueError, match=r"^pixel out of range 0\.\.255$"):
+            LabeledImage(2, pixels, 1)
+    # integral values of any numeric type stay valid
+    for pixels in (np.zeros(4), [0.0, 1.0, 254.0, 255.0], np.arange(4, dtype=np.uint8), np.arange(4, dtype=np.int64),
+                   [np.int64(7), 8, 9.0, np.uint8(10)], [[0, 1], [2, 3]]):
+        row = LabeledImage(2, pixels, np.int64(1))
+        assert row.pixels.dtype == np.int64 and row.pixels.shape == (4,)
+        np.testing.assert_array_equal(row.pixels, np.asarray(pixels).reshape(-1))
 
 
 def test_save_load_roundtrip(tmp_path):

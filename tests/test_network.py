@@ -244,9 +244,9 @@ def test_deep_plan_engines_agree():
 def test_model_params_container():
     params = ModelParams((np.array([1.0, 2.0, 3.0, 4.0]),))
     np.testing.assert_array_equal(params.vector(), [1, 2, 3, 4])
-    assert params.n_layers == 1
+    assert len(params.layers) == 1
     two = ModelParams.from_vector(CPCP, np.arange(8.0))
-    assert two.n_layers == 2
+    assert len(two.layers) == 2
     np.testing.assert_array_equal(two.layers[1], [4, 5, 6, 7])
     bumped = params.with_update([0.5, 0, 0, -0.5])
     np.testing.assert_allclose(bumped.vector(), [1.5, 2, 3, 3.5])
@@ -274,7 +274,7 @@ def test_model_params_name_the_first_non_finite_angle(tmp_path):
 
 def test_init_params_schemes():
     zeros = init_params(CPCP, seed=0, scheme="zeros")
-    assert zeros.n_layers == 2 and not zeros.vector().any()
+    assert len(zeros.layers) == 2 and not zeros.vector().any()
     a = init_params(CONV, seed=4)
     b = init_params(CONV, seed=4)
     np.testing.assert_array_equal(a.vector(), b.vector())
@@ -283,6 +283,14 @@ def test_init_params_schemes():
     assert not np.array_equal(a.vector(), c.vector())
     with pytest.raises(ValueError):
         init_params(CONV, seed=0, scheme="gaussian")
+
+
+def test_init_params_takes_an_architecture_or_its_value():
+    for arch in Architecture:
+        np.testing.assert_array_equal(init_params(arch.value, 3).vector(), init_params(arch, 3).vector())
+    for arch in ("conv-pool", "CONV", 2, None):
+        with pytest.raises(ValueError, match=r"^arch cannot be "):
+            init_params(arch, 3)
 
 
 @pytest.mark.parametrize("init", [lambda seed: init_params(CONV, seed).vector(),

@@ -118,22 +118,26 @@ def _corruptions(rng, good: bytes, n: int):
             yield kind, good[:at] + bytes([int(rng.integers(128, 256))]) + good[at:]
 
 
-@pytest.mark.parametrize("target", ["dataset", "params", "pgm"])
+@pytest.mark.parametrize("target", ["dataset", "params", "pgm", "config"])
 def test_corrupted_files_name_the_file(tmp_path, capsys, target):
     rng = np.random.default_rng([17, len(target)])
-    data, params, img, bad = (tmp_path / n for n in ("d.csv", "p.txt", "in.pgm", f"bad-{target}"))
+    data, params, img, cfg, bad = (tmp_path / n for n in ("d.csv", "p.txt", "in.pgm", "c.json", f"bad-{target}"))
     entry(["gen", "--side", "2", "--count", "6", "--seed", "3", "--out", str(data)])
     params.write_text("".join(f"{v:.17g}\n" for v in rng.uniform(-np.pi, np.pi, 4)), encoding="ascii")
     write_pgm(img, rng.integers(0, 256, size=(4, 6)))
+    cfg.write_text('{\n  "arch": "conv",\n  "epochs": 1,\n  "batch_size": 2,\n  "learning_rate": 1e-7\n}\n')
     capsys.readouterr()
-    good = {"dataset": data, "params": params, "pgm": img}[target].read_bytes()
+    good = {"dataset": data, "params": params, "pgm": img, "config": cfg}[target].read_bytes()
     commands = {
         "dataset": [["eval", "--params", str(params), "--data", str(bad)],
                     ["train", "--arch", "conv", "--epochs", "1", "--batch", "2", "--data", str(bad)] + _outs(tmp_path)],
         "params": [["eval", "--params", str(bad), "--data", str(data)],
                    ["featmap", "--in", str(img), "--params", str(bad), "--out", str(tmp_path / "o.pgm")]],
         "pgm": [["featmap", "--in", str(bad), "--params", str(params), "--out", str(tmp_path / "o.pgm")]],
+        "config": [["train", "--config", str(bad)] + _outs(tmp_path)],
     }[target]
+    # a config value that still parses is refused by its key, as a flag's is
+    sources = (str(bad), "error: config key '") if target == "config" else (str(bad),)
     refused = 0
     for kind, content in _corruptions(rng, good, 60):
         bad.write_bytes(content)
@@ -141,7 +145,7 @@ def test_corrupted_files_name_the_file(tmp_path, capsys, target):
             rc, err = _run(argv, capsys)
             if rc == EXIT_USAGE:
                 refused += 1
-                assert str(bad) in err, (kind, content, argv, err)
+                assert any(source in err for source in sources), (kind, content, argv, err)
             if kind == "non-ascii":
                 assert rc == EXIT_USAGE and "non-ASCII byte" in err, (content, argv, err)
     assert refused >= 20 * len(commands)
@@ -161,3 +165,54 @@ def test_shots_beyond_int64_name_their_source(tmp_path, capsys):
     assert not (tmp_path / "p_out.txt").exists()
     rc, err = _run(base + ["--shots", str(2**63 - 1)], capsys)
     assert rc == EXIT_OK and (tmp_path / "p_out.txt").exists(), err
+
+
+def test_configs_json_cannot_take_name_the_file(tmp_path, capsys):
+    # nesting deeper than the recursion limit, and an integer of more digits
+    # than Python converts, are refused as any other bad JSON is
+    cfg = tmp_path / "run.json"
+    for content in ("[" * 100000, '{"arch": "conv", "seed": ' + "9" * 5000 + "}", '{"arch": "conv",}'):
+        cfg.write_text(content)
+        rc, err = _run(["train", "--config", str(cfg)] + _outs(tmp_path), capsys)
+        assert rc == EXIT_USAGE and err.startswith(f"error: {cfg}: not valid JSON: "), err[:200]
+    cfg.unlink()
+    rc, err = _run(["train", "--config", str(cfg)] + _outs(tmp_path), capsys)
+    assert rc == EXIT_USAGE and err.startswith(f"error: {cfg}: "), err
+    assert not (tmp_path / "p_out.txt").exists()
+
+
+# each format's lines, the third holding a non-ASCII byte, then the same
+# lines with a fault of that format on the third line and what its
+# refusal says; a PGM refusal names no line
+_LINES = {
+    "dataset": (["label,p0,p1,p2,p3", "1,5,5,5,5", "0,1,\xff,3,4"],
+                ["label,p0,p1,p2,p3", "1,5,5,5,5", "0,1,256,3,4"], "line 3: pixel out of range 0..255"),
+    "params": (["0.1", "0.2", "0.3\xff", "0.4"], ["0.1", "0.2", "0.3x", "0.4"], "line 3: parameter file must hold"),
+    "pgm": (["P2", "2 2", "255 \xff", "0 1 2 3"], None, None),
+    "config": (['{"arch": "conv",', '"epochs": 1,', '"batch_size": 2\xff}'],
+               ['{"arch": "conv",', '"epochs": 1,', '"batch_size" 2}'], "line 3 column 14"),
+}
+
+
+@pytest.mark.parametrize("brk", [b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1e"], ids=repr)
+@pytest.mark.parametrize("target", sorted(_LINES))
+def test_every_reader_counts_lines_as_splitlines_does(tmp_path, capsys, target, brk):
+    data, params, img, bad = (tmp_path / n for n in ("d.csv", "p.txt", "in.pgm", f"bad-{target}"))
+    entry(["gen", "--side", "2", "--count", "6", "--seed", "3", "--out", str(data)])
+    params.write_text("0.1\n0.2\n0.3\n0.4\n")
+    write_pgm(img, np.zeros((2, 2), int))
+    argv = {
+        "dataset": ["eval", "--params", str(params), "--data", str(bad)],
+        "params": ["eval", "--params", str(bad), "--data", str(data)],
+        "pgm": ["featmap", "--in", str(bad), "--params", str(params), "--out", str(tmp_path / "o.pgm")],
+        "config": ["train", "--config", str(bad)] + _outs(tmp_path),
+    }[target]
+    non_ascii, faulty, want = _LINES[target]
+    capsys.readouterr()
+    bad.write_bytes(brk.join(line.encode("latin-1") for line in non_ascii) + brk)
+    rc, err = _run(argv, capsys)
+    assert rc == EXIT_USAGE and err == f"error: {bad}: line 3: non-ASCII byte 0xff\n", err
+    if faulty:
+        bad.write_bytes(brk.join(line.encode() for line in faulty) + brk)
+        rc, err = _run(argv, capsys)
+        assert rc == EXIT_USAGE and err.startswith(f"error: {bad}: ") and want in err, err

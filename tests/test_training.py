@@ -10,7 +10,7 @@ from conftest import batches_seen
 
 from qcnn.baseline import classical_train
 from qcnn.dataset import LabeledImage, gen_dataset
-from qcnn.encoding import prob_to_angle
+from qcnn.encoding import pixel_to_angle, prob_to_angle
 from qcnn.network import Architecture, ModelParams, build_plan, group_plan, layer_structure
 from qcnn.runner import run_plan_batch
 from qcnn.training import (
@@ -56,6 +56,11 @@ def _objective(arch="conv", n=6, seed=0, **kw):
     rows = np.stack([s.pixels.astype(float) for s in samples])
     labels = np.array([s.label for s in samples], dtype=float)
     return TrainingObjective(config, rows, labels), config
+
+
+def _angles(obj, n, seed):
+    """The pixel angles of the rows that _objective(arch, n, seed) binds."""
+    return pixel_to_angle(gen_dataset(n, obj.arch.image_side, seed=seed + 40).pixels)
 
 
 def test_sigmoid_values_and_derivative():
@@ -141,7 +146,7 @@ def test_jacobian_sums_shared_occurrences():
     obj, _ = _objective("conv-pool-pool", n=4, seed=3)
     rng = np.random.default_rng(13)
     params = ModelParams((rng.uniform(0, np.pi, 4),))
-    assert all(len(obj.plan.param_occurrences(0, j)) == 4 for j in range(4))
+    assert all(len(build_plan(obj.arch)[0].param_occurrences(0, j)) == 4 for j in range(4))
     np.testing.assert_allclose(
         obj.jacobian(params), _fd_jacobian(obj, params), atol=1e-8
     )
@@ -155,7 +160,7 @@ def test_jacobian_slot_selection():
     assert full.shape == (2, 8)
     sub = obj.jacobian(params, slots=[(1, 0), (1, 1), (1, 2), (1, 3)])
     np.testing.assert_allclose(sub, full[:, 4:], atol=1e-12)
-    assert len(obj.plan.param_occurrences(1, 0)) == 2
+    assert len(build_plan(obj.arch)[0].param_occurrences(1, 0)) == 2
     with pytest.raises(ValueError, match="^slots"):
         obj.jacobian(params, slots=[(5, 0)])
     # malformed indices, indices of 2**63 or more, non-finite displacements
@@ -221,11 +226,11 @@ def _whole_plan_runs(arch):
     jacobian evaluates them."""
     obj, config = _objective(arch, n=5, seed=21)
     params = ModelParams.from_vector(config.arch, np.random.default_rng(22).uniform(-0.6, 0.6, config.arch.n_params))
-    plan = obj.plan
-    runs = [run_plan_batch(plan, obj.angles, params)]
+    plan, angles = build_plan(config.arch)[0], _angles(obj, 5, 21)
+    runs = [run_plan_batch(plan, angles, params)]
     for layer, j in plan.param_slots():
         for g in plan.param_occurrences(layer, j):
-            runs += [run_plan_batch(plan, obj.angles, params, shift={g: d}) for d in (np.pi / 2, -np.pi / 2)]
+            runs += [run_plan_batch(plan, angles, params, shift={g: d}) for d in (np.pi / 2, -np.pi / 2)]
     return params, runs
 
 
@@ -241,22 +246,23 @@ def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode)
     near = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
     same = np.testing.assert_array_equal if eval_mode == "sampled" else near
     same(obj.p1(params), next(want))
-    slots = obj.plan.param_slots()
+    plan = build_plan(obj.arch)[0]
+    slots = plan.param_slots()
     jac = np.zeros((5, len(slots)))
     for c, (layer, j) in enumerate(slots):
-        for _ in obj.plan.param_occurrences(layer, j):
+        for _ in plan.param_occurrences(layer, j):
             up, dn = next(want), next(want)
             jac[:, c] += 0.5 * (up - dn)
     same(obj.jacobian(params), jac)
     assert obj.evals == 5 * len(runs)
 
 
-def _per_group_readout(obj, params, site, ordinal):
-    """Readout measured after each layer, every group of every layer run as
-    its own template; site = (layer, j, occ, delta) displaces occurrence
-    `occ` of angle (layer, j), which is group `occ` of that conv layer.
-    Sampled mode draws each layer's readouts with the evaluation's key."""
-    values = obj.angles
+def _per_group_readout(obj, values, params, site, ordinal):
+    """Readout measured after each layer of the rows of pixel angles values,
+    every group of every layer run as its own template; site = (layer, j,
+    occ, delta) displaces occurrence `occ` of angle (layer, j), which is
+    group `occ` of that conv layer.  Sampled mode draws each layer's
+    readouts with the evaluation's key."""
     for li, spec in enumerate(layer_structure(obj.arch)):
         tpl = group_plan(spec.kind, spec.param_layer)
         outs = np.empty((obj.batch_size, len(spec.groups)))
@@ -279,14 +285,16 @@ def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode
     # layer again; sampled mode draws the same shots between the layers
     obj, config = _objective(arch, n=5, seed=21, measure_mode="intermediate", eval_mode=eval_mode, shots=100)
     params = ModelParams.from_vector(config.arch, np.random.default_rng(22).uniform(-0.6, 0.6, config.arch.n_params))
-    slots = obj.plan.param_slots()
+    plan = build_plan(config.arch)[0]
+    slots = plan.param_slots()
     sites = [None] + [
         (layer, j, occ, d)
         for layer, j in slots
-        for occ in range(len(obj.plan.param_occurrences(layer, j)))
+        for occ in range(len(plan.param_occurrences(layer, j)))
         for d in (np.pi / 2, -np.pi / 2)
     ]
-    want = [_per_group_readout(obj, params, site, k) for k, site in enumerate(sites)]
+    angles = _angles(obj, 5, 21)
+    want = [_per_group_readout(obj, angles, params, site, k) for k, site in enumerate(sites)]
     near = functools.partial(np.testing.assert_allclose, rtol=0, atol=1e-12)
     same = np.testing.assert_array_equal if eval_mode == "sampled" else near
     same(obj.p1(params), want[0])
@@ -366,10 +374,11 @@ def test_exact_jacobian_sums_its_displaced_readouts_bit_for_bit(arch, measure_mo
     # slot's two-point differences in occurrence order
     obj, config = _objective(arch, n=5, seed=31, measure_mode=measure_mode)
     params = ModelParams.from_vector(config.arch, np.random.default_rng(32).uniform(-np.pi, np.pi, config.arch.n_params))
-    slots = obj.plan.param_slots()
+    plan = build_plan(config.arch)[0]
+    slots = plan.param_slots()
     want = np.zeros((5, len(slots)))
     for c, (layer, j) in enumerate(slots):
-        for occ in range(len(obj.plan.param_occurrences(layer, j))):
+        for occ in range(len(plan.param_occurrences(layer, j))):
             up, dn = (obj.p1(params, shift_occ=(layer, j, occ, d)) for d in (np.pi / 2, -np.pi / 2))
             want[:, c] += 0.5 * (up - dn)
     np.testing.assert_array_equal(obj.jacobian(params), want)
@@ -444,7 +453,7 @@ def test_combined_direction_is_scaled_loss_descent():
     obj, config = _objective("conv", n=5, seed=6, grad_method="combined")
     rng = np.random.default_rng(16)
     params = ModelParams((rng.uniform(0, np.pi, 4),))
-    combined = update_direction(obj, params, obj.p1(params), obj.plan.param_slots())
+    combined = update_direction(obj, params, obj.p1(params), build_plan(config.arch)[0].param_slots())
     grad = loss_gradient(obj, params)
     np.testing.assert_allclose(
         combined, -config.shots * obj.batch_size / 4.0 * grad, rtol=1e-10, atol=1e-12
@@ -458,7 +467,7 @@ def test_shift_direction_zero_on_zero_error():
     obj = TrainingObjective(config, pixels, np.array([0.0]))
     params = ModelParams((np.array([0.4, 1.0, 0.2, 2.0]),))
     obj.labels = activate(obj.p1(params))
-    direction = update_direction(obj, params, obj.p1(params), obj.plan.param_slots())
+    direction = update_direction(obj, params, obj.p1(params), build_plan(config.arch)[0].param_slots())
     np.testing.assert_allclose(direction, np.zeros(4), atol=1e-12)
 
 
@@ -489,7 +498,7 @@ def test_sigmoid_update_layer_targeting():
         p1s = obj.p1(params)
         second = update_direction(obj, params, p1s, [(1, j) for j in range(4)])
         assert np.all(second[:4] == 0.0) and np.all(second[4:] != 0.0), rule
-        full = update_direction(obj, params, p1s, obj.plan.param_slots())
+        full = update_direction(obj, params, p1s, build_plan(obj.arch)[0].param_slots())
         np.testing.assert_allclose(second[4:], full[4:], rtol=0, atol=1e-15, err_msg=rule)
 
 
@@ -521,7 +530,7 @@ def test_intermediate_mode_matches_composed_closed_form():
     groups = ((0, 1, 4, 5), (2, 3, 6, 7), (8, 9, 12, 13), (10, 11, 14, 15))
     win = np.stack(
         [
-            0.5 * (1.0 - np.prod(np.cos(obj.angles[:, g]) * np.cos(kernel), axis=1))
+            0.5 * (1.0 - np.prod(np.cos(_angles(obj, 6, 9)[:, g]) * np.cos(kernel), axis=1))
             for g in groups
         ],
         axis=1,
@@ -737,7 +746,7 @@ def test_train_curve_accounting():
     assert curve.evals == [20 * 9] * 3
     assert curve.total_evals == 540
     assert len(lines) == 3 and lines[0].startswith("epoch=1 mse=")
-    assert params.n_layers == 1
+    assert len(params.layers) == 1
 
 
 def test_train_uses_fixed_dataset_when_given():
@@ -802,7 +811,7 @@ def test_train_layer_wise_strategy():
         learning_rate=1e-5,
     )
     params, curve = train(config)
-    assert params.n_layers == 2 and len(curve.mses) == 2
+    assert len(params.layers) == 2 and len(curve.mses) == 2
     assert all(np.isfinite(m) for m in curve.mses)
 
 
@@ -870,8 +879,8 @@ def test_evaluate_scores_exact_readouts_whatever_the_eval_mode():
 
 def test_save_curve_format(tmp_path):
     curve = LossCurve()
-    curve.record(1, 0.25, 10.0, 100)
-    curve.record(2, 1 / 3, 11.0, 100)
+    curve.record(1, 0.25, 100)
+    curve.record(2, 1 / 3, 100)
     path = tmp_path / "curve.csv"
     save_curve(curve, path)
     lines = path.read_text().splitlines()
