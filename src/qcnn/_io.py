@@ -96,11 +96,15 @@ def _decimal_fields(b, sep, most: int) -> tuple:
     where sep is True; b ends in a separator.  Per field: the index of the
     separator after it, its width, its value read as plain decimal digits,
     and whether it is bad: empty, longer than `most` digits, or holding a
-    byte that is neither a digit nor a separator."""
+    byte that is neither a digit nor a separator.  Only the digit terms up
+    to the widest field's width are summed: a term past every field's width
+    is zero, and a field wider than `most` is bad either way."""
     digit = b - 48  # a uint8 above 9 off the digits
     ends = np.flatnonzero(sep)
     width = np.diff(ends, prepend=-1) - 1
-    value = sum(digit.take(ends - i, mode="clip").astype(np.uint32) * 10 ** (i - 1) * (width >= i) for i in range(1, most + 1))
+    value = np.zeros(ends.size, np.uint32)
+    for i in range(1, min(most, int(width.max())) + 1):
+        value += digit.take(ends - i, mode="clip").astype(np.uint32) * 10 ** (i - 1) * (width >= i)
     bad = (width < 1) | (width > most)
     bad[np.searchsorted(ends, np.flatnonzero(~sep & (digit > 9)))] = True
     return ends, width, value, bad

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -73,10 +74,19 @@ def _resolve_seed(flag_value, file_cfg) -> tuple:
 
 
 def _load_config_file(path) -> dict:
-    """The flat JSON object of an ASCII config file; a refusal names the file."""
+    """The flat JSON object of an ASCII config file; a refusal names the file,
+    and a key given twice is refused rather than read as its last value."""
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise CliError(f"{path}: duplicate config key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     raw = read_ascii(path, CliError)
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep a nesting
         raise CliError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -192,6 +202,7 @@ def _values(enum_cls) -> list:
     return [m.value for m in enum_cls]
 
 
+@functools.cache  # built on the first entry call, not at import, and kept for the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcnn",

@@ -248,8 +248,9 @@ def conv_feature_map(pixels, kernel_angles) -> np.ndarray:
     if kernel.shape != (4,):
         raise ValueError(f"kernel takes 4 angles, got {kernel.size}")
 
-    out_h, out_w = height // 2, width // 2
-    # window (wr, wc) holds pixels (2wr, 2wc), (2wr, 2wc+1), (2wr+1, 2wc), (2wr+1, 2wc+1)
-    windows = pixel_cos(grid).reshape(out_h, 2, out_w, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
+    # window (wr, wc) holds pixels (2wr, 2wc), (2wr, 2wc+1), (2wr+1, 2wc), (2wr+1, 2wc+1):
+    # four strided views, multiplied in that order as np.prod over a window would
+    c = pixel_cos(grid)
+    products = c[0::2, 0::2] * c[0::2, 1::2] * c[1::2, 0::2] * c[1::2, 1::2]
     factor = run_template(group_plan("conv", 0), ModelParams((kernel,)).layers[0])[1]
-    return readout_probs(factor * np.prod(windows, axis=1)).reshape(out_h, out_w)
+    return readout_probs(factor * products)

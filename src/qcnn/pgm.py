@@ -15,12 +15,17 @@ from ._io import _decimal_fields, blocks, decimal_ints, read_ascii, write_text_a
 
 # the bytes at which str.split cuts: \t, \n, \x0b, \x0c, \r, \x1c-\x1f and space
 _SPLIT = bytes([9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
-_SPACE = np.isin(np.arange(256), list(_SPLIT))
 _DECIMAL = np.array([str(v) for v in range(256)], dtype=object)  # write_pgm's text of each intensity
 
 
 class PgmFormatError(ValueError):
     pass
+
+
+def _separators(b) -> np.ndarray:
+    """The mask of the bytes of _SPLIT among the uint8 bytes b: two runs,
+    9..13 and 28..32, each found by one wrapping uint8 comparison."""
+    return (b - 9 <= 4) | (b - 28 <= 4)
 
 
 def _tokens(text: str) -> list:
@@ -46,7 +51,7 @@ def _plain_values(rest: list, raw: bytes, at: int):
     pieces = (raw[start:stop] for start, stop in blocks(raw, _SPLIT, at))
     for piece in itertools.chain([" ".join(rest).encode()], pieces):
         b = np.frombuffer(piece + b" ", np.uint8)
-        _, size, value, bad = _decimal_fields(b, _SPACE[b], 5)
+        _, size, value, bad = _decimal_fields(b, _separators(b), 5)
         token = size > 0  # separators may run together
         if bad[token].any():
             return None

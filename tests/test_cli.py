@@ -5,12 +5,16 @@ import dataclasses
 import enum
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+import qcnn
 from qcnn.cli import EXIT_OK, EXIT_USAGE, _build_parser, entry
 from qcnn.dataset import load_dataset
 from qcnn.network import Architecture, ModelParams
@@ -145,6 +149,42 @@ def test_train_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"arch": "conv", "momentum": 0.9}))
     assert entry(["train", "--config", str(cfg)]) == EXIT_USAGE
     assert "unknown config keys: momentum" in capsys.readouterr().err
+
+
+def test_train_config_rejects_a_repeated_key(tmp_path, capsys):
+    # json.loads would keep the last value; a repeated key is a mistake in the file
+    cfg = tmp_path / "twice.json"
+    cfg.write_text('{"arch": "conv", "seed": 1, "seed": 2}')
+    assert entry(["train", "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {cfg}: duplicate config key 'seed'\n"
+
+
+def test_in_process_entry_calls_stay_independent(tmp_path, monkeypatch, capsys):
+    # one parser serves every entry call in a process: a seed given to one
+    # train run does not carry over to the next, which takes QCNN_SEED or 0
+    _, seeded, _ = _train(tmp_path, "seeded", ["--seed", "3"])
+    for name, env, want in (("default", None, "0"), ("env", "5", "5")):
+        if env is not None:
+            monkeypatch.setenv("QCNN_SEED", env)
+        _, got, _ = _train(tmp_path, name, [])
+        monkeypatch.delenv("QCNN_SEED", raising=False)
+        _, ref, _ = _train(tmp_path, f"{name}_ref", ["--seed", want])
+        assert got.read_bytes() == ref.read_bytes() != seeded.read_bytes()
+    capsys.readouterr()
+
+    # and an eval after a featmap prints what a fresh process prints
+    data, params, image = tmp_path / "d.csv", tmp_path / "p.txt", tmp_path / "in.pgm"
+    entry(["gen", "--side", "2", "--count", "30", "--seed", "8", "--out", str(data)])
+    _write_params(params, [0.3, -1.2, 0.7, 2.0])
+    write_pgm(image, np.arange(48).reshape(6, 8) * 5)
+    eval_argv = ["eval", "--params", str(params), "--data", str(data), "--threshold", "0.4"]
+    assert entry(["featmap", "--in", str(image), "--params", str(params), "--out", str(tmp_path / "fm.pgm")]) == EXIT_OK
+    capsys.readouterr()
+    assert entry(eval_argv) == EXIT_OK
+    src = str(Path(qcnn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "qcnn", *eval_argv], env=env, capture_output=True, text=True, check=True)
+    assert capsys.readouterr().out == fresh.stdout
 
 
 def test_removed_options_exit_2(tmp_path, capsys):

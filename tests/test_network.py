@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qcnn.baseline import init_classical
-from qcnn.encoding import pixel_to_angle
+from qcnn.encoding import pixel_cos, pixel_to_angle
 from qcnn.gates import GateKind
 from qcnn.network import (
     Architecture,
@@ -22,7 +22,7 @@ from qcnn.network import (
     load_params,
     save_params,
 )
-from qcnn.runner import run_plan, run_plan_batch
+from qcnn.runner import readout_probs, run_plan, run_plan_batch, run_template
 from qcnn.statevec import run_pure
 
 CONV = Architecture.CONV
@@ -358,6 +358,20 @@ def test_feature_map_matches_per_window_runs():
             window = grid[2 * wr : 2 * wr + 2, 2 * wc : 2 * wc + 2]
             want = run_plan(tpl, pixel_to_angle(window).reshape(-1), params)
             assert fm[wr, wc] == pytest.approx(want, abs=1e-12)
+
+
+def test_feature_map_equals_the_transposed_window_product():
+    # the four strided views multiply in the order np.prod takes over the
+    # transposed (N, 4) window copy, so the map is the same bit for bit
+    rng = np.random.default_rng(58)
+    for _ in range(50):
+        height, width = 2 * rng.integers(1, 24, size=2)
+        grid = rng.integers(0, 256, size=(height, width))
+        kernel = rng.uniform(-4 * np.pi, 4 * np.pi, 4)
+        windows = pixel_cos(grid).reshape(height // 2, 2, width // 2, 2).transpose(0, 2, 1, 3).reshape(-1, 4)
+        factor = run_template(group_plan("conv", 0), ModelParams((kernel,)).layers[0])[1]
+        want = readout_probs(factor * np.prod(windows, axis=1)).reshape(height // 2, width // 2)
+        np.testing.assert_array_equal(conv_feature_map(grid, kernel), want)
 
 
 def test_feature_map_constant_image_is_flat():

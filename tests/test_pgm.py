@@ -259,6 +259,45 @@ def test_blocks_cut_whole_fields_just_past_the_block_size(monkeypatch):
         assert b" ".join(body[a:b] for a, b in spans).decode().split() == body.decode().split()
 
 
+def test_separator_mask_is_membership_in_split():
+    every_byte = np.arange(256, dtype=np.uint8)
+    np.testing.assert_array_equal(pgm._separators(every_byte), np.isin(every_byte, list(pgm._SPLIT)))
+
+
+def _decimal_fields_all_terms(b, sep, most):
+    """Reference: the field values with all `most` digit terms summed."""
+    digit = b - 48
+    ends = np.flatnonzero(sep)
+    width = np.diff(ends, prepend=-1) - 1
+    terms = range(1, most + 1)
+    return sum(digit.take(ends - i, mode="clip").astype(np.uint32) * 10 ** (i - 1) * (width >= i) for i in terms)
+
+
+def test_decimal_fields_sum_only_the_terms_a_field_reaches():
+    # blocks whose widest field has 1 to 5 digits (and one of 6, too wide)
+    # give what all five terms give on every good field, flag the same bad
+    # fields, and a block of separators alone gives no value but zeros
+    rng = np.random.default_rng(29)
+    for widest in range(1, 7):
+        for _ in range(40):
+            widths = np.append(rng.integers(0, widest + 1, size=int(rng.integers(0, 30))), widest)
+            fields = [rng.choice(list(b"0123456789x"), size=w, p=[0.099] * 10 + [0.01]) for w in rng.permutation(widths)]
+            gaps = [rng.choice(list(pgm._SPLIT), size=int(rng.integers(1, 3))) for _ in fields]
+            raw = b"".join(bytes(f.tolist() + g.tolist()) for f, g in zip(fields, gaps))
+            b = np.frombuffer(raw, np.uint8)
+            ends, width, value, bad = _io._decimal_fields(b, pgm._separators(b), 5)
+            assert value.dtype == np.uint32 and value.shape == ends.shape == width.shape == bad.shape
+            assert width.max() == widest
+            full = _decimal_fields_all_terms(b, pgm._separators(b), 5)
+            np.testing.assert_array_equal(value[~bad], full[~bad])
+            assert value[~bad].tolist() == [int(raw[e - w : e]) for e, w, x in zip(ends, width, bad) if not x]
+            want_bad = np.array([w < 1 or w > 5 or b"x" in raw[e - w : e] for e, w in zip(ends, width)])
+            np.testing.assert_array_equal(bad, want_bad)
+    b = np.frombuffer(b" \t\n ", np.uint8)
+    ends, width, value, bad = _io._decimal_fields(b, pgm._separators(b), 5)
+    assert value.dtype == np.uint32 and value.tolist() == [0, 0, 0, 0] and bad.all()
+
+
 def test_plain_bodies_take_the_byte_pass(tmp_path, monkeypatch):
     # every separator str.split cuts at, leading zeros, 5-digit values and
     # pixels on the fourth header token's line: only the header's three
