@@ -7,8 +7,6 @@ image row per text line.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from ._io import _decimal_fields, blocks, decimal_ints, read_ascii, write_text_atomic
@@ -43,20 +41,41 @@ def _header(raw: bytes) -> tuple:
     return toks, at
 
 
-def _plain_values(rest: list, raw: bytes, at: int):
-    """The values of the tokens rest, then of raw from offset `at` on, if
-    all are plain digit tokens of at most 5 digits, read one numpy pass per
-    block; None at the first block that holds any other token."""
-    parts = []
-    pieces = (raw[start:stop] for start, stop in blocks(raw, _SPLIT, at))
-    for piece in itertools.chain([" ".join(rest).encode()], pieces):
-        b = np.frombuffer(piece + b" ", np.uint8)
-        _, size, value, bad = _decimal_fields(b, _separators(b), 5)
-        token = size > 0  # separators may run together
-        if bad[token].any():
+def _pieces(rest: list, raw: bytes, at: int):
+    """The uint8 bytes of the tokens rest, then of raw from offset `at` on
+    in blocks, each ending in a separator: a block but the last is read in
+    place with the separator after it."""
+    yield np.frombuffer(" ".join(rest).encode() + b" ", np.uint8)
+    *inner, (last, _) = blocks(raw, _SPLIT, at)
+    for start, stop in inner:
+        yield np.frombuffer(raw, np.uint8, stop + 1 - start, start)
+    yield np.frombuffer(raw[last:] + b" ", np.uint8)
+
+
+def _block_values(b):
+    """The values of the tokens of the uint8 bytes b, which end in a
+    separator, one numpy pass, if all are plain digit tokens of at most 5
+    digits; None if any other token is there."""
+    _, width, value, bad = _decimal_fields(b, _separators(b), 5)
+    token = width > 0  # separators may run together
+    return None if bad[token].any() else value[token]
+
+
+def _plain_values(rest: list, raw: bytes, at: int, size: int):
+    """The values of the tokens rest, then of raw from offset `at` on, as
+    one int64 array of `size` values filled block by block, and how many
+    values there are (those past `size` are only counted); None at the
+    first block that holds a token other than plain digits.  raw holds at
+    most one value per byte, so a header that claims more sizes no array
+    beyond the file's length."""
+    out, found = np.empty(min(size, len(raw)), np.int64), 0
+    for b in _pieces(rest, raw, at):
+        value = _block_values(b)
+        if value is None:
             return None
-        parts.append(value[token])
-    return np.concatenate(parts)
+        out[found:found + value.size] = value[: max(out.size - found, 0)]
+        found += value.size
+    return out, found
 
 
 def read_pgm(path) -> np.ndarray:
@@ -64,9 +83,9 @@ def read_pgm(path) -> np.ndarray:
     rescaled to 0..255 when the file's maxval differs.  Lines are those
     read_ascii gives.  Only the header's lines are decoded; one numpy pass
     per block of the file's bytes reads a body of plain digit tokens of at
-    most 5 digits, and any other body (a `#`, a sign, a longer token) is
-    decoded and read token by token, so a refusal names the same fault
-    either way.  An unreadable file raises OSError."""
+    most 5 digits straight into the one int64 array the header sizes, and
+    any other body (a `#`, a sign, a longer token) is decoded and read
+    token by token, so a refusal names the same fault either way.  An unreadable file raises OSError."""
     raw = read_ascii(path, PgmFormatError)
     toks, at = _header(raw)
     if toks[:1] != ["P2"]:
@@ -83,16 +102,16 @@ def read_pgm(path) -> np.ndarray:
         raise PgmFormatError(f"{path}: maxval must lie in 1..65535, got {maxval}")
 
     # the body: the tokens after the fourth on its line, then the lines below
-    values = _plain_values(toks[4:], raw, at)
-    vouched = values is not None
-    if not vouched:
-        values = toks[4:] + _tokens(raw[at:].decode("ascii"))
-    if len(values) != width * height:
+    plain = _plain_values(toks[4:], raw, at, width * height)
+    if plain is None:
+        tokens = toks[4:] + _tokens(raw[at:].decode("ascii"))
+    found = plain[1] if plain else len(tokens)
+    if found != width * height:
         raise PgmFormatError(
-            f"{path}: expected {width * height} pixel values, found {len(values)}"
+            f"{path}: expected {width * height} pixel values, found {found}"
         )
     try:
-        flat = np.array(values if vouched else decimal_ints(values), dtype=np.int64)
+        flat = plain[0] if plain else np.array(decimal_ints(tokens), dtype=np.int64)
     except (ValueError, OverflowError):  # OverflowError: beyond int64
         raise PgmFormatError(f"{path}: pixel values must be integers in 0..{maxval}") from None
     if flat.min() < 0 or flat.max() > maxval:

@@ -13,11 +13,13 @@ components (y, z) of each wire, whose state is (I + x X + y Y + z Z) / 2;
 no readout reads x.  Only kernel angles enter: data rotations are RY
 encodings from |0>, so a wire's (y, z) starts as cos(t) (0, 1), and every
 other rotation is an RX of a kernel angle, which turns (y, z) among
-themselves.  The controlled flips on a wire pair are Clifford, and the
-compile admits a pair run only when it builds each of the first wire's y
-and z as one signed product of the y and z of both wires.  So a
-template's readout z is its value with every data wire left in |0> times
-the product of cos(t) over its data slots.
+themselves.  Turns on distinct wires commute, so each run of them is one
+step that rotates the run's stacked (y, z) at once.  The controlled
+flips on a wire pair are Clifford, and the compile admits a pair run only
+when it builds each of the first wire's y and z as one signed product of
+the y and z of both wires.  So a template's readout z is its value with
+every data wire left in |0> times the product of cos(t) over its data
+slots.
 """
 from __future__ import annotations
 
@@ -169,7 +171,8 @@ def _pair_table(u) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def template_steps(tpl: CircuitPlan) -> tuple:
-    """A template as steps (wires, op): op is the kernel index of an RX, or
+    """A template as steps (wires, op): op is a read-only array of the
+    kernel indices of a run of RX turns on distinct wires, one per wire, or
     the table (_pair_table) of a wire pair's run, from the product of its
     gate matrices; data RY encodings are checked but make no step.  A
     template whose readout does not factor raises ValueError."""
@@ -184,15 +187,28 @@ def template_steps(tpl: CircuitPlan) -> tuple:
             if (gate.kind, gate.angle.source) != want or (data and gate.wires[0] in touched):
                 raise ValueError("template rotations must be RY encodings of data and RX turns of kernel angles")
             touched.add(gate.wires[0])
-            if not data:
-                steps.append((gate.wires, gate.angle.index))
+            if data:
+                continue
+            # turns on distinct wires commute, so consecutive ones make one step
+            if steps and isinstance(steps[-1][1], list) and gate.wires[0] not in steps[-1][0]:
+                steps[-1][0].append(gate.wires[0])
+                steps[-1][1].append(gate.angle.index)
+            else:
+                steps.append(([gate.wires[0]], [gate.angle.index]))
             continue
         touched.update(gate.wires)
         run.append(gate)
         if gate.wires[1] in tpl.retire_schedule[i]:
             steps.append((gate.wires, _pair_table(functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)]))))
             run = []
-    return tuple(steps)
+    return tuple((wires, op) if isinstance(op, tuple) else (tuple(wires), _read_only(op)) for wires, op in steps)
+
+
+def _read_only(a) -> np.ndarray:
+    """a as an array that cannot be written, for tables every caller shares."""
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def rotate(v, theta) -> tuple:
@@ -203,8 +219,10 @@ def rotate(v, theta) -> tuple:
 
 
 def pair_channel(table, a, b) -> tuple:
-    """A pair run's table on the (y, z) of wires a and b, one product a row."""
-    return tuple(sign * a[i] * b[j] for sign, i, j in table)
+    """A pair run's table on the (y, z) of wires a and b, one product a row;
+    a row of sign -1 negates its product, which rounds as the product of
+    the negated factor would."""
+    return tuple(a[i] * b[j] if sign > 0 else -(a[i] * b[j]) for sign, i, j in table)
 
 
 def run_template(tpl: CircuitPlan, kernel, inputs=None) -> tuple:
@@ -212,15 +230,32 @@ def run_template(tpl: CircuitPlan, kernel, inputs=None) -> tuple:
     kernel angles, an array (..., n) with n the template's kernel angles (0
     for a pool) whose leading axes set the rows.  inputs, a (y, z) pair of
     (..., k) arrays, holds the states of wires 0..k-1; every other wire
-    starts in |0>, (0, 1), as an RY encoding of angle 0 leaves it."""
-    zero = (np.zeros(kernel.shape[:-1]), np.ones(kernel.shape[:-1]))
-    state = {} if inputs is None else {w: (inputs[0][..., w], inputs[1][..., w]) for w in range(inputs[0].shape[-1])}
+    starts in |0>, (0, 1), as an RY encoding of angle 0 leaves it.  A run
+    of turns rotates its wires' stacked (..., w) components in one call;
+    on wires no step has touched, those are the inputs themselves or zeros
+    and ones."""
+    rows = kernel.shape[:-1]
+    k = 0 if inputs is None else inputs[0].shape[-1]
+    zero = (np.zeros(rows), np.ones(rows))
+    state = {}  # (y, z) of each wire a step has written
+
+    def wire(w):
+        return state.pop(w) if w in state else (inputs[0][..., w], inputs[1][..., w]) if w < k else zero
+
     for wires, op in template_steps(tpl):
         if isinstance(op, tuple):
-            state[wires[0]] = pair_channel(op, state.get(wires[0], zero), state.pop(wires[1], zero))
+            state[wires[0]] = pair_channel(op, wire(wires[0]), wire(wires[1]))
+            continue
+        fresh = state.keys().isdisjoint(wires)
+        if fresh and k and wires == tuple(range(k)):
+            v = inputs
+        elif fresh and min(wires) >= k:
+            v = np.zeros(rows + (len(wires),)), np.ones(rows + (len(wires),))
         else:
-            state[wires[0]] = rotate(state.get(wires[0], zero), kernel[..., op])
-    return state.get(tpl.readout_wire, zero)
+            v = tuple(np.stack(c, axis=-1) for c in zip(*map(wire, wires)))
+        y, z = rotate(v, kernel[..., op])
+        state.update((w, (y[..., i], z[..., i])) for i, w in enumerate(wires))
+    return wire(tpl.readout_wire)
 
 
 def readout_probs(z) -> np.ndarray:

@@ -33,6 +33,7 @@ from ._io import require_int, write_text_atomic
 from .dataset import as_dataset, gen_dataset
 from .encoding import pixel_cos, prob_to_angle
 from .network import Architecture, InitScheme, ModelParams, _enum_from, build_plan, group_plan, init_params
+from .runner import _read_only
 from .runner import run_plan_batch  # noqa: F401  (timed through this name by perfbench/tracer.py)
 
 _TAG_INIT = 101
@@ -203,7 +204,6 @@ class TrainingObjective:
         if self.labels.shape != (pixel_rows.shape[0],):
             raise ValueError("one label per pixel row is required")
         self.layers = build_plan(self.arch)[1]
-        self._groups = [np.array(spec.groups) for spec in self.layers]
         self._occs = _occurrences(self.arch)
         self.base_key = require_int("base_key", base_key, 0)
         self._eval_ordinal = 0
@@ -232,9 +232,12 @@ class TrainingObjective:
         is not n integer indices (no bools, each below 2**63 in size), then a
         finite delta if n is 3, or that names no (layer, angle, occurrence)
         of the network's kernel angles (a slot, n = 2, names occurrence 0);
-        return the sites as tuples."""
+        return the sites as tuples.  The slot tuples train updates by
+        (_slot_groups) are known by identity and pass whole."""
         if params.vector().size != self.arch.n_params:
             raise ValueError(f"{self.arch.value} takes {self.arch.n_params} angles, got {params.vector().size}")
+        if any(sites is own for own in _slot_groups(self.arch)):
+            return sites
         kinds = ((numbers.Integral, 2**63),) * n + ((numbers.Real, np.inf),) * (n == 3)
         try:
             sites = list(sites)
@@ -254,28 +257,24 @@ class TrainingObjective:
                                  f"{int(occ)} of angle {(int(layer), int(angle))}")
         return sites
 
-    def _evaluate(self, params, e: int, sites) -> np.ndarray:
-        """Readouts (E, B) of E evaluations.  Each entry of the site table
-        sites (_SITE, built from sites _check accepted) moves kernel angle
-        (layer, angle) by delta in group occ of its conv layer for one
-        evaluation row; a row without one is the plain readout.  A layer's
-        kernel rows are its plain row, then one per site in that layer, and
-        pick (E, G) names each evaluation's and group's row."""
+    def _evaluate(self, params, tables) -> np.ndarray:
+        """Readouts (E, B) of the E evaluations of the layer tables `tables`
+        (_layer_tables).  A layer's kernel rows are its plain row, then one
+        per site displaced in that layer, and pick (E, G) names each
+        evaluation's and group's row."""
         b = self.batch_size
+        e = tables[0][-1].shape[0]
         ordinals = range(self._eval_ordinal, self._eval_ordinal + e)
         self._eval_ordinal += e
         self.evals += e * b
         measured = self.config.measure_mode is MeasureMode.INTERMEDIATE
         state, z = None, self.cos
-        for li, (spec, groups) in enumerate(zip(self.layers, self._groups)):
+        layers = zip(self.layers, _group_index(self.arch), tables)
+        for li, (spec, groups, (k, angle, delta, pick)) in enumerate(layers):
             tpl = group_plan(spec.kind, spec.param_layer)
             conv = spec.kind == "conv"
-            here = sites[sites["layer"] == spec.param_layer] if conv else sites[:0]
-            k = np.arange(1, here.size + 1)  # each site's row of the table
-            rows = np.repeat(params.layers[spec.param_layer][None] if conv else np.zeros((1, 0)), 1 + here.size, axis=0)
-            rows[k, here["angle"]] += here["delta"]
-            pick = np.zeros((e, len(groups)), np.intp)
-            pick[here["row"], here["occ"]] = k
+            rows = np.repeat(params.layers[spec.param_layer][None] if conv else np.zeros((1, 0)), 1 + k.size, axis=0)
+            rows[k, angle] += delta
             if li and not measured:  # rows.take(pick, axis=0) is rows[pick], several times faster
                 state = runner.run_template(tpl, rows.take(pick, axis=0), (state[0][:, groups], state[1][:, groups]))
             else:
@@ -291,18 +290,21 @@ class TrainingObjective:
     def p1(self, params: ModelParams, shift_occ=None) -> np.ndarray:
         """Readout probability per sample.  shift_occ = (layer, index, occ,
         delta) displaces occurrence `occ` of one trainable angle."""
-        sites = self._check(params, "shift_occ", [] if shift_occ is None else [shift_occ], 3)
-        return self._evaluate(params, 1, np.array([(0, *site) for site in sites], dtype=_SITE))[0]
+        if shift_occ is None:
+            self._check(params, "shift_occ", [], 3)
+            return self._evaluate(params, _plain_tables(self.arch))[0]
+        sites = np.array([(0, *site) for site in self._check(params, "shift_occ", [shift_occ], 3)], dtype=_SITE)
+        return self._evaluate(params, _layer_tables(self.arch, sites, 1))[0]
 
     def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
         over each angle's occurrences.  Columns follow `slots` (default: all
         angles, layer-major)."""
-        slots = self._check(params, "slots", _slots(self.arch) if slots is None else slots, 2)
+        slots = self._check(params, "slots", _slot_groups(self.arch)[0] if slots is None else slots, 2)
         if not slots:
             return np.zeros((self.batch_size, 0))
-        sites, n = _jacobian_sites(self.arch, tuple(slots))
-        p = self._evaluate(params, sites.size, sites)
+        sites, n, tables = _jacobian_sites(self.arch, tuple(slots))
+        p = self._evaluate(params, tables)
         # (occurrence, sample, slot), zero past a slot's last occurrence
         half = np.zeros((n.max(), self.batch_size, len(slots)))
         half[sites["occ"][0::2], :, np.repeat(np.arange(len(slots)), n)] = 0.5 * (p[0::2] - p[1::2])
@@ -318,12 +320,42 @@ def _occurrences(arch: Architecture) -> tuple:
     return tuple(len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv")
 
 
+@functools.lru_cache(maxsize=None)
+def _group_index(arch: Architecture) -> tuple:
+    """Per layer, the (G, fan-in) array of each group's inputs in the layer below."""
+    return tuple(_read_only(np.array(spec.groups)) for spec in build_plan(arch)[1])
+
+
+def _layer_tables(arch: Architecture, sites, e: int) -> tuple:
+    """Per layer, the read-only tables of e evaluations whose displaced
+    angles are the site table sites (_SITE, from sites _check accepted):
+    each site moves kernel angle (layer, angle) by delta in group occ of its
+    conv layer for one evaluation row, and a row without one is the plain
+    readout.  A layer's tables are the kernel row of each of its sites (1
+    on), their angles and deltas, and pick (E, G), the kernel row of each
+    evaluation and group."""
+    tables = []
+    for spec in build_plan(arch)[1]:
+        here = sites[sites["layer"] == spec.param_layer] if spec.kind == "conv" else sites[:0]
+        k = np.arange(1, here.size + 1)
+        pick = np.zeros((e, len(spec.groups)), np.intp)
+        pick[here["row"], here["occ"]] = k
+        tables.append(tuple(map(_read_only, (k, here["angle"], here["delta"], pick))))
+    return tuple(tables)
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_tables(arch: Architecture) -> tuple:
+    """The layer tables of one undisplaced evaluation."""
+    return _layer_tables(arch, np.empty(0, dtype=_SITE), 1)
+
+
 @functools.lru_cache(maxsize=64)
 def _jacobian_sites(arch: Architecture, slots: tuple) -> tuple:
-    """(site table, occurrences of each slot) of a jacobian over slots,
-    which _check accepted: one evaluation row per occurrence of each slot
-    in order, moved by +pi/2 and then by -pi/2.  Both arrays are read-only,
-    as every call with these slots shares them."""
+    """(site table, occurrences of each slot, layer tables) of a jacobian
+    over slots, which _check accepted: one evaluation row per occurrence of
+    each slot in order, moved by +pi/2 and then by -pi/2.  Every array is
+    read-only, as every call with these slots shares them."""
     occs = _occurrences(arch)
     n = np.array([occs[layer] for layer, _ in slots])
     slot = np.repeat(np.arange(len(slots)), 2 * n)
@@ -332,14 +364,17 @@ def _jacobian_sites(arch: Architecture, slots: tuple) -> tuple:
     sites["layer"], sites["angle"] = np.array(slots).T[:, slot]
     sites["occ"] = sites["row"] // 2 - (np.cumsum(n) - n)[slot]
     sites["delta"] = np.where(sites["row"] % 2, -np.pi / 2, np.pi / 2)
-    sites.flags.writeable = n.flags.writeable = False
-    return sites, n
+    return _read_only(sites), _read_only(n), _layer_tables(arch, sites, sites.size)
 
 
-def _slots(arch: Architecture) -> list:
-    """Every kernel angle (layer, index), layer-major: the plan's
-    param_slots(), from the architecture alone."""
-    return [(layer, j) for layer in range(arch.conv_layer_count) for j in range(4)]
+@functools.lru_cache(maxsize=None)
+def _slot_groups(arch: Architecture) -> tuple:
+    """Every kernel angle (layer, index), layer-major (the plan's
+    param_slots(), from the architecture alone), then each conv layer's:
+    the slot tuples train updates by, built once per architecture so that
+    _check knows them by identity."""
+    every = tuple((layer, j) for layer in range(arch.conv_layer_count) for j in range(4))
+    return (every,) + tuple(every[4 * layer: 4 * layer + 4] for layer in range(arch.conv_layer_count))
 
 
 def update_direction(objective: TrainingObjective, params: ModelParams, p1s, slots) -> np.ndarray:
@@ -424,9 +459,8 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
     time, each from fresh readouts at the params the previous layer left.
     """
     simultaneous = config.update_strategy is UpdateStrategy.SIMULTANEOUS
-    slots = _slots(config.arch)
-    by_layer = [[s for s in slots if s[0] == layer] for layer in range(config.arch.conv_layer_count)]
-    slot_groups = [slots] if simultaneous else by_layer
+    groups = _slot_groups(config.arch)
+    slot_groups = groups[:1] if simultaneous else groups[1:]
 
     def init(seed):
         return initial if initial is not None else init_params(config.arch, seed, config.init_scheme)

@@ -130,6 +130,73 @@ def test_random_templates_compile_exactly_or_are_refused():
     assert admitted > 150 and refused > 150
 
 
+def _per_gate(tpl, kernel, inputs=None):
+    """run_template one gate at a time: each RX turn rotates its wire where
+    it stands, and a pair run applies its signed products at its last gate."""
+    zero = (np.zeros(kernel.shape[:-1]), np.ones(kernel.shape[:-1]))
+    state = {} if inputs is None else {w: (inputs[0][..., w], inputs[1][..., w]) for w in range(inputs[0].shape[-1])}
+    run = []
+    for at, gate in enumerate(tpl.gates):
+        if gate.kind is GateKind.RX:
+            state[gate.wires[0]] = rotate(state.get(gate.wires[0], zero), kernel[..., gate.angle.index])
+        elif len(gate.wires) == 2:
+            run.append(gate)
+            if gate.wires[1] in tpl.retire_schedule[at]:
+                u = np.eye(4)
+                for g in run:
+                    u = gate_matrix(g) @ u
+                a, b = state.get(gate.wires[0], zero), state.pop(gate.wires[1], zero)
+                state[gate.wires[0]] = tuple(sign * a[i] * b[j] for sign, i, j in _pair_table(u))
+                run = []
+    return state.get(tpl.readout_wire, zero)
+
+
+def _same_bits(got, want, case=None):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64), err_msg=str(case))
+
+
+@pytest.mark.parametrize("rows", [(1,), (129,), (144, 2)])
+@pytest.mark.parametrize("kind, param_layer", [("conv", 0), ("conv", 1), ("pool", None)])
+def test_run_template_matches_the_per_gate_loop_bit_for_bit(kind, param_layer, rows):
+    # a run of turns rotates its stacked wires in one call and a pair's
+    # products drop their factor of +-1: both are elementwise, so a group
+    # template reads bit for bit what one gate at a time gives, with and
+    # without inputs
+    rng = np.random.default_rng(sum(rows))
+    tpl = group_plan(kind, param_layer)
+    kernel = rng.uniform(-np.pi, np.pi, rows + (4 if kind == "conv" else 0,))
+    inputs = tuple(rng.uniform(-1, 1, (2,) + rows + (tpl.n_wires,)))
+    for given in (None, inputs):
+        for got, want in zip(run_template(tpl, kernel, given), _per_gate(tpl, kernel, given)):
+            _same_bits(got, want)
+
+
+def test_random_templates_run_bit_for_bit_as_one_gate_at_a_time():
+    # so does every random template the compiler admits (the templates and
+    # kernels of the fuzz above), with and without inputs on its first few
+    # wires; every admitted run has signs +1, so a row of sign -1 is held
+    # to the signed product alone, signed zeros included
+    fuzz, rng, admitted = np.random.default_rng(2207), np.random.default_rng(5), 0
+    for case in range(500):
+        tpl, _, _ = random_template(fuzz)
+        try:
+            template_steps(tpl)
+        except ValueError:
+            continue
+        admitted += 1
+        kernel = fuzz.uniform(-np.pi, np.pi, (3, 4))
+        given = tuple(rng.uniform(-1, 1, (2, 3, int(rng.integers(0, tpl.n_wires + 1)))))
+        for inputs in (None, given):
+            for got, want in zip(run_template(tpl, kernel, inputs), _per_gate(tpl, kernel, inputs)):
+                _same_bits(got, want, case)
+    assert admitted == 219
+    a, b = rng.uniform(-1, 1, (2, 2, 40))
+    a[:, :4], b[:, 2:6] = [0.0, -0.0, 0.0, -0.0], [0.0, -0.0, 0.0, -0.0]
+    table = ((-1, 0, 1), (1, 1, 0), (-1, 1, 1))
+    for got, (sign, i, j) in zip(pair_channel(table, a, b), table):
+        _same_bits(got, sign * a[i] * b[j])
+
+
 def _rows(arch, n, seed):
     config = TrainConfig(arch=arch)
     samples = gen_dataset(n, config.arch.image_side, seed=seed)

@@ -1,6 +1,8 @@
 """Plain-text grayscale file round trip and reader diagnostics.  The byte
 pass of the reader and the table of the writer are checked against the
 token-by-token reader and the per-pixel formatter they stand in for."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,36 @@ def test_reader_refuses_pixels_beyond_int64(tmp_path):
     path.write_text("P2\n2 1\n255\n0 99999999999999999999\n")
     with pytest.raises(PgmFormatError, match="pixel values must be integers in 0..255"):
         read_pgm(path)
+
+
+def _traced_peak(path) -> tuple:
+    """read_pgm's grid or refusal message, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        try:
+            got = read_pgm(path)
+        except PgmFormatError as exc:
+            got = str(exc)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_peaks_at_a_few_times_the_file_size(tmp_path):
+    # the byte pass fills the one int64 array that the header sizes, so the
+    # body's values are held once, beside the file's bytes and one block's
+    # temporaries; and a header claiming more values than the file has bytes
+    # sizes no array beyond them before the count is refused
+    path = tmp_path / "big.pgm"
+    yy, xx = np.mgrid[0:512, 0:512]
+    write_pgm(path, (xx + yy) * 255 // 1022)
+    grid, peak = _traced_peak(path)
+    assert grid.shape == (512, 512)
+    assert peak < 4.0 * path.stat().st_size, peak / path.stat().st_size
+    path.write_text("P2\n1000000 1000000\n255\n1 2 3\n")
+    got, peak = _traced_peak(path)
+    assert got == f"{path}: expected 1000000000000 pixel values, found 3"
+    assert peak < 1e6, peak
 
 
 def test_writer_validation(tmp_path):

@@ -22,6 +22,7 @@ from qcnn.training import (
     TrainingObjective,
     UpdateStrategy,
     _derived_rng,
+    _slot_groups,
     activate,
     activate_deriv,
     evaluate,
@@ -190,6 +191,28 @@ def test_jacobian_slot_selection():
         with pytest.raises(ValueError, match=r"^slots holds \(1, 0\): the conv-pool-pool network has no occurrence 0 "
                                              r"of angle \(1, 0\)$"):
             other.jacobian(one, slots=[(1, 0)])
+
+
+def test_a_slot_equal_to_an_accepted_one_is_still_checked():
+    # True == 1 and hash(True) == hash(1), so slots keyed on their values
+    # alone would pass a bool once an equal int slot has run; only the slot
+    # tuples train builds pass unchecked, and they are known by identity
+    obj, config = _objective("conv-pool-conv-pool", n=2, seed=4)
+    params = ModelParams.from_vector(config.arch, np.full(8, 0.3))
+    obj.jacobian(params, slots=[(1, 0)])
+    obj.jacobian(params)
+    every = _slot_groups(config.arch)[0]
+    for slots, message in (([(True, 0)], "slots holds (True, 0), not 2 integer indices"),
+                           ([(1, False)], "slots holds (1, False), not 2 integer indices"),
+                           (tuple((True, j) if layer else (layer, j) for layer, j in every),
+                            "slots holds (True, 0), not 2 integer indices"),
+                           ([(1, 4)], "slots holds (1, 4): the conv-pool-conv-pool network has no occurrence 0 "
+                                      "of angle (1, 4)"),
+                           (5, "slots must be a sequence of sites, got 5")):
+        with pytest.raises(ValueError) as info:
+            obj.jacobian(params, slots=slots)
+        assert str(info.value) == message
+    assert obj.jacobian(params, slots=every).shape == (2, 8)
 
 
 @pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
