@@ -132,6 +132,14 @@ def _merged_train_settings(args) -> tuple:
     return (config, sources, *paths)
 
 
+def _refuse_overwrite(out, out_source, inputs) -> None:
+    """Refuse an output path that names, by any spelling, a file of
+    inputs, a list of (source, path or None)."""
+    for source, path in inputs:
+        if path is not None and os.path.realpath(out) == os.path.realpath(path):
+            raise CliError(f"{out_source} and {source} both name {out}")
+
+
 def cmd_train(args) -> int:
     config, sources, data_path, params_out, curve_out = _merged_train_settings(args)
     for key, out in (("params_out", Path(params_out)), ("curve_out", Path(curve_out))):
@@ -139,10 +147,8 @@ def cmd_train(args) -> int:
             raise CliError(f"{sources[key]} {out} is a directory")
         if not out.parent.is_dir():
             raise CliError(f"cannot write {out}: directory {out.parent} does not exist")
-        if data_path is not None and os.path.realpath(out) == os.path.realpath(data_path):
-            raise CliError(f"{sources[key]} and {sources['data']} both name {out}")
-    if os.path.realpath(params_out) == os.path.realpath(curve_out):
-        raise CliError(f"{sources['params_out']} and {sources['curve_out']} both name {params_out}")
+        _refuse_overwrite(out, sources[key], [(sources["data"], data_path), ("--config", args.config)])
+    _refuse_overwrite(params_out, sources["params_out"], [(sources["curve_out"], curve_out)])
     dataset = None
     if data_path is not None:
         dataset = load_dataset(data_path)
@@ -188,6 +194,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_featmap(args) -> int:
+    _refuse_overwrite(args.out, "--out", [("--in", args.infile), ("--params", args.params)])
     grid = read_pgm(args.infile)
     kernel = load_params(args.params).vector()[:4]
     with _named({"pixels": args.infile}):

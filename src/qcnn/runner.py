@@ -10,16 +10,13 @@ whole sample batch in single numpy calls.
 
 Group templates also run as trees of two-input channels on the Bloch
 components (y, z) of each wire, whose state is (I + x X + y Y + z Z) / 2;
-no readout reads x.  Only kernel angles enter: data rotations are RY
-encodings from |0>, so a wire's (y, z) starts as cos(t) (0, 1), and every
-other rotation is an RX of a kernel angle, which turns (y, z) among
-themselves.  Turns on distinct wires commute, so each run of them is one
-step that rotates the run's stacked (y, z) at once.  The controlled
-flips on a wire pair are Clifford, and the compile admits a pair run only
-when it builds each of the first wire's y and z as one signed product of
-the y and z of both wires.  So a template's readout z is its value with
-every data wire left in |0> times the product of cos(t) over its data
-slots.
+no readout reads x.  The compile admits one shape, the network's: RY
+encodings of data, then one RX turn of a kernel angle on every wire or
+none, then pair runs of controlled flips.  An encoding from |0> leaves a
+wire at cos(t) (0, 1), a turn rotates (y, z) among themselves, and every
+pair run scales the first wire's (y, z) by its partner's z.  So a
+template's readout z is its value with every data wire left in |0> times
+the product of cos(t) over its data slots.
 """
 from __future__ import annotations
 
@@ -154,54 +151,44 @@ def run_plan(plan: CircuitPlan, data=None, params=None, shift: dict = None) -> f
     return float(run_plan_batch(plan, data, params, batch_size=1, shift=shift)[0])
 
 
-_YZ = np.array([[[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # Y, Z
-_PRODUCTS = np.einsum("iab,jcd->ijacbd", _YZ, _YZ).reshape(2, 2, 4, 4)  # [i, j] = P_i x P_j
-
-
-def _pair_table(u) -> tuple:
-    """Rows (sign, i, j) of the first wire's y and z after a pair run u,
-    with i, j in {0: y, 1: z}: u^dagger (P_k x I) u = sign P_i x P_j
-    exactly, so on independent wires a, b component k is sign a_i b_j."""
-    h = np.conj(u.T) @ np.kron(_YZ, np.eye(2)) @ u
-    found = np.argwhere((h[:, None, None, None] == np.stack([_PRODUCTS, -_PRODUCTS])).all(axis=(-2, -1)))
-    if list(found[:, 0]) != [0, 1]:  # rows (k, sign index, i, j)
-        raise ValueError("pair run does not map each of Y and Z to one signed Pauli product of Y and Z on both wires")
-    return tuple(((1, -1)[s], int(i), int(j)) for _, s, i, j in found)
+_Y, _Z = np.array([[0, -1j], [1j, 0]]), np.diag([1.0 + 0j, -1.0])
+# a pair run's Heisenberg rule: Y x I to Y x Z and Z x I to Z x Z
+_PAIR_RULE = tuple((np.kron(p, np.eye(2)), np.kron(p, _Z)) for p in (_Y, _Z))
 
 
 @functools.lru_cache(maxsize=None)
 def template_steps(tpl: CircuitPlan) -> tuple:
-    """A template as steps (wires, op): op is a read-only array of the
-    kernel indices of a run of RX turns on distinct wires, one per wire, or
-    the table (_pair_table) of a wire pair's run, from the product of its
-    gate matrices; data RY encodings are checked but make no step.  A
-    template whose readout does not factor raises ValueError."""
-    steps, run, touched = [], [], set()
+    """A template as (turns, pairs): turns, a read-only array of each
+    wire's kernel angle index (empty when no wire turns), and pairs, the
+    (first, second) wires of each pair run in order.  A template runs RY
+    encodings of data, at most one per wire, then RX turns of kernel
+    angles, one on every wire or none, then pair runs: each ends where its
+    second wire retires, and the product of its gate matrices takes Y x I
+    to Y x Z and Z x I to Z x Z, until every wire but the readout has
+    retired into one.  Any other template raises ValueError."""
+    encoded, turns, pairs, run, stage = {}, {}, [], [], 0  # wire -> angle index of its encoding and of its turn
     for i, gate in enumerate(tpl.gates):
-        # a run is one step, taken at its last gate: no other pair and no turn of its own wires may fall inside it
-        if run and run[0].wires != gate.wires and (len(gate.wires) == 2 or gate.wires[0] in run[0].wires):
-            raise ValueError("template does not factor into two-input channels")
-        if gate.kind.is_rotation:
-            data = gate.angle.source is AngleSource.DATA
-            want = (GateKind.RY, AngleSource.DATA) if data else (GateKind.RX, AngleSource.PARAM)
-            if (gate.kind, gate.angle.source) != want or (data and gate.wires[0] in touched):
-                raise ValueError("template rotations must be RY encodings of data and RX turns of kernel angles")
-            touched.add(gate.wires[0])
-            if data:
-                continue
-            # turns on distinct wires commute, so consecutive ones make one step
-            if steps and isinstance(steps[-1][1], list) and gate.wires[0] not in steps[-1][0]:
-                steps[-1][0].append(gate.wires[0])
-                steps[-1][1].append(gate.angle.index)
-            else:
-                steps.append(([gate.wires[0]], [gate.angle.index]))
+        at = {GateKind.RY: 0, GateKind.RX: 1}.get(gate.kind, 2)  # encoding, turn, pair run
+        misread = at < 2 and gate.angle.source is not (AngleSource.DATA, AngleSource.PARAM)[at]
+        if misread or at < stage or gate.wires[0] in (encoded, turns, ())[at] or run and run[0].wires != gate.wires:
+            raise ValueError(f"template gate {i}, {gate.kind.value} on wires {gate.wires}, does not fit the template "
+                             "shape: RY encodings of data, then one RX turn of a kernel angle per wire, then pair runs")
+        stage = at
+        if at < 2:
+            (encoded, turns)[at][gate.wires[0]] = gate.angle.index
             continue
-        touched.update(gate.wires)
         run.append(gate)
         if gate.wires[1] in tpl.retire_schedule[i]:
-            steps.append((gate.wires, _pair_table(functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)]))))
+            u = functools.reduce(np.matmul, [gate_matrix(g) for g in reversed(run)])
+            if not all(np.array_equal(np.conj(u.T) @ p @ u, q) for p, q in _PAIR_RULE):
+                raise ValueError(f"pair run on wires {gate.wires} does not take Y x I to Y x Z and Z x I to Z x Z")
+            pairs.append(gate.wires)
             run = []
-    return tuple((wires, op) if isinstance(op, tuple) else (tuple(wires), _read_only(op)) for wires, op in steps)
+    if turns and len(turns) != tpl.n_wires:
+        raise ValueError(f"template turns {len(turns)} of its {tpl.n_wires} wires, not every wire or none")
+    if run or sorted(b for _, b in pairs) != [w for w in range(tpl.n_wires) if w != tpl.readout_wire]:
+        raise ValueError("template pair runs do not retire every wire but the readout into it")
+    return _read_only(np.array([turns[w] for w in sorted(turns)], dtype=np.intp)), tuple(pairs)
 
 
 def _read_only(a) -> np.ndarray:
@@ -218,44 +205,31 @@ def rotate(v, theta) -> tuple:
     return c * y - s * z, c * z + s * y
 
 
-def pair_channel(table, a, b) -> tuple:
-    """A pair run's table on the (y, z) of wires a and b, one product a row;
-    a row of sign -1 negates its product, which rounds as the product of
-    the negated factor would."""
-    return tuple(a[i] * b[j] if sign > 0 else -(a[i] * b[j]) for sign, i, j in table)
+def pair_channel(a, b) -> tuple:
+    """A pair run on the (y, z) of wires a and b: the first wire's (y, z)
+    scaled by the partner's z."""
+    return a[0] * b[1], a[1] * b[1]
 
 
 def run_template(tpl: CircuitPlan, kernel, inputs=None) -> tuple:
     """Readout-wire Bloch components (y, z) of a template at each row's
     kernel angles, an array (..., n) with n the template's kernel angles (0
     for a pool) whose leading axes set the rows.  inputs, a (y, z) pair of
-    (..., k) arrays, holds the states of wires 0..k-1; every other wire
-    starts in |0>, (0, 1), as an RY encoding of angle 0 leaves it.  A run
-    of turns rotates its wires' stacked (..., w) components in one call;
-    on wires no step has touched, those are the inputs themselves or zeros
-    and ones."""
-    rows = kernel.shape[:-1]
-    k = 0 if inputs is None else inputs[0].shape[-1]
-    zero = (np.zeros(rows), np.ones(rows))
-    state = {}  # (y, z) of each wire a step has written
-
-    def wire(w):
-        return state.pop(w) if w in state else (inputs[0][..., w], inputs[1][..., w]) if w < k else zero
-
-    for wires, op in template_steps(tpl):
-        if isinstance(op, tuple):
-            state[wires[0]] = pair_channel(op, wire(wires[0]), wire(wires[1]))
-            continue
-        fresh = state.keys().isdisjoint(wires)
-        if fresh and k and wires == tuple(range(k)):
-            v = inputs
-        elif fresh and min(wires) >= k:
-            v = np.zeros(rows + (len(wires),)), np.ones(rows + (len(wires),))
-        else:
-            v = tuple(np.stack(c, axis=-1) for c in zip(*map(wire, wires)))
-        y, z = rotate(v, kernel[..., op])
-        state.update((w, (y[..., i], z[..., i])) for i, w in enumerate(wires))
-    return wire(tpl.readout_wire)
+    (..., n_wires) arrays, holds the state of every wire; without it every
+    wire starts in |0>, (0, 1), as an RY encoding of angle 0 leaves it.
+    One rotate call turns all wires, then each pair run applies
+    pair_channel once."""
+    turns, pairs = template_steps(tpl)
+    if inputs is None:
+        shape = kernel.shape[:-1] + (tpl.n_wires,)
+        inputs = np.zeros(shape), np.ones(shape)
+    elif inputs[0].shape[-1] != tpl.n_wires:
+        raise ValueError(f"inputs hold {inputs[0].shape[-1]} wires, the template has {tpl.n_wires}")
+    y, z = rotate(inputs, kernel[..., turns]) if turns.size else inputs
+    state = [(y[..., w], z[..., w]) for w in range(tpl.n_wires)]
+    for a, b in pairs:
+        state[a] = pair_channel(state[a], state[b])
+    return state[tpl.readout_wire]
 
 
 def readout_probs(z) -> np.ndarray:

@@ -82,62 +82,73 @@ def random_plan(rng, max_wires=10, mean_gates=12, max_gates=40):
 
 
 PAIR_KINDS = (GateKind.CFLIP_X, GateKind.CFLIP_Y, GateKind.CFLIP_Z)
-PAULI_YZ = np.array([[[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # Y, Z
+PAULI_Y, PAULI_Z = np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])
 
 
 @functools.lru_cache(maxsize=None)
-def _factors(kinds: tuple) -> bool:
+def _scales_by_partner_z(kinds: tuple) -> bool:
     """Whether a run of controlled flips of these kinds on one wire pair
-    takes each of Y x I and Z x I to one signed product P_i x P_j with P_i,
-    P_j in {Y, Z}: the Heisenberg picture u^dagger (P x I) u of the product
-    u of the flip matrices, compared entry by entry."""
+    takes Y x I to Y x Z and Z x I to Z x Z: the Heisenberg picture
+    u^dagger (P x I) u of the product u of the flip matrices, compared
+    entry by entry."""
     u = np.eye(4)
     for kind in kinds:
         u = gate_matrix(GateOp(kind, (0, 1))) @ u
-    products = [s * np.kron(p, q) for s in (1, -1) for p in PAULI_YZ for q in PAULI_YZ]
-    return all(any(np.array_equal(u.conj().T @ np.kron(p, np.eye(2)) @ u, m) for m in products) for p in PAULI_YZ)
+    return all(np.array_equal(u.conj().T @ np.kron(p, np.eye(2)) @ u, np.kron(p, PAULI_Z)) for p in (PAULI_Y, PAULI_Z))
 
 
 def random_template(rng, max_wires=6):
     """A random group template, a (3, n) block of data rows for it, and
-    whether its readout factors into channels.
+    whether it has the network's template shape, the one the channel
+    compile admits.
 
     Each wire w takes an RY encoding of data slot w with probability 0.7.
-    Then runs of one to three CFLIP_X/Y/Z gates on a random ordered pair of
-    live wires follow, with RX turns of kernel angles 0..3 on live wires
-    between them.  A run's second wire is never used again, so it retires
-    at the run's last gate, and runs follow until one live wire, the
-    readout, is left: every wire feeds it, as in a group template.  Each
-    run is redrawn until _factors() agrees with a coin that says yes 4
-    times in 5, so that whole templates that factor are common.  A turn may
-    also fall inside a run, on any live wire; one on the run's own wires
-    cuts it, and the readout then does not factor.
+    Then, half the time, every wire takes one RX turn of a kernel angle
+    0..3, in random wire order.  Then runs of one to three CFLIP_X/Y/Z
+    gates on a random ordered pair of live wires follow.  A run's second
+    wire is never used again, so it retires at the run's last gate, and
+    runs follow until one live wire, the readout, is left: every wire
+    feeds it, as in a group template.  Each run is redrawn until
+    _scales_by_partner_z() agrees with a coin that says yes 4 times in 5.
+    Up to one template in four then has one gate out of that shape: an encoding
+    after the first turn or pair gate, a turn after the first pair gate,
+    an extra turn among the turns (a wire turned twice, or turns on one
+    wire only), a turn left out, or a wire encoded twice.
     """
     n = int(rng.integers(2, max_wires + 1))
-    gates = [GateOp(GateKind.RY, (w,), Angle.data(w)) for w in range(n) if rng.random() < 0.7]
-    live = list(range(n))
-    factoring = True
-
-    def turns(count):
-        wires = [int(rng.choice(live)) for _ in range(count)]
-        gates.extend(GateOp(GateKind.RX, (w,), Angle.param(0, int(rng.integers(0, 4)))) for w in wires)
-        return wires
-
+    encodings = [GateOp(GateKind.RY, (w,), Angle.data(w)) for w in range(n) if rng.random() < 0.7]
+    turns = [GateOp(GateKind.RX, (int(w),), Angle.param(0, int(rng.integers(0, 4))))
+             for w in (rng.permutation(n) if rng.random() < 0.5 else ())]
+    pairs, live, shaped = [], list(range(n)), True
     for _ in range(n - 1):
-        turns(int(rng.integers(0, 3)))
         a, b = (int(w) for w in rng.choice(live, size=2, replace=False))
         want = rng.random() < 0.8
         kinds = None
-        while kinds is None or _factors(kinds) != want:
+        while kinds is None or _scales_by_partner_z(kinds) != want:
             kinds = tuple(PAIR_KINDS[k] for k in rng.integers(0, len(PAIR_KINDS), int(rng.integers(1, 4))))
-        factoring &= want
-        for k, kind in enumerate(kinds):
-            if k and rng.random() < 0.15:
-                factoring &= not {a, b} & set(turns(1))
-            gates.append(GateOp(kind, (a, b)))
+        shaped &= want
+        pairs.extend(GateOp(kind, (a, b)) for kind in kinds)
         live.remove(b)
-    turns(int(rng.integers(0, 3)))
-    return CircuitPlan(n, tuple(gates), live[0]), rng.uniform(0.0, np.pi, (3, n)), factoring
+
+    def rotation(kind):
+        w = int(rng.integers(0, n))
+        return GateOp(kind, (w,), Angle.data(w) if kind is GateKind.RY else Angle.param(0, int(rng.integers(0, 4))))
+
+    body, fault = turns + pairs, int(rng.integers(0, 20))
+    if fault == 0:  # an encoding after the first turn or pair gate
+        body.insert(int(rng.integers(1, len(body) + 1)), rotation(GateKind.RY))
+    elif fault == 1:  # a turn after the first pair gate
+        body.insert(int(rng.integers(len(turns) + 1, len(body) + 1)), rotation(GateKind.RX))
+    elif fault == 2:  # an extra turn: a wire turned twice, or turns on one wire only
+        body.insert(int(rng.integers(0, len(turns) + 1)), rotation(GateKind.RX))
+    elif fault == 3 and turns:  # a turn left out
+        body.pop(int(rng.integers(0, len(turns))))
+    elif fault == 4 and encodings:  # a wire encoded twice
+        encodings.append(encodings[int(rng.integers(0, len(encodings)))])
+    else:
+        fault = None
+    data = rng.uniform(0.0, np.pi, (3, n))
+    return CircuitPlan(n, tuple(encodings + body), live[0]), data, shaped and fault is None
 
 
 def batches_seen(config, dataset=None):

@@ -3,15 +3,17 @@ compiled two-input channels and rotations against dense matrices built
 element by element, its readouts against the dense state vector, its
 displaced readouts against shifted whole-plan and per-group engine runs,
 and the feature map against a batched engine run."""
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import embed_gate, random_template
 from qcnn.dataset import gen_dataset
-from qcnn.gates import CFLIP_Z, Angle, GateKind, GateOp, gate_matrix, rx_matrix
+from qcnn.gates import Angle, GateKind, GateOp, gate_matrix
 from qcnn.network import ModelParams, build_plan, conv_feature_map, group_plan, layer_structure
 from qcnn.plans import CircuitPlan
-from qcnn.runner import _pair_table, pair_channel, rotate, run_plan_batch, run_template, template_steps
+from qcnn.runner import pair_channel, rotate, run_plan_batch, run_template, template_steps
 from qcnn.statevec import run_pure
 from qcnn.training import TrainConfig, TrainingObjective
 
@@ -50,26 +52,40 @@ def _random_bloch(rng, n):
     return v / np.linalg.norm(v, axis=-1, keepdims=True) * rng.uniform(0, 1, (n, 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _run_terms(kinds):
+    """The one term (sign, i, j) of each of the first wire's y and z after
+    a run of controlled flips of these kinds, read off its dense Pauli
+    transfer matrix: y' or z' = sign a_i b_j, with i, j in {0: y, 1: z}."""
+    _, ptm = _dense_pair([GateOp(kind, (0, 1)) for kind in kinds])
+    terms = []
+    for k in (2, 3):
+        (i, j), = np.argwhere(ptm[k, 0])
+        assert i >= 2 and j >= 2, kinds  # built from y and z alone
+        terms.append((ptm[k, 0, i, j], i - 2, j - 2))
+    return tuple(terms)
+
+
 @pytest.mark.parametrize("kind, param_layer", [("conv", 0), ("conv", 1), ("pool", None)])
 def test_compiled_channels_match_dense_matrices(kind, param_layer):
     tpl = group_plan(kind, param_layer)
-    pairs = [(wires, op) for wires, op in template_steps(tpl) if isinstance(op, tuple)]
-    assert len(pairs) == (3 if kind == "conv" else 1)
+    turns, pairs = template_steps(tpl)
+    assert pairs == (((0, 1), (2, 3), (0, 2)) if kind == "conv" else ((0, 1),))
+    np.testing.assert_array_equal(turns, range(4) if kind == "conv" else [])
     rng = np.random.default_rng(3)
-    for wires, table in pairs:
-        # every run compiles to y' = a_y b_z, z' = a_z b_z
-        assert table == ((1, 0, 1), (1, 1, 1))
+    for wires in pairs:
+        # every run takes y' = a_y b_z, z' = a_z b_z
         u, ptm = _dense_pair([g for g in tpl.gates if g.wires == wires])
-        for k, (sign, i, j) in enumerate(table, 2):
+        for k in (2, 3):
             want = np.zeros((4, 4))
-            want[i + 2, j + 2] = sign
+            want[k, 3] = 1
             np.testing.assert_array_equal(ptm[k, 0], want)
         # and gives the y and z of u (rho_a x rho_b) u^dagger traced over b,
         # from full Bloch vectors whose x the tree never sees
         a, b = _random_bloch(rng, 5), _random_bloch(rng, 5)
         rho = np.einsum("nab,ncd->nacbd", _density(a), _density(b)).reshape(5, 4, 4)
         out = np.trace((u @ rho @ u.conj().T).reshape(5, 2, 2, 2, 2), axis1=2, axis2=4)
-        got = pair_channel(table, (a[:, 1], a[:, 2]), (b[:, 1], b[:, 2]))
+        got = pair_channel((a[:, 1], a[:, 2]), (b[:, 1], b[:, 2]))
         np.testing.assert_allclose(np.stack(got, axis=-1), _bloch(out)[:, 1:], rtol=0, atol=1e-15)
     # an RX turn takes the (y, z) of rho to those of u rho u^dagger
     for gate in (g for g in tpl.gates if g.kind is GateKind.RX):
@@ -79,48 +95,69 @@ def test_compiled_channels_match_dense_matrices(kind, param_layer):
         got = rotate((v[:, 1], v[:, 2]), theta)
         np.testing.assert_allclose(np.stack(got, axis=-1), _bloch(u @ _density(v) @ u.conj().swapaxes(-1, -2))[:, 1:],
                                    rtol=0, atol=1e-15)
-    # a run whose output is a sum of Pauli products does not compile
-    with pytest.raises(ValueError, match="one signed Pauli product"):
-        _pair_table(np.kron(rx_matrix(0.3), np.eye(2)))
 
 
-def test_templates_whose_readout_does_not_factor_are_refused():
-    # a readout factors into a kernel part times a per-row product only when
-    # data rotations are RY encodings, kernel rotations are RX turns and
-    # every pair table builds y and z from the y and z of both wires
-    data = [GateOp(GateKind.RY, (w,), Angle.data(w)) for w in range(2)]
-    ry_kernel = data + [GateOp(GateKind.RY, (0,), Angle.param(0, 0)), GateOp(GateKind.CFLIP_X, (0, 1))]
-    with pytest.raises(ValueError, match="RX turns of kernel angles"):
-        template_steps(CircuitPlan(2, tuple(ry_kernel), 0))
-    # a lone CFLIP_Z takes Z x I to itself, which is no product of Y and Z on both wires
-    lone_z = data + [GateOp(GateKind.RX, (0,), Angle.param(0, 0)), GateOp(GateKind.CFLIP_Z, (0, 1))]
-    for refused in (lambda: _pair_table(CFLIP_Z), lambda: template_steps(CircuitPlan(2, tuple(lone_z), 0))):
-        with pytest.raises(ValueError, match="one signed Pauli product of Y and Z on both wires"):
-            refused()
-    # a turn of a run's wire inside the run cannot move before the run's channel
-    cut = data + [GateOp(GateKind.CFLIP_Y, (0, 1)), GateOp(GateKind.RX, (1,), Angle.param(0, 0)),
-                  GateOp(GateKind.CFLIP_Z, (0, 1))]
-    with pytest.raises(ValueError, match="does not factor into two-input channels"):
-        template_steps(CircuitPlan(2, tuple(cut), 0))
+def _ry(w):
+    return GateOp(GateKind.RY, (w,), Angle.data(w))
+
+
+def _rx(w, j=0):
+    return GateOp(GateKind.RX, (w,), Angle.param(0, j))
+
+
+def test_templates_of_another_shape_are_refused():
+    # the compile admits RY encodings of data, at most one per wire, then
+    # one RX turn of a kernel angle on every wire or none, then pair runs
+    # that scale the first wire's (y, z) by the partner's z, until every
+    # wire but the readout has retired into one
+    pair = [GateOp(GateKind.CFLIP_Z, (0, 1)), GateOp(GateKind.CFLIP_Y, (0, 1))]
+    template = [_ry(0), _ry(1), _rx(0), _rx(1, 1)] + pair
+    template_steps(CircuitPlan(2, tuple(template), 0))
+    misfit = ("does not fit the template shape: RY encodings of data, then one RX turn of a kernel angle per wire, "
+              "then pair runs")
+    retire = "template pair runs do not retire every wire but the readout into it"
+    for gates, message in (
+        # an encoding after a turn
+        ([_ry(0), _rx(0), _ry(1), _rx(1)] + pair, f"template gate 2, ry on wires (1,), {misfit}"),
+        # a turn after a pair gate
+        ([_ry(0), _ry(1), pair[0], _rx(0), _rx(1), pair[1]], f"template gate 3, rx on wires (0,), {misfit}"),
+        # a wire turned twice
+        ([_ry(0), _ry(1), _rx(0), _rx(1), _rx(0, 2)] + pair, f"template gate 4, rx on wires (0,), {misfit}"),
+        # a wire encoded twice
+        ([_ry(0), _ry(1), _ry(0)] + pair, f"template gate 2, ry on wires (0,), {misfit}"),
+        # turns on some wires only
+        ([_ry(0), _ry(1), _rx(1)] + pair, "template turns 1 of its 2 wires, not every wire or none"),
+        # a lone CFLIP_Z takes Z x I to itself
+        ([_ry(0), _ry(1), pair[0]], "pair run on wires (0, 1) does not take Y x I to Y x Z and Z x I to Z x Z"),
+        # a rotation of a kernel angle about y
+        ([_ry(0), _ry(1), GateOp(GateKind.RY, (0,), Angle.param(0, 0))] + pair,
+         f"template gate 2, ry on wires (0,), {misfit}"),
+        # a wire that joins no pair, and a run whose partner is the readout
+        ([_ry(0), _ry(1), _ry(2)] + pair, retire),
+        ([_ry(0), _ry(1), GateOp(GateKind.CFLIP_X, (1, 0))], retire),
+    ):
+        n = 1 + max(w for g in gates for w in g.wires)
+        with pytest.raises(ValueError) as info:
+            template_steps(CircuitPlan(n, tuple(gates), 0))
+        assert str(info.value) == message
 
 
 def test_random_templates_compile_exactly_or_are_refused():
     # every template the compiler admits reads, through its channel tree at
     # zero data times the cos product of its data angles, what the dense
-    # state vector reads; it refuses exactly those with a run that builds Y
-    # or Z of its first wire from anything but one signed product of Y and
-    # Z on both wires, or with a turn of a run's own wire inside the run
+    # state vector reads; it refuses exactly those that are not the
+    # network's template shape, with every run scaling by the partner's z
     rng = np.random.default_rng(2207)
     admitted = refused = 0
     for case in range(500):
-        tpl, data, factoring = random_template(rng)
+        tpl, data, shaped = random_template(rng)
         try:
             template_steps(tpl)
         except ValueError:
-            assert not factoring, case
+            assert not shaped, case
             refused += 1
             continue
-        assert factoring, case
+        assert shaped, case
         admitted += 1
         kernel = rng.uniform(-np.pi, np.pi, (3, 4))
         encoded = [g.wires[0] for g in tpl.gates if g.kind is GateKind.RY]
@@ -132,21 +169,19 @@ def test_random_templates_compile_exactly_or_are_refused():
 
 def _per_gate(tpl, kernel, inputs=None):
     """run_template one gate at a time: each RX turn rotates its wire where
-    it stands, and a pair run applies its signed products at its last gate."""
+    it stands, and a pair run, at its last gate, applies the terms its
+    dense transfer matrix keeps (_run_terms)."""
     zero = (np.zeros(kernel.shape[:-1]), np.ones(kernel.shape[:-1]))
-    state = {} if inputs is None else {w: (inputs[0][..., w], inputs[1][..., w]) for w in range(inputs[0].shape[-1])}
+    state = {} if inputs is None else {w: (inputs[0][..., w], inputs[1][..., w]) for w in range(tpl.n_wires)}
     run = []
     for at, gate in enumerate(tpl.gates):
         if gate.kind is GateKind.RX:
             state[gate.wires[0]] = rotate(state.get(gate.wires[0], zero), kernel[..., gate.angle.index])
         elif len(gate.wires) == 2:
-            run.append(gate)
+            run.append(gate.kind)
             if gate.wires[1] in tpl.retire_schedule[at]:
-                u = np.eye(4)
-                for g in run:
-                    u = gate_matrix(g) @ u
                 a, b = state.get(gate.wires[0], zero), state.pop(gate.wires[1], zero)
-                state[gate.wires[0]] = tuple(sign * a[i] * b[j] for sign, i, j in _pair_table(u))
+                state[gate.wires[0]] = tuple(sign * a[i] * b[j] for sign, i, j in _run_terms(tuple(run)))
                 run = []
     return state.get(tpl.readout_wire, zero)
 
@@ -158,10 +193,11 @@ def _same_bits(got, want, case=None):
 @pytest.mark.parametrize("rows", [(1,), (129,), (144, 2)])
 @pytest.mark.parametrize("kind, param_layer", [("conv", 0), ("conv", 1), ("pool", None)])
 def test_run_template_matches_the_per_gate_loop_bit_for_bit(kind, param_layer, rows):
-    # a run of turns rotates its stacked wires in one call and a pair's
-    # products drop their factor of +-1: both are elementwise, so a group
-    # template reads bit for bit what one gate at a time gives, with and
-    # without inputs
+    # one rotate call turns every wire and a pair's products drop the
+    # factor of 1 its transfer matrix gives: both are elementwise, so a
+    # group template reads bit for bit what one gate at a time gives, with
+    # no inputs and with inputs on every wire; inputs on fewer wires are
+    # refused
     rng = np.random.default_rng(sum(rows))
     tpl = group_plan(kind, param_layer)
     kernel = rng.uniform(-np.pi, np.pi, rows + (4 if kind == "conv" else 0,))
@@ -169,13 +205,14 @@ def test_run_template_matches_the_per_gate_loop_bit_for_bit(kind, param_layer, r
     for given in (None, inputs):
         for got, want in zip(run_template(tpl, kernel, given), _per_gate(tpl, kernel, given)):
             _same_bits(got, want)
+    with pytest.raises(ValueError, match=f"^inputs hold {tpl.n_wires - 1} wires, the template has {tpl.n_wires}$"):
+        run_template(tpl, kernel, tuple(v[..., 1:] for v in inputs))
 
 
 def test_random_templates_run_bit_for_bit_as_one_gate_at_a_time():
     # so does every random template the compiler admits (the templates and
-    # kernels of the fuzz above), with and without inputs on its first few
-    # wires; every admitted run has signs +1, so a row of sign -1 is held
-    # to the signed product alone, signed zeros included
+    # kernels of the fuzz above), with no inputs and with inputs on every
+    # wire
     fuzz, rng, admitted = np.random.default_rng(2207), np.random.default_rng(5), 0
     for case in range(500):
         tpl, _, _ = random_template(fuzz)
@@ -185,16 +222,11 @@ def test_random_templates_run_bit_for_bit_as_one_gate_at_a_time():
             continue
         admitted += 1
         kernel = fuzz.uniform(-np.pi, np.pi, (3, 4))
-        given = tuple(rng.uniform(-1, 1, (2, 3, int(rng.integers(0, tpl.n_wires + 1)))))
+        given = tuple(rng.uniform(-1, 1, (2, 3, tpl.n_wires)))
         for inputs in (None, given):
             for got, want in zip(run_template(tpl, kernel, inputs), _per_gate(tpl, kernel, inputs)):
                 _same_bits(got, want, case)
-    assert admitted == 219
-    a, b = rng.uniform(-1, 1, (2, 2, 40))
-    a[:, :4], b[:, 2:6] = [0.0, -0.0, 0.0, -0.0], [0.0, -0.0, 0.0, -0.0]
-    table = ((-1, 0, 1), (1, 1, 0), (-1, 1, 1))
-    for got, (sign, i, j) in zip(pair_channel(table, a, b), table):
-        _same_bits(got, sign * a[i] * b[j])
+    assert admitted == 193
 
 
 def _rows(arch, n, seed):

@@ -554,6 +554,30 @@ def test_train_names_config_file_output_paths_by_key(tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv"]
 
 
+def test_outputs_that_name_an_input_are_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # train's outputs may not name its config file, and featmap's output
+    # may not name its kernel angles or its input image: each exits 2
+    # naming both flags, and leaves the input as it was
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"arch": "conv", "epochs": 1, "batch_size": 2}))
+    write_pgm("in.pgm", np.arange(8).reshape(2, 4) * 30)
+    _write_params(Path("k.txt"), [0.3, 0.7, 1.1, 0.2])
+    before = {name: Path(name).read_bytes() for name in ("cfg.json", "in.pgm", "k.txt")}
+    for argv, want in (
+        (["train", "--config", "cfg.json", "--progress", "--params-out", "cfg.json"],
+         "--params-out and --config both name cfg.json"),
+        (["train", "--config", "cfg.json", "--progress", "--curve-out", "./cfg.json"],
+         "--curve-out and --config both name cfg.json"),
+        (["featmap", "--in", "in.pgm", "--params", "k.txt", "--out", "k.txt"], "--out and --params both name k.txt"),
+        (["featmap", "--in", "in.pgm", "--params", "k.txt", "--out", f"{tmp_path}/in.pgm"],
+         f"--out and --in both name {tmp_path}/in.pgm"),
+    ):
+        assert entry(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+        assert {name: Path(name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.pgm", "k.txt"]
+
+
 def test_env_seed_takes_plain_ascii_decimal_only(tmp_path, monkeypatch, capsys):
     out = tmp_path / "d.csv"
     for value in ("\u0663", "\u00b2", "1_0", "+3", ""):
