@@ -173,8 +173,9 @@ def _derived_rng(*key) -> np.random.Generator:
 
 class TrainingObjective:
     """One batch bound to one architecture and config: evaluates readout
-    probabilities, optionally with a single rotation occurrence displaced,
-    and assembles the per-sample circuit jacobian from those displacements.
+    probabilities, and the per-sample circuit jacobian of every kernel
+    angle or of one conv layer's four from the two-point displacements of
+    each of their rotation occurrences.
 
     Every readout is a kernel factor times a per-row product: a group
     template runs RY encodings, one RX turn per wire, then pair runs that
@@ -197,16 +198,14 @@ class TrainingObjective:
         self.arch = config.arch
         pixel_rows = np.asarray(pixel_rows)
         if pixel_rows.ndim != 2 or pixel_rows.shape[1] != self.arch.image_side ** 2:
-            raise ValueError(
-                f"{self.arch.value} expects {self.arch.image_side ** 2} pixels per row, got {pixel_rows.shape}"
-            )
+            raise ValueError(f"pixel_rows must hold {self.arch.image_side ** 2} pixels per row for "
+                             f"{self.arch.value}, got shape {pixel_rows.shape}")
         self.cos = pixel_cos(pixel_rows)  # (B, P) cos of each pixel's angle
         self.phi = np.prod(self.cos, axis=1)
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.shape != (pixel_rows.shape[0],):
-            raise ValueError("one label per pixel row is required")
+            raise ValueError(f"labels must hold one label per pixel row, got shape {self.labels.shape}")
         self.layers = build_plan(self.arch)[1]
-        self._occs = _occurrences(self.arch)
         self.base_key = require_int("base_key", base_key, 0)
         self._eval_ordinal = 0
         self.evals = 0
@@ -229,33 +228,18 @@ class TrainingObjective:
             counts[e] = rng.binomial(self.config.shots, p[e])
         return counts / self.config.shots
 
-    def _check(self, params: ModelParams, name: str, sites, n: int) -> list:
-        """Refuse params of another architecture, and a site of `name` that
-        is not n integer indices (no bools, each below 2**63 in size), then a
-        finite delta if n is 3, or that names no (layer, angle, occurrence)
-        of the network's kernel angles (a slot, n = 2, names occurrence 0);
-        return the sites as tuples.  An exact int, or an exact float as the
-        delta, passes the type test without the slower numbers ABC test."""
+    def _check(self, params: ModelParams, layer=None):
+        """Refuse params of another architecture, and a `layer` that is
+        neither None nor the index of a conv layer; return the layer."""
         if params.vector().size != self.arch.n_params:
             raise ValueError(f"{self.arch.value} takes {self.arch.n_params} angles, got {params.vector().size}")
-        kinds = ((int, numbers.Integral, 2**63),) * n + ((float, numbers.Real, np.inf),) * (n == 3)
-        try:
-            sites = list(sites)
-        except TypeError:
-            raise ValueError(f"{name} must be a sequence of sites, got {sites!r}") from None
-        for i, site in enumerate(sites):
-            try:
-                sites[i] = tuple(site)
-            except TypeError:
-                sites[i] = ()  # not a sequence, so refused as the wrong length
-            if len(sites[i]) != len(kinds) or not all((type(v) is t or isinstance(v, k) and not isinstance(v, bool))
-                                                      and abs(v) < bound for v, (t, k, bound) in zip(sites[i], kinds)):
-                raise ValueError(f"{name} holds {site!r}, not {n} integer indices{' and a finite delta' * (n == 3)}")
-            layer, angle, occ = (sites[i] + (0,))[:3]
-            if not (0 <= layer < len(self._occs) and 0 <= angle < 4 and 0 <= occ < self._occs[layer]):
-                raise ValueError(f"{name} holds {site!r}: the {self.arch.value} network has no occurrence "
-                                 f"{int(occ)} of angle {(int(layer), int(angle))}")
-        return sites
+        if layer is None:
+            return None
+        layer = require_int("layer", layer, 0)
+        if layer >= self.arch.conv_layer_count:
+            raise ValueError(f"layer must name one of the {self.arch.conv_layer_count} conv layers of "
+                             f"{self.arch.value}, got {layer}")
+        return layer
 
     def _evaluate(self, params, tables) -> np.ndarray:
         """Readouts (E, B) of the E evaluations of the layer tables `tables`
@@ -287,28 +271,21 @@ class TrainingObjective:
         z = z[..., 0] if measured else state[1][:, :1] * self.phi
         return self._draw(runner.readout_probs(z), ordinals, len(self.layers) if measured else 0)
 
-    def p1(self, params: ModelParams, shift_occ=None) -> np.ndarray:
-        """Readout probability per sample.  shift_occ = (layer, index, occ,
-        delta) displaces occurrence `occ` of one trainable angle."""
-        if shift_occ is None:
-            self._check(params, "shift_occ", [], 3)
-            return self._evaluate(params, _plain_tables(self.arch))[0]
-        sites = np.array([(0, *site) for site in self._check(params, "shift_occ", [shift_occ], 3)], dtype=_SITE)
-        return self._evaluate(params, _layer_tables(self.arch, sites, 1))[0]
+    def p1(self, params: ModelParams) -> np.ndarray:
+        """Readout probability per sample."""
+        self._check(params)
+        return self._evaluate(params, _plain_tables(self.arch))[0]
 
-    def jacobian(self, params: ModelParams, slots=None) -> np.ndarray:
+    def jacobian(self, params: ModelParams, layer=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
-        over each angle's occurrences.  Columns follow `slots` (default: all
-        angles, layer-major)."""
-        slots = self._check(params, "slots", _slot_groups(self.arch)[0] if slots is None else slots, 2)
-        if not slots:
-            return np.zeros((self.batch_size, 0))
-        sites, n, tables = _jacobian_sites(self.arch, tuple(slots))
+        over each angle's occurrences: a column per kernel angle,
+        layer-major, or the four of conv layer `layer`."""
+        sites, n, tables = _jacobian_sites(self.arch, self._check(params, layer))
         p = self._evaluate(params, tables)
-        # (occurrence, sample, slot), zero past a slot's last occurrence
-        half = np.zeros((n.max(), self.batch_size, len(slots)))
-        half[sites["occ"][0::2], :, np.repeat(np.arange(len(slots)), n)] = 0.5 * (p[0::2] - p[1::2])
-        cols = np.zeros((self.batch_size, len(slots)))
+        # (occurrence, sample, angle), zero past an angle's last occurrence
+        half = np.zeros((n.max(), self.batch_size, n.size))
+        half[sites["occ"][0::2], :, np.repeat(np.arange(n.size), n)] = 0.5 * (p[0::2] - p[1::2])
+        cols = np.zeros((self.batch_size, n.size))
         for k in range(n.max()):  # whole-row adds, in occurrence order
             cols += half[k]
         return cols
@@ -328,7 +305,7 @@ def _group_index(arch: Architecture) -> tuple:
 
 def _layer_tables(arch: Architecture, sites, e: int) -> tuple:
     """Per layer, the read-only tables of e evaluations whose displaced
-    angles are the site table sites (_SITE, from sites _check accepted):
+    angles are the site table sites (_SITE, of the network's occurrences):
     each site moves kernel angle (layer, angle) by delta in group occ of its
     conv layer for one evaluation row, and a row without one is the plain
     readout.  A layer's tables are the kernel row of each of its sites (1
@@ -350,48 +327,42 @@ def _plain_tables(arch: Architecture) -> tuple:
     return _layer_tables(arch, np.empty(0, dtype=_SITE), 1)
 
 
-@functools.lru_cache(maxsize=64)
-def _jacobian_sites(arch: Architecture, slots: tuple) -> tuple:
-    """(site table, occurrences of each slot, layer tables) of a jacobian
-    over slots, which _check accepted: one evaluation row per occurrence of
-    each slot in order, moved by +pi/2 and then by -pi/2.  Every array is
-    read-only, as every call with these slots shares them."""
-    occs = _occurrences(arch)
-    n = np.array([occs[layer] for layer, _ in slots])
-    slot = np.repeat(np.arange(len(slots)), 2 * n)
-    sites = np.empty(slot.size, dtype=_SITE)
-    sites["row"] = np.arange(slot.size)
-    sites["layer"], sites["angle"] = np.array(slots).T[:, slot]
-    sites["occ"] = sites["row"] // 2 - (np.cumsum(n) - n)[slot]
+@functools.lru_cache(maxsize=None)
+def _jacobian_sites(arch: Architecture, layer) -> tuple:
+    """(site table, occurrences of each angle, layer tables) of the
+    jacobian of conv layer `layer`'s four angles, or of every kernel angle
+    (layer-major) when it is None: one evaluation row per occurrence of
+    each angle in turn, moved by +pi/2 and then by -pi/2.  Every array is
+    read-only, as every call for this layer shares them."""
+    layers = np.arange(arch.conv_layer_count) if layer is None else np.array([layer])
+    n = np.repeat(np.array(_occurrences(arch))[layers], 4)
+    col = np.repeat(np.arange(n.size), 2 * n)
+    sites = np.empty(col.size, dtype=_SITE)
+    sites["row"] = np.arange(col.size)
+    sites["layer"], sites["angle"] = layers[col // 4], col % 4
+    sites["occ"] = sites["row"] // 2 - (np.cumsum(n) - n)[col]
     sites["delta"] = np.where(sites["row"] % 2, -np.pi / 2, np.pi / 2)
     return _read_only(sites), _read_only(n), _layer_tables(arch, sites, sites.size)
 
 
-@functools.lru_cache(maxsize=None)
-def _slot_groups(arch: Architecture) -> tuple:
-    """Every kernel angle (layer, index), layer-major (the plan's
-    param_slots(), from the architecture alone), then each conv layer's:
-    the slot tuples train updates by, built once per architecture."""
-    every = tuple((layer, j) for layer in range(arch.conv_layer_count) for j in range(4))
-    return (every,) + tuple(every[4 * layer: 4 * layer + 4] for layer in range(arch.conv_layer_count))
-
-
-def update_direction(objective: TrainingObjective, params: ModelParams, p1s, slots) -> np.ndarray:
+def update_direction(objective: TrainingObjective, params: ModelParams, p1s, layer=None) -> np.ndarray:
     """Flat per-angle update direction of the configured rule at readouts
-    p1s, zero outside `slots`.  The circuit-derivative rules weight the
-    shot-scaled jacobian by the prediction error (times the activation
-    derivative for `combined`) and sum over the batch; `sigmoid` puts one
-    scalar, shot-scaled readout times error times activation derivative
-    summed over the batch, on every slot."""
+    p1s: every kernel angle's, or zero outside conv layer `layer`.  The
+    circuit-derivative rules weight the shot-scaled jacobian by the
+    prediction error (times the activation derivative for `combined`) and
+    sum over the batch; `sigmoid` puts one scalar, shot-scaled readout
+    times error times activation derivative summed over the batch, on every
+    angle it moves."""
     cfg = objective.config
+    layer = objective._check(params, layer)
     err = objective.labels - activate(p1s)
-    cols = [4 * layer + j for layer, j in slots]
+    cols = slice(None) if layer is None else slice(4 * layer, 4 * layer + 4)
     direction = np.zeros(cfg.arch.n_params)
     if cfg.grad_method is GradMethod.SIGMOID:
         direction[cols] = float(np.sum((cfg.shots * p1s) * err * activate_deriv(p1s)))
         return direction
     w = err * activate_deriv(p1s) if cfg.grad_method is GradMethod.COMBINED else err
-    jac = objective.jacobian(params, slots=slots)
+    jac = objective.jacobian(params, layer)
     direction[cols] = (w[:, None] * (cfg.shots * jac)).sum(axis=0)
     return direction
 
@@ -457,12 +428,12 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
     dataset: optional Dataset or LabeledImage list reused every epoch (the
     first batch_size rows, so it must hold at least that many); without it
     each epoch draws a fresh seeded batch.  Simultaneous updates move every
-    angle from the epoch's readouts; layer-wise updates move one layer at a
-    time, each from fresh readouts at the params the previous layer left.
+    angle from the epoch's readouts; layer-wise updates move one conv layer
+    at a time, in order, each from fresh readouts at the params the
+    previous layer left.
     """
     simultaneous = config.update_strategy is UpdateStrategy.SIMULTANEOUS
-    groups = _slot_groups(config.arch)
-    slot_groups = groups[:1] if simultaneous else groups[1:]
+    layers = (None,) if simultaneous else range(config.arch.conv_layer_count)
 
     def init(seed):
         return initial if initial is not None else init_params(config.arch, seed, config.init_scheme)
@@ -471,9 +442,9 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
         obj = TrainingObjective(config, pixels, labels, base_key=epoch)
         p1s = obj.p1(params)
         epoch_mse = mse(activate(p1s), labels)
-        for group in slot_groups:
+        for layer in layers:
             readouts = p1s if simultaneous else obj.p1(params)
-            params = params.with_update(config.learning_rate * update_direction(obj, params, readouts, group))
+            params = params.with_update(config.learning_rate * update_direction(obj, params, readouts, layer))
         return params, epoch_mse, obj.evals
 
     return run_epochs(config, dataset, log_fn, init, step)

@@ -1,7 +1,8 @@
 """Shared test helpers: an independent dense-matrix oracle, seeded
 random circuit-plan and group-template generators used by the
-engine-equivalence suites, a record of the batches each trainer
-receives, and draws that run out of memory."""
+engine-equivalence suites, a readout with one rotation occurrence
+displaced, a record of the batches each trainer receives, and draws that
+run out of memory."""
 import functools
 
 import numpy as np
@@ -11,6 +12,7 @@ import qcnn.baseline
 import qcnn.training
 from qcnn import Angle, CircuitPlan, GateKind, GateOp, ModelParams
 from qcnn.gates import gate_matrix
+from qcnn.training import _SITE, _layer_tables
 
 GATE_KINDS = (GateKind.RX, GateKind.RY, GateKind.CFLIP_X, GateKind.CFLIP_Y, GateKind.CFLIP_Z)
 
@@ -149,6 +151,14 @@ def random_template(rng, max_wires=6):
         fault = None
     data = rng.uniform(0.0, np.pi, (3, n))
     return CircuitPlan(n, tuple(encodings + body), live[0]), data, shaped and fault is None
+
+
+def displaced_p1(obj, params, site):
+    """The readouts of TrainingObjective obj at params with one rotation
+    occurrence displaced: site = (layer, angle, occ, delta) moves kernel
+    angle (layer, angle) by delta in group occ of that conv layer, as one
+    evaluation of the objective's own layer tables."""
+    return obj._evaluate(params, _layer_tables(obj.arch, np.array([(0, *site)], dtype=_SITE), 1))[0]
 
 
 def batches_seen(config, dataset=None):

@@ -8,7 +8,7 @@ import functools
 import numpy as np
 import pytest
 
-from conftest import embed_gate, random_template
+from conftest import displaced_p1, embed_gate, random_template
 from qcnn.dataset import gen_dataset
 from qcnn.gates import Angle, GateKind, GateOp, gate_matrix
 from qcnn.network import ModelParams, build_plan, conv_feature_map, group_plan, layer_structure
@@ -290,7 +290,7 @@ def test_every_displaced_readout_matches_shifted_engine_runs(arch, measure_mode)
     for layer, j in plan.param_slots():
         for occ, gate in enumerate(plan.param_occurrences(layer, j)):
             for delta in (np.pi / 2, -np.pi / 2):
-                got = obj.p1(params, shift_occ=(layer, j, occ, delta))
+                got = displaced_p1(obj, params, (layer, j, occ, delta))
                 if measure_mode == "end-to-end":
                     want = run_plan_batch(plan, angles, params, shift={gate: delta})
                 else:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import batches_seen
+from conftest import batches_seen, displaced_p1
 
 from qcnn.baseline import classical_train
 from qcnn.dataset import LabeledImage, gen_dataset
@@ -22,7 +22,6 @@ from qcnn.training import (
     TrainingObjective,
     UpdateStrategy,
     _derived_rng,
-    _slot_groups,
     activate,
     activate_deriv,
     evaluate,
@@ -106,14 +105,14 @@ def test_two_point_displacement_is_exact():
     obj = TrainingObjective(config, pixels, np.array([1.0]))
     for theta in (0.0, np.pi / 4, np.pi / 2, 1.0):
         params = ModelParams((np.array([theta, 0.0, 0.0, 0.0]),))
-        up = obj.p1(params, shift_occ=(0, 0, 0, +np.pi / 2))[0]
-        dn = obj.p1(params, shift_occ=(0, 0, 0, -np.pi / 2))[0]
+        up = displaced_p1(obj, params, (0, 0, 0, +np.pi / 2))[0]
+        dn = displaced_p1(obj, params, (0, 0, 0, -np.pi / 2))[0]
         want = 0.5 * np.cos(e) * np.sin(theta)
         assert 0.5 * (up - dn) == pytest.approx(want, abs=1e-12)
     # stationary point: the rule reports a zero derivative at theta = 0
     params = ModelParams((np.zeros(4),))
-    up = obj.p1(params, shift_occ=(0, 0, 0, +np.pi / 2))[0]
-    dn = obj.p1(params, shift_occ=(0, 0, 0, -np.pi / 2))[0]
+    up = displaced_p1(obj, params, (0, 0, 0, +np.pi / 2))[0]
+    dn = displaced_p1(obj, params, (0, 0, 0, -np.pi / 2))[0]
     assert abs(up - dn) < 1e-10
 
 
@@ -154,92 +153,66 @@ def test_jacobian_sums_shared_occurrences():
 
 
 def test_jacobian_slot_selection():
+    # jacobian(params, layer) gives conv layer `layer`'s four columns of
+    # the full jacobian; any other layer is refused by name
     obj, _ = _objective("conv-pool-conv-pool", n=2, seed=4)
     rng = np.random.default_rng(14)
     params = ModelParams((rng.uniform(0, np.pi, 4), rng.uniform(0, np.pi, 4)))
     full = obj.jacobian(params)
     assert full.shape == (2, 8)
-    sub = obj.jacobian(params, slots=[(1, 0), (1, 1), (1, 2), (1, 3)])
-    np.testing.assert_allclose(sub, full[:, 4:], atol=1e-12)
+    for layer in (0, 1, np.int64(1)):
+        np.testing.assert_array_equal(obj.jacobian(params, layer=layer), full[:, 4 * layer: 4 * layer + 4])
     assert len(build_plan(obj.arch)[0].param_occurrences(1, 0)) == 2
-    with pytest.raises(ValueError, match="^slots"):
-        obj.jacobian(params, slots=[(5, 0)])
-    # malformed indices, indices of 2**63 or more, non-finite displacements
-    # and sites or slot lists that are not sequences are refused by name
-    for slot in ((0, 1.0), (True, 0), (0, np.True_), (0,), (0, 1, 2), (2**64, 0), 0):
-        with pytest.raises(ValueError, match="^slots"):
-            obj.jacobian(params, slots=[slot])
-    with pytest.raises(ValueError, match="^slots"):
-        obj.jacobian(params, slots=5)
-    for site in ((0, 0.0, 0, 0.1), (0, True, 0, 0.1), (0, 0, 1.0, 0.1), (0, 0, 0, np.nan),
-                 (0, 0, 0, np.inf), (0, 0, 0, True), (0, 0, 0, "0.1"), (0, 0, 0), (0, 0, 2**64, 0.1), 5):
-        with pytest.raises(ValueError, match="^shift_occ"):
-            obj.p1(params, shift_occ=site)
-    # a displaced occurrence outside the network is refused in both modes
-    for mode in ("end-to-end", "intermediate"):
-        other, _ = _objective("conv-pool-conv-pool", n=2, seed=4, measure_mode=mode)
-        for layer, j, occ in ((1, 0, 2), (1, 0, -1), (0, 4, 0), (2, 0, 0)):
-            with pytest.raises(ValueError, match=f"^shift_occ holds .*: the conv-pool-conv-pool network has no occurrence {occ} of"):
-                other.p1(params, shift_occ=(layer, j, occ, np.pi / 2))
-    # conv-pool-pool has one conv layer of four windows
-    for mode in ("end-to-end", "intermediate"):
-        other, _ = _objective("conv-pool-pool", n=2, seed=4, measure_mode=mode)
-        one = ModelParams(params.layers[:1])
-        for layer, j, occ in ((0, 0, 4), (0, 0, -1), (1, 0, 0), (0, 4, 0)):
-            with pytest.raises(ValueError, match="^shift_occ holds .*: the conv-pool-pool network has no occurrence"):
-                other.p1(one, shift_occ=(layer, j, occ, np.pi / 2))
-        with pytest.raises(ValueError, match=r"^slots holds \(1, 0\): the conv-pool-pool network has no occurrence 0 "
-                                             r"of angle \(1, 0\)$"):
-            other.jacobian(one, slots=[(1, 0)])
+    # bools, floats, negatives, non-numbers and layers past the last are refused
+    for bad in (2, 5, -1, True, np.True_, 1.0, "1", (1,), 2**64):
+        with pytest.raises(ValueError, match="^layer"):
+            obj.jacobian(params, layer=bad)
+    # conv-pool-pool has one conv layer
+    one = ModelParams(params.layers[:1])
+    other, _ = _objective("conv-pool-pool", n=2, seed=4)
+    with pytest.raises(ValueError, match=r"^layer must name one of the 1 conv layers of conv-pool-pool, got 1$"):
+        other.jacobian(one, layer=1)
 
 
-def test_a_slot_equal_to_an_accepted_one_is_still_checked():
-    # True == 1 and hash(True) == hash(1), so slots keyed on their values
-    # alone would pass a bool once an equal int slot has run; only the slot
-    # tuples train builds pass unchecked, and they are known by identity
+def test_a_layer_equal_to_an_accepted_one_is_still_checked():
+    # True == 1.0 == 1 and all three hash alike, so a jacobian cache keyed
+    # on the layer's value alone would pass a bool or a float once layer 1
+    # has run; every call checks its layer before the cache sees it
     obj, config = _objective("conv-pool-conv-pool", n=2, seed=4)
     params = ModelParams.from_vector(config.arch, np.full(8, 0.3))
-    obj.jacobian(params, slots=[(1, 0)])
+    obj.jacobian(params, layer=1)
     obj.jacobian(params)
-    every = _slot_groups(config.arch)[0]
-    for slots, message in (([(True, 0)], "slots holds (True, 0), not 2 integer indices"),
-                           ([(1, False)], "slots holds (1, False), not 2 integer indices"),
-                           (tuple((True, j) if layer else (layer, j) for layer, j in every),
-                            "slots holds (True, 0), not 2 integer indices"),
-                           ([(1, 4)], "slots holds (1, 4): the conv-pool-conv-pool network has no occurrence 0 "
-                                      "of angle (1, 4)"),
-                           (5, "slots must be a sequence of sites, got 5")):
+    for layer, message in ((True, "layer must be a non-negative integer, got True"),
+                           (1.0, "layer must be a non-negative integer, got 1.0"),
+                           (2, "layer must name one of the 2 conv layers of conv-pool-conv-pool, got 2")):
         with pytest.raises(ValueError) as info:
-            obj.jacobian(params, slots=slots)
+            obj.jacobian(params, layer=layer)
         assert str(info.value) == message
-    assert obj.jacobian(params, slots=every).shape == (2, 8)
+    assert obj.jacobian(params, layer=1).shape == (2, 4)
 
 
 @pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
 def test_a_refused_site_changes_nothing(arch):
-    # the range check runs before any evaluation: a refused shift_occ or slot
-    # counts no evaluation and moves no sampled stream, so the objective then
-    # draws exactly what a fresh one draws
-    kw = dict(n=3, seed=26, measure_mode="intermediate", eval_mode="sampled", shots=50)
-    obj, config = _objective(arch, **kw)
-    fresh, _ = _objective(arch, **kw)
-    params = ModelParams.from_vector(config.arch, np.random.default_rng(27).uniform(-np.pi, np.pi, config.arch.n_params))
-    last = config.arch.conv_layer_count - 1
-    for site in ((0, 0, 4 ** (last + 1), 0.1), (last + 1, 0, 0, 0.1), (0, 4, 0, 0.1), (0, 0, -1, 0.1)):
-        with pytest.raises(ValueError, match="^shift_occ"):
-            obj.p1(params, shift_occ=site)
-    for slots in ([(last + 1, 0)], [(0, 0), (0, 4)], [(0, 1), (-1, 0)]):
-        with pytest.raises(ValueError, match="^slots"):
-            obj.jacobian(params, slots=slots)
-    assert obj.evals == 0
-    np.testing.assert_array_equal(obj.p1(params, shift_occ=(0, 1, 0, 0.2)), fresh.p1(params, shift_occ=(0, 1, 0, 0.2)))
-    np.testing.assert_array_equal(obj.jacobian(params), fresh.jacobian(params))
-    assert obj.evals == fresh.evals
-    # no slots: a (B, 0) jacobian and no evaluation; exact, a repeated slot repeats its column
-    assert obj.jacobian(params, slots=[]).shape == (3, 0) and obj.evals == fresh.evals
-    exact, _ = _objective(arch, **{**kw, "eval_mode": "exact"})
-    twice = exact.jacobian(params, slots=[(0, 2), (0, 2)])
-    np.testing.assert_array_equal(twice, np.repeat(exact.jacobian(params, slots=[(0, 2)]), 2, axis=1))
+    # the layer check runs before any evaluation: a refused layer counts no
+    # evaluation and moves no sampled stream, under any rule, so the
+    # objective then draws exactly what a fresh one draws
+    for rule in ("sigmoid", "shift", "combined"):
+        kw = dict(n=3, seed=26, grad_method=rule, measure_mode="intermediate", eval_mode="sampled", shots=50)
+        obj, config = _objective(arch, **kw)
+        fresh, _ = _objective(arch, **kw)
+        params = ModelParams.from_vector(config.arch, np.random.default_rng(27).uniform(-np.pi, np.pi, config.arch.n_params))
+        last = config.arch.conv_layer_count - 1
+        for layer in (last + 1, -1, True, 0.0, "0"):
+            with pytest.raises(ValueError, match="^layer"):
+                obj.jacobian(params, layer=layer)
+            with pytest.raises(ValueError, match="^layer"):
+                update_direction(obj, params, np.full(3, 0.5), layer)
+        assert obj.evals == 0
+        site = (0, 1, 0, 0.2)
+        np.testing.assert_array_equal(displaced_p1(obj, params, site), displaced_p1(fresh, params, site))
+        np.testing.assert_array_equal(obj.jacobian(params, layer=last), fresh.jacobian(params, layer=last))
+        np.testing.assert_array_equal(obj.jacobian(params), fresh.jacobian(params))
+        assert obj.evals == fresh.evals
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,7 +367,7 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
 def test_exact_jacobian_sums_its_displaced_readouts_bit_for_bit(arch, measure_mode):
     # in exact mode the jacobian's one batch of displaced evaluations gives
     # each of them bit for bit as a displaced p1 does alone, and sums each
-    # slot's two-point differences in occurrence order
+    # angle's two-point differences in occurrence order
     obj, config = _objective(arch, n=5, seed=31, measure_mode=measure_mode)
     params = ModelParams.from_vector(config.arch, np.random.default_rng(32).uniform(-np.pi, np.pi, config.arch.n_params))
     plan = build_plan(config.arch)[0]
@@ -402,10 +375,9 @@ def test_exact_jacobian_sums_its_displaced_readouts_bit_for_bit(arch, measure_mo
     want = np.zeros((5, len(slots)))
     for c, (layer, j) in enumerate(slots):
         for occ in range(len(plan.param_occurrences(layer, j))):
-            up, dn = (obj.p1(params, shift_occ=(layer, j, occ, d)) for d in (np.pi / 2, -np.pi / 2))
+            up, dn = (displaced_p1(obj, params, (layer, j, occ, d)) for d in (np.pi / 2, -np.pi / 2))
             want[:, c] += 0.5 * (up - dn)
     np.testing.assert_array_equal(obj.jacobian(params), want)
-    np.testing.assert_array_equal(obj.jacobian(params, slots=slots[::-1]), want[:, ::-1])
 
 
 def test_evals_count_the_protocol_whatever_the_call_order():
@@ -427,7 +399,7 @@ def test_readouts_and_jacobian_follow_the_params():
     obj, _ = _objective(arch.value, n=3, seed=24)
     fresh, _ = _objective(arch.value, n=3, seed=24)
     pa = obj.p1(a)
-    np.testing.assert_array_equal(obj.jacobian(b, slots=[(0, 1), (1, 2)]), fresh.jacobian(b, slots=[(0, 1), (1, 2)]))
+    np.testing.assert_array_equal(obj.jacobian(b, layer=1), fresh.jacobian(b, layer=1))
     np.testing.assert_array_equal(obj.p1(b), fresh.p1(b))
     np.testing.assert_array_equal(obj.p1(a), pa)
     assert not np.array_equal(pa, fresh.p1(b))
@@ -476,7 +448,7 @@ def test_combined_direction_is_scaled_loss_descent():
     obj, config = _objective("conv", n=5, seed=6, grad_method="combined")
     rng = np.random.default_rng(16)
     params = ModelParams((rng.uniform(0, np.pi, 4),))
-    combined = update_direction(obj, params, obj.p1(params), build_plan(config.arch)[0].param_slots())
+    combined = update_direction(obj, params, obj.p1(params))
     grad = loss_gradient(obj, params)
     np.testing.assert_allclose(
         combined, -config.shots * obj.batch_size / 4.0 * grad, rtol=1e-10, atol=1e-12
@@ -490,39 +462,54 @@ def test_shift_direction_zero_on_zero_error():
     obj = TrainingObjective(config, pixels, np.array([0.0]))
     params = ModelParams((np.array([0.4, 1.0, 0.2, 2.0]),))
     obj.labels = activate(obj.p1(params))
-    direction = update_direction(obj, params, obj.p1(params), build_plan(config.arch)[0].param_slots())
+    direction = update_direction(obj, params, obj.p1(params))
     np.testing.assert_allclose(direction, np.zeros(4), atol=1e-12)
 
 
 def test_sigmoid_update_rule_formula():
     config = TrainConfig(arch="conv", grad_method="sigmoid", shots=10)
     params = ModelParams((np.array([1.0, 2.0, 3.0, 4.0]),))
-    slots = [(0, j) for j in range(4)]
     # readout 1/2 activates to 1/2, so label 0.7 is an error of 0.2
     p1s = np.array([0.5])
     obj = TrainingObjective(config, np.zeros((1, 4)), np.array([0.7]))
     # scalar = (shots*p1) * err * activation'(p1) = 10*0.5*0.2*0.25
-    np.testing.assert_allclose(update_direction(obj, params, p1s, slots), np.full(4, 0.25))
+    np.testing.assert_allclose(update_direction(obj, params, p1s), np.full(4, 0.25))
     # zero error freezes the parameters
     obj.labels = np.array([0.5])
-    np.testing.assert_array_equal(update_direction(obj, params, p1s, slots), np.zeros(4))
+    np.testing.assert_array_equal(update_direction(obj, params, p1s, layer=0), np.zeros(4))
     # one scalar per batch: the per-sample terms are summed
     two = TrainingObjective(config, np.zeros((2, 4)), np.array([0.7, 0.7]))
-    np.testing.assert_allclose(update_direction(two, params, np.array([0.5, 0.5]), slots), np.full(4, 0.5))
+    np.testing.assert_allclose(update_direction(two, params, np.array([0.5, 0.5])), np.full(4, 0.5))
 
 
 def test_sigmoid_update_layer_targeting():
-    # every rule leaves the angles outside the requested slots at zero, and
+    # every rule leaves the angles outside the requested layer at zero, and
     # a layer's circuit-derivative direction does not depend on which other
     # layers are requested alongside it
     for rule in ("sigmoid", "shift", "combined"):
         obj, _ = _objective("conv-pool-conv-pool", n=2, seed=4, grad_method=rule)
         params = ModelParams((np.full(4, 0.3), np.full(4, -0.2)))
         p1s = obj.p1(params)
-        second = update_direction(obj, params, p1s, [(1, j) for j in range(4)])
+        second = update_direction(obj, params, p1s, layer=1)
         assert np.all(second[:4] == 0.0) and np.all(second[4:] != 0.0), rule
-        full = update_direction(obj, params, p1s, build_plan(obj.arch)[0].param_slots())
+        full = update_direction(obj, params, p1s)
         np.testing.assert_allclose(second[4:], full[4:], rtol=0, atol=1e-15, err_msg=rule)
+
+
+@pytest.mark.parametrize("rule", ["sigmoid", "shift", "combined"])
+@pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
+def test_a_layer_direction_is_the_full_direction_sliced(arch, rule):
+    # exact, each conv layer's direction is bit for bit its four entries of
+    # the every-angle direction, and zero at every other angle
+    obj, config = _objective(arch, n=4, seed=38, grad_method=rule)
+    params = ModelParams.from_vector(config.arch, np.random.default_rng(38).uniform(-np.pi, np.pi, config.arch.n_params))
+    p1s = obj.p1(params)
+    full = update_direction(obj, params, p1s)
+    for layer in range(config.arch.conv_layer_count):
+        cols = slice(4 * layer, 4 * layer + 4)
+        want = np.zeros(config.arch.n_params)
+        want[cols] = full[cols]
+        np.testing.assert_array_equal(update_direction(obj, params, p1s, layer=layer), want, err_msg=str(layer))
 
 
 def test_intermediate_equals_end_to_end_single_layer():
@@ -728,9 +715,9 @@ def test_train_config_validation():
 
 def test_objective_validates_rows():
     config = TrainConfig(arch="conv")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pixel_rows must hold 4 pixels per row for conv, got shape \(2, 9\)$"):
         TrainingObjective(config, np.zeros((2, 9)), np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^labels must hold one label per pixel row, got shape \(3,\)$"):
         TrainingObjective(config, np.zeros((2, 4)), np.zeros(3))
 
 
@@ -807,21 +794,22 @@ def test_train_refuses_dataset_shorter_than_batch():
 
 @pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
 def test_train_updates_the_slots_of_the_plan(monkeypatch, arch):
-    # train takes its slots from the architecture, not the composed plan:
+    # train takes its layers from the architecture, not the composed plan:
     # simultaneous updates move every slot of the plan at once, layer-wise
-    # updates each conv layer's slots in turn
+    # updates each conv layer's four slots in turn
     import qcnn.training
 
     seen = []
     direction = qcnn.training.update_direction
     monkeypatch.setattr(qcnn.training, "update_direction",
-                        lambda obj, params, p1s, slots: seen.append(list(slots)) or direction(obj, params, p1s, slots))
+                        lambda obj, params, p1s, layer=None: seen.append(layer) or direction(obj, params, p1s, layer))
     want = list(build_plan(Architecture(arch))[0].param_slots())
+    assert want == [(layer, j) for layer in range(len(want) // 4) for j in range(4)]
     train(TrainConfig(arch=arch, epochs=1, batch_size=2))
-    assert seen == [want]
+    assert seen == [None]
     seen.clear()
     train(TrainConfig(arch=arch, epochs=1, batch_size=2, update_strategy="layer-wise"))
-    assert seen == [[slot for slot in want if slot[0] == layer] for layer in range(len(want) // 4)]
+    assert seen == list(range(len(want) // 4))
 
 
 def test_train_layer_wise_strategy():
