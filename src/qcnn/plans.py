@@ -81,15 +81,6 @@ class CircuitPlan:
             and g.angle.index == index
         )
 
-    def param_slots(self) -> tuple:
-        """All distinct (layer, index) pairs referenced by the plan, sorted."""
-        slots = {
-            (g.angle.layer, g.angle.index)
-            for g in self.gates
-            if g.angle is not None and g.angle.source is AngleSource.PARAM
-        }
-        return tuple(sorted(slots))
-
     def peak_active_width(self) -> int:
         """Largest number of simultaneously live wires when gates run in
         plan order with retirement at last use."""

@@ -177,20 +177,12 @@ class TrainingObjective:
     angle or of one conv layer's four from the two-point displacements of
     each of their rotation occurrences.
 
-    Every readout is a kernel factor times a per-row product: a group
-    template runs RY encodings, one RX turn per wire, then pair runs that
-    scale a wire's (y, z) by its partner's z (runner.template_steps
-    refuses any other).  A layer runs its group template
-    (runner.run_template) on kernel angles alone, every data wire in |0>
-    as the all-black row leaves it, from one table: the plain kernel row,
-    then one row per site displaced in that layer; a layer with no inputs
-    runs on the table itself.  End to end each layer above the first
-    starts every wire of its groups from the Bloch (y, z) of the layer
-    below, and the root's z, F, gives p1 = 1/2 - F phi / 2, where phi is
-    the product of cos(pixel angle) over the row.  Measured after each
-    layer, a group's z is its kernel factor times the product of its
-    inputs' z: cos of the pixel angles at the first layer, and above it
-    cos of the re-encoded readouts of the layer below, drawn when sampled.
+    Every readout is a kernel factor times a per-row product (Bermejo et
+    al., arXiv:2408.12739): a group template runs RY encodings, one RX turn
+    per wire, then pair runs that scale a wire's (y, z) by its partner's z
+    (runner.template_steps refuses any other).  So each call runs in two
+    stages: _kernel_stage runs the templates on kernel angles alone, with
+    no batch axis, and _row_stage multiplies in the rows.
     """
 
     def __init__(self, config: TrainConfig, pixel_rows, labels, base_key: int = 0):
@@ -241,47 +233,59 @@ class TrainingObjective:
                              f"{self.arch.value}, got {layer}")
         return layer
 
-    def _evaluate(self, params, tables) -> np.ndarray:
-        """Readouts (E, B) of the E evaluations of the layer tables `tables`
-        (_layer_tables).  A layer's kernel rows are its plain row, then one
-        per site displaced in that layer, and pick (E, G) names each
-        evaluation's and group's row."""
-        b = self.batch_size
-        e = tables[0][-1].shape[0]
-        ordinals = range(self._eval_ordinal, self._eval_ordinal + e)
-        self._eval_ordinal += e
-        self.evals += e * b
-        measured = self.config.measure_mode is MeasureMode.INTERMEDIATE
-        state, z = None, self.cos
-        layers = zip(self.layers, _group_index(self.arch), tables)
-        for li, (spec, groups, (k, angle, delta, pick)) in enumerate(layers):
+    def _kernel_stage(self, params, tables) -> list:
+        """Per layer, the (E, G) template readouts (y, z) of the evaluations
+        and groups of the layer tables `tables` (_layer_tables), on kernel
+        angles alone with every data wire in |0>.  A layer's kernel rows are
+        its plain row, then one per site displaced in that layer; pick (E,
+        G) names each evaluation's and group's row.  End to end each layer
+        above the first starts from the layer below's (y, z), so the root's
+        z is F; measured after each layer each starts from |0>, so its z is
+        its kernel factor."""
+        chained = self.config.measure_mode is MeasureMode.END_TO_END
+        out = []
+        for spec, groups, (k, angle, delta, pick) in zip(self.layers, _group_index(self.arch), tables):
             tpl = group_plan(spec.kind, spec.param_layer)
             conv = spec.kind == "conv"
             rows = np.repeat(params.layers[spec.param_layer][None] if conv else np.zeros((1, 0)), 1 + k.size, axis=0)
             rows[k, angle] += delta
-            if li and not measured:  # rows.take(pick, axis=0) is rows[pick], several times faster
-                state = runner.run_template(tpl, rows.take(pick, axis=0), (state[0][:, groups], state[1][:, groups]))
+            if out and chained:  # rows.take(pick, axis=0) is rows[pick], several times faster
+                out.append(runner.run_template(tpl, rows.take(pick, axis=0), tuple(v[:, groups] for v in out[-1])))
             else:
-                state = tuple(v[pick] for v in runner.run_template(tpl, rows))
-            if measured:
-                if li:
-                    drawn = self._draw(runner.readout_probs(z), ordinals, li)
-                    z = np.cos(prob_to_angle(drawn.reshape(e * b, -1))).reshape(e, b, -1)
-                z = state[1][:, None, :] * np.prod(z[..., groups], axis=-1)
-        z = z[..., 0] if measured else state[1][:, :1] * self.phi
-        return self._draw(runner.readout_probs(z), ordinals, len(self.layers) if measured else 0)
+                out.append(tuple(v[pick] for v in runner.run_template(tpl, rows)))
+        return out
+
+    def _row_stage(self, kernel) -> np.ndarray:
+        """Readouts (E, B) of the E evaluations whose kernel stage gave
+        `kernel`.  End to end p1 = 1/2 - F phi / 2, where phi is the product
+        of cos(pixel angle) over the row.  Measured after each layer, a
+        group's z is its kernel factor times the product of its inputs' z:
+        cos of the pixel angles at the first layer, and above it cos of the
+        re-encoded readouts of the layer below, drawn when sampled."""
+        e = kernel[0][1].shape[0]
+        ordinals = range(self._eval_ordinal, self._eval_ordinal + e)
+        self._eval_ordinal, self.evals = self._eval_ordinal + e, self.evals + e * self.batch_size
+        if self.config.measure_mode is MeasureMode.END_TO_END:
+            return self._draw(runner.readout_probs(kernel[-1][1] * self.phi), ordinals, 0)
+        z = self.cos
+        for li, (groups, (_, factor)) in enumerate(zip(_group_index(self.arch), kernel)):
+            if li:
+                drawn = self._draw(runner.readout_probs(z), ordinals, li)
+                z = np.cos(prob_to_angle(drawn.reshape(-1, drawn.shape[-1]))).reshape(drawn.shape)
+            z = factor[:, None, :] * np.prod(z[..., groups], axis=-1)
+        return self._draw(runner.readout_probs(z[..., 0]), ordinals, len(kernel))
 
     def p1(self, params: ModelParams) -> np.ndarray:
         """Readout probability per sample."""
         self._check(params)
-        return self._evaluate(params, _plain_tables(self.arch))[0]
+        return self._row_stage(self._kernel_stage(params, _plain_tables(self.arch)))[0]
 
     def jacobian(self, params: ModelParams, layer=None) -> np.ndarray:
         """d p1 / d angle per sample, from two-point displacements summed
         over each angle's occurrences: a column per kernel angle,
         layer-major, or the four of conv layer `layer`."""
         sites, n, tables = _jacobian_sites(self.arch, self._check(params, layer))
-        p = self._evaluate(params, tables)
+        p = self._row_stage(self._kernel_stage(params, tables))
         # (occurrence, sample, angle), zero past an angle's last occurrence
         half = np.zeros((n.max(), self.batch_size, n.size))
         half[sites["occ"][0::2], :, np.repeat(np.arange(n.size), n)] = 0.5 * (p[0::2] - p[1::2])
@@ -289,12 +293,6 @@ class TrainingObjective:
         for k in range(n.max()):  # whole-row adds, in occurrence order
             cols += half[k]
         return cols
-
-
-@functools.lru_cache(maxsize=None)
-def _occurrences(arch: Architecture) -> tuple:
-    """Occurrences (groups) of each conv layer's kernel angles."""
-    return tuple(len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv")
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,7 +333,7 @@ def _jacobian_sites(arch: Architecture, layer) -> tuple:
     each angle in turn, moved by +pi/2 and then by -pi/2.  Every array is
     read-only, as every call for this layer shares them."""
     layers = np.arange(arch.conv_layer_count) if layer is None else np.array([layer])
-    n = np.repeat(np.array(_occurrences(arch))[layers], 4)
+    n = np.repeat(np.array([len(spec.groups) for spec in build_plan(arch)[1] if spec.kind == "conv"])[layers], 4)
     col = np.repeat(np.arange(n.size), 2 * n)
     sites = np.empty(col.size, dtype=_SITE)
     sites["row"] = np.arange(col.size)
@@ -365,21 +363,6 @@ def update_direction(objective: TrainingObjective, params: ModelParams, p1s, lay
     jac = objective.jacobian(params, layer)
     direction[cols] = (w[:, None] * (cfg.shots * jac)).sum(axis=0)
     return direction
-
-
-def loss_gradient(objective: TrainingObjective, params: ModelParams) -> np.ndarray:
-    """Exact gradient of the batch-mean squared error of the activated
-    readout, assembled from the two-point circuit derivative and the closed
-    forms of the outer layers.  A negative multiple of the `combined` rule's
-    update direction.  In float64 the two-point difference rounds to exactly
-    0 on 99.45% of 8x8 rows, where p1 rounds to 1/2 although the true
-    derivative is ~1e-26 to 1e-35; taking the difference in z before that
-    rounding (ROADMAP item 5) is still open."""
-    p1s = objective.p1(params)
-    jac = objective.jacobian(params)
-    act = activate(p1s)
-    w = 4.0 * (act - objective.labels) * activate_deriv(p1s) / objective.batch_size
-    return (w[:, None] * jac).sum(axis=0)
 
 
 def run_epochs(config: TrainConfig, dataset, log_fn, init, step):
@@ -429,9 +412,8 @@ def train(config: TrainConfig, dataset=None, log_fn=None, initial: ModelParams =
     first batch_size rows, so it must hold at least that many); without it
     each epoch draws a fresh seeded batch.  Simultaneous updates move every
     angle from the epoch's readouts; layer-wise updates move one conv layer
-    at a time, in order, each from fresh readouts at the params the
-    previous layer left.
-    """
+    at a time, in order, each from fresh readouts at the params the layer
+    before left, the first at the epoch's own params (a second pass)."""
     simultaneous = config.update_strategy is UpdateStrategy.SIMULTANEOUS
     layers = (None,) if simultaneous else range(config.arch.conv_layer_count)
 

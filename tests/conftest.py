@@ -1,8 +1,8 @@
 """Shared test helpers: an independent dense-matrix oracle, seeded
 random circuit-plan and group-template generators used by the
-engine-equivalence suites, a readout with one rotation occurrence
-displaced, a record of the batches each trainer receives, and draws that
-run out of memory."""
+engine-equivalence suites, a plan's trainable slots, a readout with one
+rotation occurrence displaced, the exact loss gradient, a record of the
+batches each trainer receives, and draws that run out of memory."""
 import functools
 
 import numpy as np
@@ -11,8 +11,8 @@ import pytest
 import qcnn.baseline
 import qcnn.training
 from qcnn import Angle, CircuitPlan, GateKind, GateOp, ModelParams
-from qcnn.gates import gate_matrix
-from qcnn.training import _SITE, _layer_tables
+from qcnn.gates import AngleSource, gate_matrix
+from qcnn.training import _SITE, _layer_tables, activate, activate_deriv
 
 GATE_KINDS = (GateKind.RX, GateKind.RY, GateKind.CFLIP_X, GateKind.CFLIP_Y, GateKind.CFLIP_Z)
 
@@ -153,12 +153,35 @@ def random_template(rng, max_wires=6):
     return CircuitPlan(n, tuple(encodings + body), live[0]), data, shaped and fault is None
 
 
+def param_slots(plan):
+    """All distinct (layer, index) pairs of trainable angles the plan
+    references, sorted."""
+    return tuple(sorted({(g.angle.layer, g.angle.index) for g in plan.gates
+                         if g.angle is not None and g.angle.source is AngleSource.PARAM}))
+
+
 def displaced_p1(obj, params, site):
     """The readouts of TrainingObjective obj at params with one rotation
     occurrence displaced: site = (layer, angle, occ, delta) moves kernel
     angle (layer, angle) by delta in group occ of that conv layer, as one
     evaluation of the objective's own layer tables."""
-    return obj._evaluate(params, _layer_tables(obj.arch, np.array([(0, *site)], dtype=_SITE), 1))[0]
+    tables = _layer_tables(obj.arch, np.array([(0, *site)], dtype=_SITE), 1)
+    return obj._row_stage(obj._kernel_stage(params, tables))[0]
+
+
+def loss_gradient(objective, params):
+    """Exact gradient of the batch-mean squared error of the activated
+    readout, assembled from the two-point circuit derivative and the closed
+    forms of the outer layers.  A negative multiple of the `combined` rule's
+    update direction.  In float64 the two-point difference rounds to exactly
+    0 on 99.45% of 8x8 rows, where p1 rounds to 1/2 although the true
+    derivative is ~1e-26 to 1e-35; taking the difference in z before that
+    rounding (ROADMAP item 5) is still open."""
+    p1s = objective.p1(params)
+    jac = objective.jacobian(params)
+    act = activate(p1s)
+    w = 4.0 * (act - objective.labels) * activate_deriv(p1s) / objective.batch_size
+    return (w[:, None] * jac).sum(axis=0)
 
 
 def batches_seen(config, dataset=None):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import GATE_KINDS, random_plan, random_state
+from conftest import GATE_KINDS, loss_gradient, random_plan, random_state
 from qcnn import (
     Angle,
     Architecture,
@@ -32,7 +32,7 @@ from qcnn import (
 )
 from qcnn.cli import EXIT_OK, entry
 from qcnn.gates import gate_matrix
-from qcnn.training import activate, loss_gradient, mse, save_curve
+from qcnn.training import activate, mse, save_curve
 
 
 def _report(capsys, num, subject, ok, detail):

@@ -8,7 +8,7 @@ import functools
 import numpy as np
 import pytest
 
-from conftest import displaced_p1, embed_gate, random_template
+from conftest import displaced_p1, embed_gate, param_slots, random_template
 from qcnn.dataset import gen_dataset
 from qcnn.gates import Angle, GateKind, GateOp, gate_matrix
 from qcnn.network import ModelParams, build_plan, conv_feature_map, group_plan, layer_structure
@@ -287,7 +287,7 @@ def test_every_displaced_readout_matches_shifted_engine_runs(arch, measure_mode)
     def engine(tpl, group_angles, p, shift):
         return run_plan_batch(tpl, group_angles, p, shift=shift)
 
-    for layer, j in plan.param_slots():
+    for layer, j in param_slots(plan):
         for occ, gate in enumerate(plan.param_occurrences(layer, j)):
             for delta in (np.pi / 2, -np.pi / 2):
                 got = displaced_p1(obj, params, (layer, j, occ, delta))

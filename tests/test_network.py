@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import param_slots
 
 from qcnn.baseline import init_classical
 from qcnn.encoding import pixel_cos, pixel_to_angle
@@ -167,11 +168,11 @@ def test_param_occurrence_index():
         occ = cpp.param_occurrences(0, j)
         assert len(occ) == 4
         assert all(cpp.gates[i].kind is GateKind.RX for i in occ)
-    assert cpp.param_slots() == ((0, 0), (0, 1), (0, 2), (0, 3))
+    assert param_slots(cpp) == ((0, 0), (0, 1), (0, 2), (0, 3))
     cpcp, _ = build_plan(CPCP)
     assert len(cpcp.param_occurrences(0, 0)) == 16
     assert len(cpcp.param_occurrences(1, 3)) == 2
-    assert len(cpcp.param_slots()) == 8
+    assert len(param_slots(cpcp)) == 8
 
 
 def test_build_plan_is_cached():
@@ -189,7 +190,7 @@ def test_group_plan_templates():
     assert pool.gates[2].kind is GateKind.CFLIP_X
     with pytest.raises(ValueError):
         group_plan("dense")
-    assert group_plan("conv", 1).param_slots() == ((1, 0), (1, 1), (1, 2), (1, 3))
+    assert param_slots(group_plan("conv", 1)) == ((1, 0), (1, 1), (1, 2), (1, 3))
 
 
 def _conv_closed_form(encode, kernel):

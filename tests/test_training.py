@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import batches_seen, displaced_p1
+from conftest import batches_seen, displaced_p1, loss_gradient, param_slots
 
 from qcnn.baseline import classical_train
 from qcnn.dataset import LabeledImage, gen_dataset
@@ -25,7 +25,6 @@ from qcnn.training import (
     activate,
     activate_deriv,
     evaluate,
-    loss_gradient,
     mse,
     save_curve,
     sigmoid,
@@ -224,7 +223,7 @@ def _whole_plan_runs(arch):
     params = ModelParams.from_vector(config.arch, np.random.default_rng(22).uniform(-0.6, 0.6, config.arch.n_params))
     plan, angles = build_plan(config.arch)[0], _angles(obj, 5, 21)
     runs = [run_plan_batch(plan, angles, params)]
-    for layer, j in plan.param_slots():
+    for layer, j in param_slots(plan):
         for g in plan.param_occurrences(layer, j):
             runs += [run_plan_batch(plan, angles, params, shift={g: d}) for d in (np.pi / 2, -np.pi / 2)]
     return params, runs
@@ -243,7 +242,7 @@ def test_end_to_end_readouts_and_jacobian_equal_whole_plan_runs(arch, eval_mode)
     same = np.testing.assert_array_equal if eval_mode == "sampled" else near
     same(obj.p1(params), next(want))
     plan = build_plan(obj.arch)[0]
-    slots = plan.param_slots()
+    slots = param_slots(plan)
     jac = np.zeros((5, len(slots)))
     for c, (layer, j) in enumerate(slots):
         for _ in plan.param_occurrences(layer, j):
@@ -282,7 +281,7 @@ def test_intermediate_readouts_and_jacobian_equal_per_group_runs(arch, eval_mode
     obj, config = _objective(arch, n=5, seed=21, measure_mode="intermediate", eval_mode=eval_mode, shots=100)
     params = ModelParams.from_vector(config.arch, np.random.default_rng(22).uniform(-0.6, 0.6, config.arch.n_params))
     plan = build_plan(config.arch)[0]
-    slots = plan.param_slots()
+    slots = param_slots(plan)
     sites = [None] + [
         (layer, j, occ, d)
         for layer, j in slots
@@ -362,6 +361,37 @@ def test_engine_work_of_a_readout_and_full_jacobian(monkeypatch, measure_mode, c
                 assert kernels == _kernel_batches(arch, measure_mode), case
 
 
+@pytest.mark.parametrize("arch", ["conv-pool-pool", "conv-pool-conv-pool"])
+def test_each_hand_off_re_encodes_that_layers_drawn_readouts(monkeypatch, arch):
+    # measured after each layer and sampled, p1 hands each layer above the
+    # first to one prob_to_angle call on the layer below's (B, G) drawn
+    # readouts, multiples of 1/shots, the first of them near the exact
+    # ones; a full jacobian makes one call per hand-off on its (E*B, G)
+    # readouts
+    import qcnn.training
+
+    seen, encode = [], qcnn.training.prob_to_angle
+    monkeypatch.setattr(qcnn.training, "prob_to_angle", lambda p: seen.append(np.array(p)) or encode(p))
+    net = Architecture(arch)
+    layers = layer_structure(net)
+    e = 8 * sum(len(spec.groups) for spec in layers if spec.kind == "conv")
+    params = ModelParams.from_vector(net, np.linspace(0.3, 2.9, net.n_params))
+    handed = {}
+    for eval_mode in ("exact", "sampled"):
+        obj, _ = _objective(arch, n=3, seed=31, measure_mode="intermediate", eval_mode=eval_mode, shots=1000)
+        seen.clear()
+        obj.p1(params)
+        assert [p.shape for p in seen] == [(3, len(spec.groups)) for spec in layers[:-1]]
+        handed[eval_mode] = list(seen)
+        seen.clear()
+        obj.jacobian(params)
+        assert [p.shape for p in seen] == [(e * 3, len(spec.groups)) for spec in layers[:-1]]
+    for drawn in handed["sampled"]:
+        np.testing.assert_array_equal(np.rint(drawn * 1000) / 1000, drawn)
+    drawn, exact = handed["sampled"][0], handed["exact"][0]
+    assert np.all(np.abs(drawn - exact) <= 6 * np.sqrt(exact * (1 - exact) / 1000) + 1e-3)
+
+
 @pytest.mark.parametrize("measure_mode", ["end-to-end", "intermediate"])
 @pytest.mark.parametrize("arch", ["conv", "conv-pool-pool", "conv-pool-conv-pool"])
 def test_exact_jacobian_sums_its_displaced_readouts_bit_for_bit(arch, measure_mode):
@@ -371,7 +401,7 @@ def test_exact_jacobian_sums_its_displaced_readouts_bit_for_bit(arch, measure_mo
     obj, config = _objective(arch, n=5, seed=31, measure_mode=measure_mode)
     params = ModelParams.from_vector(config.arch, np.random.default_rng(32).uniform(-np.pi, np.pi, config.arch.n_params))
     plan = build_plan(config.arch)[0]
-    slots = plan.param_slots()
+    slots = param_slots(plan)
     want = np.zeros((5, len(slots)))
     for c, (layer, j) in enumerate(slots):
         for occ in range(len(plan.param_occurrences(layer, j))):
@@ -803,7 +833,7 @@ def test_train_updates_the_slots_of_the_plan(monkeypatch, arch):
     direction = qcnn.training.update_direction
     monkeypatch.setattr(qcnn.training, "update_direction",
                         lambda obj, params, p1s, layer=None: seen.append(layer) or direction(obj, params, p1s, layer))
-    want = list(build_plan(Architecture(arch))[0].param_slots())
+    want = list(param_slots(build_plan(Architecture(arch))[0]))
     assert want == [(layer, j) for layer in range(len(want) // 4) for j in range(4)]
     train(TrainConfig(arch=arch, epochs=1, batch_size=2))
     assert seen == [None]
